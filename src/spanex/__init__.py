@@ -82,7 +82,6 @@ from .query import (
     eval_canonical,
     eval_compiled,
     eval_query,
-    map_to_relational,
     parse_query,
     plan_query,
     query_to_source,
@@ -155,7 +154,6 @@ __all__ = [
     "join",
     "join_many",
     "load_vsa",
-    "map_to_relational",
     "match_ref_word",
     "oracle_enumerate",
     "parse_formula",

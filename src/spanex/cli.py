@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import array
 import gc
+import itertools
 import json
 import os
 import statistics
@@ -36,12 +37,12 @@ from .query import (
     PlanOptions,
     QuerySyntaxError,
     UnionQuery,
-    compile_cq,
+    compile_query,
     eval_query,
     parse_query,
     query_to_source,
 )
-from .compiler import EqualityBudgetError, union_vsa
+from .compiler import EqualityBudgetError
 from .vsa import NotFunctionalAutomaton, dump_vsa, is_key_attribute
 
 _ENV_JOIN_LIMIT = "SPANEX_MAX_JOIN_COMPILE"
@@ -109,19 +110,19 @@ def _span_json(span: Span) -> list[int]:
 
 
 def cmd_eval(args) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise CliError(f"--limit must be non-negative, got {args.limit}")
     query = _read_query(args)
     doc = _read_document(args)
     options = _plan_options(args)
     columns = list(query.projection)
-    stream = eval_query(query, doc, options, strategy=args.strategy)
+    stream = itertools.islice(eval_query(query, doc, options, strategy=args.strategy),
+                              args.limit)
 
     out = sys.stdout
     count = 0
     if args.format == "count":
-        for _ in stream:
-            count += 1
-            if args.limit is not None and count >= args.limit:
-                break
+        count = sum(1 for _ in stream)
         out.write(f"{count}\n")
         out.flush()
     else:
@@ -141,9 +142,7 @@ def cmd_eval(args) -> int:
                     sort_keys=True) + "\n")
             out.flush()
             count += 1
-            if args.limit is not None and count >= args.limit:
-                break
-    if not query.projection and count == 0:
+    if not query.projection and count == 0 and args.limit != 0:
         return 1
     return 0
 
@@ -219,9 +218,7 @@ def cmd_bench(args) -> int:
     doc = _read_document(args)
 
     t0 = time.perf_counter_ns()
-    automata = [compile_cq(cq, doc, path_budget=None)
-                for cq in query.disjuncts]
-    united = automata[0] if len(automata) == 1 else union_vsa(*automata)
+    united, _ = compile_query(query, doc)
     graph = build_match_graph(united, doc)
     preprocess = time.perf_counter_ns() - t0
 

@@ -27,16 +27,14 @@ from .formula import (
 from .model import CLOSED, OP_CLOSE, OP_OPEN, OPEN, WAITING, all_spans, close_op, open_op
 from .vsa import (
     ANY,
-    NotFunctionalAutomaton,
     VSA,
-    compute_state_configs,
+    cached_symbol_step,
     empty_vsa,
     eps_closure,
-    is_empty_language,
+    functional_configs,
     symbol_step,
     trim,
     var_eps_closure,
-    wildcard_step,
 )
 
 
@@ -164,13 +162,6 @@ def union_vsa(*automata: VSA) -> VSA:
 # ---------------------------------------------------------------------------
 
 
-def _require_closed_final(vsa: VSA, configs) -> None:
-    for var, state in zip(vsa.ordered_variables, configs[vsa.final]):
-        if state != CLOSED:
-            raise NotFunctionalAutomaton("variable not closed at the final state",
-                                         vsa.final, var)
-
-
 def _ops_between(ordered_vars, from_config, to_config, acc: set) -> None:
     for i, var in enumerate(ordered_vars):
         was, now = from_config[i], to_config[i]
@@ -195,15 +186,11 @@ def join(first: VSA, second: VSA) -> VSA:
     operation edges labeled with exactly the operations that map the source
     pair's configurations to the target pair's.
     """
-    a = trim(first)
-    b = trim(second)
+    a, configs_a = functional_configs(first)
+    b, configs_b = functional_configs(second)
     variables = a.variables | b.variables
-    if is_empty_language(a) or is_empty_language(b):
+    if configs_a is None or configs_b is None:
         return empty_vsa(variables)
-    configs_a = compute_state_configs(a)
-    configs_b = compute_state_configs(b)
-    _require_closed_final(a, configs_a)
-    _require_closed_final(b, configs_b)
 
     shared = sorted(a.variables & b.variables)
     index_a = {var: i for i, var in enumerate(a.ordered_variables)}
@@ -230,8 +217,13 @@ def join(first: VSA, second: VSA) -> VSA:
 
     eps_a, eps_b = eps_closure(a), eps_closure(b)
     var_a, var_b = var_eps_closure(a), var_eps_closure(b)
+    # pairs come grouped by their first state, so only that side's step is
+    # memoized: a second-side cache would keep one set per state of a wide
+    # equality automaton alive, each reused by few pairs
+    step_a = cached_symbol_step(a, eps_a)
     symbols = sorted(a.concrete_symbols() | b.concrete_symbols())
-    wildcard = a.has_wildcard() and b.has_wildcard()
+    if a.has_wildcard() and b.has_wildcard():
+        symbols.append(ANY)  # steps through wildcard edges on both sides
 
     transitions: list[tuple] = []
     initial = pair_id[(a.initial, b.initial)]
@@ -247,7 +239,7 @@ def join(first: VSA, second: VSA) -> VSA:
     for source, (p1, p2) in enumerate(pairs):
         # rule 2: synchronised reads (concrete symbols, and wildcard–wildcard)
         for symbol in symbols:
-            targets_1 = symbol_step(a, p1, symbol, eps_a)
+            targets_1 = step_a(p1, symbol)
             if not targets_1:
                 continue
             targets_2 = symbol_step(b, p2, symbol, eps_b)
@@ -256,12 +248,6 @@ def join(first: VSA, second: VSA) -> VSA:
                     target = pair_id.get((q1, q2))
                     if target is not None:
                         transitions.append((source, symbol, target))
-        if wildcard:
-            for q1 in wildcard_step(a, p1, eps_a):
-                for q2 in wildcard_step(b, p2, eps_b):
-                    target = pair_id.get((q1, q2))
-                    if target is not None:
-                        transitions.append((source, ANY, target))
         # rule 3: variable moves — any consistent closure pair whose combined
         # configuration actually changes, labeled with the exact difference
         config_1, config_2 = configs_a[p1], configs_b[p2]
@@ -359,23 +345,12 @@ def _equality_classes(selections) -> list[list[str]]:
 
 
 def _equal_substring_groups(doc: str) -> list[list]:
-    """Group all spans of the document by substring equality, by direct
-    pairwise comparison (length check first, then the characters)."""
-    spans = list(all_spans(len(doc)))
-    texts = [doc[span.begin - 1:span.end - 1] for span in spans]
-    taken = [False] * len(spans)
-    groups = []
-    for i, span in enumerate(spans):
-        if taken[i]:
-            continue
-        group = [span]
-        taken[i] = True
-        for j in range(i + 1, len(spans)):
-            if not taken[j] and texts[j] == texts[i]:
-                group.append(spans[j])
-                taken[j] = True
-        groups.append(group)
-    return groups
+    """Group all spans of the document by substring equality; groups and
+    their members both follow ``all_spans`` order."""
+    groups: dict[str, list] = {}
+    for span in all_spans(len(doc)):
+        groups.setdefault(doc[span.begin - 1:span.end - 1], []).append(span)
+    return list(groups.values())
 
 
 def build_equality_automaton(doc: str, selections, *,

@@ -27,14 +27,7 @@ searches the monotone per-variable state sequence.
 from __future__ import annotations
 
 from .model import CLOSED, WAITING, Span, SpanTuple
-from .vsa import (
-    VSA,
-    compute_state_configs,
-    is_empty_language,
-    symbol_step,
-    trim,
-    var_eps_closure,
-)
+from .vsa import VSA, cached_symbol_step, functional_configs, var_eps_closure
 
 _START = -1  # virtual start node's "state" id
 
@@ -94,28 +87,13 @@ def build_match_graph(automaton: VSA, doc: str) -> MatchGraph:
     Raises if the automaton is not functional; an automaton with no results
     on this document yields a graph flagged empty.
     """
-    trimmed = trim(automaton)
-    variables = tuple(sorted(automaton.variables))
+    trimmed, configs = functional_configs(automaton)
+    variables = trimmed.ordered_variables
     doc_len = len(doc)
-    if is_empty_language(trimmed):
+    if configs is None:
         return _empty_graph(doc_len, variables)
-    configs = compute_state_configs(trimmed)
-    if any(state != CLOSED for state in configs[trimmed.final]):
-        from .vsa import NotFunctionalAutomaton
-
-        raise NotFunctionalAutomaton("variable not closed at the final state",
-                                     trimmed.final)
     closure = var_eps_closure(trimmed)
-
-    step_cache: dict[tuple[int, str], frozenset[int]] = {}
-
-    def step(state: int, symbol: str) -> frozenset[int]:
-        key = (state, symbol)
-        hit = step_cache.get(key)
-        if hit is None:
-            hit = symbol_step(trimmed, state, symbol, closure)
-            step_cache[key] = hit
-        return hit
+    step = cached_symbol_step(trimmed, closure)
 
     # forward sweep: layers[i] = states reachable before reading symbol i+1
     layers: list[set[int]] = [set(closure[trimmed.initial])]
@@ -307,25 +285,26 @@ def enumerate_graph(graph: MatchGraph, stats: EnumerationStats | None = None):
                     pending.append((slab + 1, nsid))
             letter = nxt_map.get(letter)
 
-    # fill every slab with its least letter (the overall minimal string)
-    j = 0
-    while j < doc_len:
-        sid = stack[j]
-        lt = min_letter[j][sid]
-        letters[j] = lt
-        if j < last:
-            nxt = trans_memo[j].get(sid * n_ranks + lt)
-            if nxt is None:
-                nxt = cold_transition(j, sid, lt)
-            stack_append(nxt)
-        j += 1
-        fill_total += 1
-    if stats is not None:
-        stats.tuples += 1
-        stats.fill_steps = base_fill + fill_total
-    yield decode()
-
+    j = 0  # first slab to fill; 0 gives the overall minimal string
     while True:
+        # fill the tail from slab j with least letters
+        while j < doc_len:
+            sid = stack[j]
+            lt = min_letter[j][sid]
+            letters[j] = lt
+            if j < last:
+                nxt = trans_memo[j].get(sid * n_ranks + lt)
+                if nxt is None:
+                    nxt = cold_transition(j, sid, lt)
+                stack_append(nxt)
+            j += 1
+            fill_total += 1
+        if stats is not None:
+            stats.tuples += 1
+            stats.scan_steps = base_scan + scan_total
+            stats.fill_steps = base_fill + fill_total
+        yield decode()
+
         # scan from the tail for the deepest slab that can take a larger
         # letter, dropping exhausted frontier entries along the way
         i = last
@@ -343,30 +322,13 @@ def enumerate_graph(graph: MatchGraph, stats: EnumerationStats | None = None):
                 if nxt is None:
                     nxt = cold_transition(i, sid, nl)
                 stack_append(nxt)
-                # refill the tail with least letters
-                j = i + 1
-                while j < doc_len:
-                    sid = stack[j]
-                    lt = min_letter[j][sid]
-                    letters[j] = lt
-                    if j < last:
-                        nxt = trans_memo[j].get(sid * n_ranks + lt)
-                        if nxt is None:
-                            nxt = cold_transition(j, sid, lt)
-                        stack_append(nxt)
-                    j += 1
-                    fill_total += 1
             break
         if i < 0:
             if stats is not None:
                 stats.scan_steps = base_scan + scan_total
                 stats.fill_steps = base_fill + fill_total
             return
-        if stats is not None:
-            stats.tuples += 1
-            stats.scan_steps = base_scan + scan_total
-            stats.fill_steps = base_fill + fill_total
-        yield decode()
+        j = i + 1
 
 
 def enumerate_spans(automaton: VSA, doc: str,

@@ -100,23 +100,6 @@ def formula_variables(formula: Formula) -> frozenset[str]:
     return frozenset(acc)
 
 
-def formula_size(formula: Formula) -> int:
-    """Number of syntax-tree nodes."""
-    count = 0
-    stack = [formula]
-    while stack:
-        node = stack.pop()
-        count += 1
-        if isinstance(node, (Alt, Cat)):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, Star):
-            stack.append(node.inner)
-        elif isinstance(node, Bind):
-            stack.append(node.inner)
-    return count
-
-
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------

@@ -30,8 +30,6 @@ WAITING = 0
 OPEN = 1
 CLOSED = 2
 
-STATE_NAMES = ("w", "o", "c")
-
 # Variable operations, as they appear on automaton transitions and inside
 # ref-words: ("open", x) marks the start of x's span, ("close", x) its end.
 OP_OPEN = "open"
@@ -59,10 +57,6 @@ class Span(NamedTuple):
 
     def __str__(self) -> str:
         return f"{self.begin}..{self.end}"
-
-
-def is_valid_span(span: Span, doc_len: int) -> bool:
-    return 1 <= span.begin <= span.end <= doc_len + 1
 
 
 def span_text(doc: str, span: Span) -> str:
@@ -274,33 +268,10 @@ def tuple_ref_words(tup: SpanTuple, doc: str) -> Iterator[tuple]:
 # bijection is what makes span tuples enumerable as strings.
 
 
-def tuple_to_state_sequence(
-    tup: SpanTuple, doc_len: int, variables: Iterable[str]
-) -> list[tuple[int, ...]]:
-    """Per-position variable states, one tuple per position 1..doc_len+1.
-
-    States inside each entry follow ``sorted(variables)`` order.
-    """
-    ordered = sorted(variables)
-    seq = []
-    for pos in range(1, doc_len + 2):
-        entry = []
-        for var in ordered:
-            span = tup[var]
-            if pos < span.begin:
-                entry.append(WAITING)
-            elif pos < span.end:
-                entry.append(OPEN)
-            else:
-                entry.append(CLOSED)
-        seq.append(tuple(entry))
-    return seq
-
-
 def state_sequence_to_tuple(
     seq: list[tuple[int, ...]], variables: Iterable[str]
 ) -> SpanTuple:
-    """Inverse of :func:`tuple_to_state_sequence`.
+    """The span tuple of a per-position state sequence.
 
     ``seq[p-1]`` holds the states before reading symbol p; a variable's span
     begins at the first position where it is no longer WAITING and ends at
@@ -321,20 +292,3 @@ def state_sequence_to_tuple(
             raise ValueError(f"state sequence never closes variable {var!r}")
         assignment[var] = Span(begin, end)
     return SpanTuple(assignment)
-
-
-def is_valid_state_sequence(seq: list[tuple[int, ...]]) -> bool:
-    """Monotone per variable (w* o* c*), ending all-CLOSED."""
-    if not seq:
-        return False
-    width = len(seq[0])
-    for idx in range(width):
-        prev = WAITING
-        for entry in seq:
-            state = entry[idx]
-            if state < prev:
-                return False
-            prev = state
-        if prev != CLOSED:
-            return False
-    return True

@@ -302,41 +302,6 @@ def query_to_source(query: UnionQuery) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Relational skeleton
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RelationalAtom:
-    name: str
-    attributes: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class RelationalSkeleton:
-    atoms: tuple[RelationalAtom, ...]
-    projection: tuple[str, ...]
-    equalities: tuple[tuple[str, str], ...]
-
-    @property
-    def variables(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
-        for atom in self.atoms:
-            out |= frozenset(atom.attributes)
-        return out
-
-
-def map_to_relational(cq: ConjunctiveQuery) -> RelationalSkeleton:
-    """The query's shape as a relational CQ: one fresh relation symbol per
-    atom, attributes = the atom's variables.  Used for planning statistics
-    and by tests that compare against relational evaluation."""
-    atoms = tuple(
-        RelationalAtom(f"R{i + 1}", tuple(sorted(formula_variables(atom))))
-        for i, atom in enumerate(cq.atoms))
-    return RelationalSkeleton(atoms, cq.projection, cq.equalities)
-
-
-# ---------------------------------------------------------------------------
 # Planning
 # ---------------------------------------------------------------------------
 
@@ -436,38 +401,33 @@ def eval_compiled(cq: ConjunctiveQuery, doc: str, *,
     yield from enumerate_spans(compile_cq(cq, doc, path_budget=path_budget), doc)
 
 
+def compile_query(query: UnionQuery, doc: str, decisions: list[str] | None = None,
+                  *, path_budget: int | None = None):
+    """Compile each disjunct planned ``COMPILED`` (all when ``decisions`` is
+    None) exactly once.
+
+    Returns ``(united, parts)``.  ``parts[i]`` is disjunct i's automaton, or
+    None when it is left to the canonical route: planned so, or its equality
+    automaton would exceed ``path_budget``.  ``united`` is the union of all
+    parts (a lone part as is) when none is None, else None.
+    """
+    parts = []
+    for i, cq in enumerate(query.disjuncts):
+        automaton = None
+        if decisions is None or decisions[i] == COMPILED:
+            try:
+                automaton = compile_cq(cq, doc, path_budget=path_budget)
+            except EqualityBudgetError:
+                pass
+        parts.append(automaton)
+    if any(part is None for part in parts):
+        return None, parts
+    return (parts[0] if len(parts) == 1 else union_vsa(*parts)), parts
+
+
 # ---------------------------------------------------------------------------
 # Evaluation: strategy dispatch
 # ---------------------------------------------------------------------------
-
-
-def _eval_all_compiled(query: UnionQuery, doc: str,
-                       path_budget: int | None):
-    automata = [compile_cq(cq, doc, path_budget=path_budget)
-                for cq in query.disjuncts]
-    united = automata[0] if len(automata) == 1 else union_vsa(*automata)
-    return enumerate_spans(united, doc)
-
-
-def _eval_mixed(query: UnionQuery, doc: str, decisions: list[str],
-                options: PlanOptions):
-    seen: set[SpanTuple] = set()
-    for cq, decision in zip(query.disjuncts, decisions):
-        rows = None
-        if decision == COMPILED:
-            try:
-                automaton = compile_cq(cq, doc,
-                                       path_budget=options.eq_path_budget)
-            except EqualityBudgetError:
-                rows = eval_canonical(cq, doc)
-            else:
-                rows = enumerate_spans(automaton, doc)
-        if rows is None:
-            rows = eval_canonical(cq, doc)
-        for row in rows:
-            if row not in seen:
-                seen.add(row)
-                yield row
 
 
 def eval_query(query: UnionQuery, doc: str,
@@ -476,29 +436,29 @@ def eval_query(query: UnionQuery, doc: str,
     """Evaluate a union query: a stream of distinct projected span tuples.
 
     ``strategy`` is ``auto`` (plan per disjunct), ``canonical``, or
-    ``compiled`` (force one automaton; ignores the plan limits).
+    ``compiled`` (force one automaton; ignores the plan limits).  When every
+    disjunct compiles, the union automaton is enumerated; otherwise the
+    disjuncts stream in order, each through its automaton or the canonical
+    route, with repeats dropped.
     """
     options = options or PlanOptions()
-    if strategy == COMPILED:
-        yield from _eval_all_compiled(query, doc, None)
-        return
-    if strategy == CANONICAL:
-        seen: set[SpanTuple] = set()
-        for cq in query.disjuncts:
-            for row in eval_canonical(cq, doc):
-                if row not in seen:
-                    seen.add(row)
-                    yield row
-        return
-    if strategy != "auto":
+    if strategy == "auto":
+        decisions = plan_query(query, options)
+        budget = options.eq_path_budget
+    elif strategy in (COMPILED, CANONICAL):
+        decisions = [strategy] * len(query.disjuncts)
+        budget = None
+    else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    decisions = plan_query(query, options)
-    if all(decision == COMPILED for decision in decisions):
-        try:
-            stream = _eval_all_compiled(query, doc, options.eq_path_budget)
-        except EqualityBudgetError:
-            stream = None
-        if stream is not None:
-            yield from stream
-            return
-    yield from _eval_mixed(query, doc, decisions, options)
+    united, parts = compile_query(query, doc, decisions, path_budget=budget)
+    if united is not None:
+        yield from enumerate_spans(united, doc)
+        return
+    seen: set[SpanTuple] = set()
+    for cq, automaton in zip(query.disjuncts, parts):
+        rows = (eval_canonical(cq, doc) if automaton is None
+                else enumerate_spans(automaton, doc))
+        for row in rows:
+            if row not in seen:
+                seen.add(row)
+                yield row

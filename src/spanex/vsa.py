@@ -23,14 +23,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable
 
 from .model import (
     CLOSED,
     OPEN,
     OP_CLOSE,
     OP_OPEN,
-    STATE_NAMES,
     WAITING,
     SpanTuple,
     state_sequence_to_tuple,
@@ -290,36 +289,36 @@ class VsaReport:
         return self.ok
 
 
-def check_functional_vsa(vsa: VSA) -> VsaReport:
-    """Functionality test: trim, propagate configurations, require the final
-    configuration to have every variable closed.
+def functional_configs(vsa: VSA) -> tuple[VSA, list[tuple[int, ...]] | None]:
+    """Trim the automaton and compute its state configurations, requiring
+    functionality.
 
-    An automaton with an empty ref-word language is vacuously functional.
+    Returns ``(trimmed, configs)``; ``configs`` is None when the ref-word
+    language is empty (vacuously functional).  Raises
+    :class:`NotFunctionalAutomaton` on conflicting configurations or on a
+    variable left unclosed at the final state, naming the variable.
     """
     trimmed = trim(vsa)
     if is_empty_language(trimmed):
-        return VsaReport(True)
+        return trimmed, None
+    configs = compute_state_configs(trimmed)
+    for var, state in zip(trimmed.ordered_variables, configs[trimmed.final]):
+        if state != CLOSED:
+            raise NotFunctionalAutomaton("variable not closed at the final state",
+                                         trimmed.final, var)
+    return trimmed, configs
+
+
+def check_functional_vsa(vsa: VSA) -> VsaReport:
+    """Functionality test (see :func:`functional_configs`) as a report.
+
+    An automaton with an empty ref-word language is vacuously functional.
+    """
     try:
-        configs = compute_state_configs(trimmed)
+        functional_configs(vsa)
     except NotFunctionalAutomaton as err:
         return VsaReport(False, err.reason, err.state, err.variable)
-    final_config = configs[trimmed.final]
-    for var, state in zip(trimmed.ordered_variables, final_config):
-        if state != CLOSED:
-            return VsaReport(False, "variable not closed at the final state",
-                             trimmed.final, var)
     return VsaReport(True)
-
-
-def require_functional_vsa(vsa: VSA) -> None:
-    report = check_functional_vsa(vsa)
-    if not report.ok:
-        raise NotFunctionalAutomaton(report.reason or "not functional",
-                                     report.state, report.variable)
-
-
-def config_to_str(config: Sequence[int]) -> str:
-    return "(" + ",".join(STATE_NAMES[s] for s in config) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +358,8 @@ def var_eps_closure(vsa: VSA) -> list[frozenset[int]]:
 def symbol_step(vsa: VSA, state: int, symbol: str,
                 closure: list[frozenset[int]]) -> frozenset[int]:
     """Consume ``symbol`` from ``state`` (concrete or wildcard edges), then
-    close off with the supplied closure."""
+    close off with the supplied closure.  The symbol :data:`ANY` follows
+    wildcard edges only."""
     targets: set[int] = set()
     for dst in vsa.sym_out[state].get(symbol, ()):
         targets |= closure[dst]
@@ -368,13 +368,21 @@ def symbol_step(vsa: VSA, state: int, symbol: str,
     return frozenset(targets)
 
 
-def wildcard_step(vsa: VSA, state: int,
-                  closure: list[frozenset[int]]) -> frozenset[int]:
-    """Like :func:`symbol_step` but through wildcard edges only."""
-    targets: set[int] = set()
-    for dst in vsa.any_out[state]:
-        targets |= closure[dst]
-    return frozenset(targets)
+def cached_symbol_step(vsa: VSA, closure: list[frozenset[int]]
+                       ) -> Callable[[int, str], frozenset[int]]:
+    """:func:`symbol_step` on ``vsa`` with ``closure``, memoized per
+    (state, symbol)."""
+    cache: dict[tuple[int, str], frozenset[int]] = {}
+
+    def step(state: int, symbol: str) -> frozenset[int]:
+        key = (state, symbol)
+        hit = cache.get(key)
+        if hit is None:
+            hit = symbol_step(vsa, state, symbol, closure)
+            cache[key] = hit
+        return hit
+
+    return step
 
 
 # ---------------------------------------------------------------------------
@@ -451,13 +459,9 @@ def is_key_attribute(vsa: VSA, var: str) -> KeyReport:
     """
     if var not in vsa.variables:
         raise ValueError(f"unknown variable {var!r}")
-    trimmed = trim(vsa)
-    if is_empty_language(trimmed):
+    trimmed, configs = functional_configs(vsa)
+    if configs is None:
         return KeyReport(True)
-    configs = compute_state_configs(trimmed)
-    final_config = configs[trimmed.final]
-    if any(state != CLOSED for state in final_config):
-        raise NotFunctionalAutomaton("key test requires a functional automaton")
     if len(vsa.variables) <= 1:
         # the single variable trivially determines the tuple
         return KeyReport(True)
@@ -469,13 +473,7 @@ def is_key_attribute(vsa: VSA, var: str) -> KeyReport:
     if trimmed.has_wildcard():
         symbols.append(_fresh_symbol(trimmed.concrete_symbols()))
 
-    step_cache: dict[tuple[int, str], frozenset[int]] = {}
-
-    def step(state: int, symbol: str) -> frozenset[int]:
-        key = (state, symbol)
-        if key not in step_cache:
-            step_cache[key] = symbol_step(trimmed, state, symbol, closure)
-        return step_cache[key]
+    step = cached_symbol_step(trimmed, closure)
 
     # product states: (bit, state1, state2); parents for witness decoding
     parents: dict[tuple[int, int, int], tuple[tuple[int, int, int] | None, str | None]] = {}

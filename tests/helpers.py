@@ -8,12 +8,16 @@ languages are unrolled from the grammar with a bounded star depth.
 
 import itertools
 import random
+from dataclasses import dataclass
 
 from spanex.formula import (
     Alt, Any, Bind, Cat, Empty, Epsilon, Formula, Star, Sym,
     check_functional, formula_variables,
 )
-from spanex.model import Span, SpanTuple, all_spans, is_valid_ref_word, open_op, close_op
+from spanex.model import (
+    CLOSED, OPEN, WAITING, Span, SpanTuple, all_spans, is_valid_ref_word,
+    open_op, close_op,
+)
 from spanex.vsa import VSA
 from spanex.enumerator import enumerate_spans
 
@@ -256,3 +260,96 @@ def loop_automaton() -> VSA:
 
 def span_set(rows, var: str = "x") -> set[tuple[int, int]]:
     return {(row[var].begin, row[var].end) for row in rows}
+
+
+# ---------------------------------------------------------------------------
+# Views of engine data that only the tests use
+# ---------------------------------------------------------------------------
+
+
+def formula_size(formula: Formula) -> int:
+    """Number of syntax-tree nodes."""
+    count = 0
+    stack = [formula]
+    while stack:
+        node = stack.pop()
+        count += 1
+        if isinstance(node, (Alt, Cat)):
+            stack.append(node.left)
+            stack.append(node.right)
+        elif isinstance(node, (Star, Bind)):
+            stack.append(node.inner)
+    return count
+
+
+def is_valid_span(span: Span, doc_len: int) -> bool:
+    return 1 <= span.begin <= span.end <= doc_len + 1
+
+
+def tuple_to_state_sequence(tup: SpanTuple, doc_len: int, variables) -> list[tuple[int, ...]]:
+    """Per-position variable states, one tuple per position 1..doc_len+1,
+    each in ``sorted(variables)`` order; inverse of
+    ``spanex.model.state_sequence_to_tuple``."""
+    ordered = sorted(variables)
+    seq = []
+    for pos in range(1, doc_len + 2):
+        entry = []
+        for var in ordered:
+            span = tup[var]
+            if pos < span.begin:
+                entry.append(WAITING)
+            elif pos < span.end:
+                entry.append(OPEN)
+            else:
+                entry.append(CLOSED)
+        seq.append(tuple(entry))
+    return seq
+
+
+def is_valid_state_sequence(seq: list[tuple[int, ...]]) -> bool:
+    """Monotone per variable (w* o* c*), ending all-CLOSED."""
+    if not seq:
+        return False
+    for idx in range(len(seq[0])):
+        prev = WAITING
+        for entry in seq:
+            state = entry[idx]
+            if state < prev:
+                return False
+            prev = state
+        if prev != CLOSED:
+            return False
+    return True
+
+
+def config_to_str(config) -> str:
+    return "(" + ",".join("woc"[s] for s in config) + ")"
+
+
+@dataclass(frozen=True)
+class RelationalAtom:
+    name: str
+    attributes: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class RelationalSkeleton:
+    atoms: tuple[RelationalAtom, ...]
+    projection: tuple[str, ...]
+    equalities: tuple[tuple[str, str], ...]
+
+    @property
+    def variables(self) -> frozenset[str]:
+        out: frozenset[str] = frozenset()
+        for atom in self.atoms:
+            out |= frozenset(atom.attributes)
+        return out
+
+
+def map_to_relational(cq) -> RelationalSkeleton:
+    """The conjunctive query's shape as a relational CQ: one fresh relation
+    symbol per atom, attributes = the atom's variables."""
+    atoms = tuple(
+        RelationalAtom(f"R{i + 1}", tuple(sorted(formula_variables(atom))))
+        for i, atom in enumerate(cq.atoms))
+    return RelationalSkeleton(atoms, cq.projection, cq.equalities)

@@ -61,6 +61,32 @@ def test_eval_limit_stops_early(capsys):
     assert out == "# x\n4..4\n"
 
 
+def test_eval_limit_zero_emits_nothing(capsys):
+    code, out, _ = run_cli(capsys, "eval", "--query-text", SUBSTRINGS,
+                           "--input-text", "aaa", "--limit", "0")
+    assert code == 0
+    assert out == "# x\n"
+    code, out, _ = run_cli(capsys, "eval", "--query-text", SUBSTRINGS,
+                           "--input-text", "aaa", "--limit", "0",
+                           "--format", "count")
+    assert code == 0
+    assert out == "0\n"
+    # nothing was evaluated, so a Boolean query gives no negative verdict
+    code, out, _ = run_cli(capsys, "eval", "--query-text",
+                           "SELECT () FROM /.* x{a} .*/",
+                           "--input-text", "bb", "--limit", "0")
+    assert code == 0
+    assert out == "# ()\n"
+
+
+def test_eval_negative_limit_is_rejected(capsys):
+    code, out, err = run_cli(capsys, "eval", "--query-text", SUBSTRINGS,
+                             "--input-text", "aaa", "--limit", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--limit" in err
+
+
 def test_eval_boolean_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "eval", "--query-text",
                            "SELECT () FROM /.* x{a} .*/",

@@ -9,8 +9,8 @@ from spanex.enumerator import (
     EnumerationStats, build_match_graph, enumerate_graph, enumerate_spans,
 )
 from spanex.formula import parse_formula
-from spanex.model import EMPTY_TUPLE, Span, SpanTuple
-from spanex.vsa import NotFunctionalAutomaton
+from spanex.model import EMPTY_TUPLE, Span, SpanTuple, open_op
+from spanex.vsa import VSA, NotFunctionalAutomaton
 
 from helpers import (
     marker_automaton, diamond_automaton, loop_automaton, random_doc,
@@ -47,6 +47,13 @@ def test_graph_flags_empty_when_no_match():
 def test_graph_rejects_non_functional_automaton():
     with pytest.raises(NotFunctionalAutomaton):
         build_match_graph(loop_automaton(), "a")
+
+
+def test_graph_names_the_variable_left_open():
+    a = VSA({"x"}, 2, 0, 1, [(0, frozenset([open_op("x")]), 1)])
+    with pytest.raises(NotFunctionalAutomaton) as info:
+        build_match_graph(a, "")
+    assert info.value.variable == "x"
 
 
 def test_graph_prunes_branches_that_cannot_finish():
@@ -152,6 +159,25 @@ def test_stats_counts_tuples_and_accumulates():
     assert stats.fill_steps > 0
     list(enumerate_spans(a, "aaa", stats))
     assert stats.tuples == 20
+
+
+STATS_FIELDS = ("tuples", "scan_steps", "fill_steps", "cold_transitions",
+                "max_node_set")
+
+
+@pytest.mark.parametrize("formula, after_first, after_all", [
+    (".* x{.*} .* y{.*} .*", (1, 0, 4, 35, 1), (70, 125, 56, 35, 1)),
+    (".* x{a .*} .* | .* x{.* b} .*", (1, 0, 4, 13, 3), (9, 22, 14, 13, 3)),
+])
+def test_stats_are_pinned(formula, after_first, after_all):
+    """Exact work counters on "abab", after the first tuple and at the end:
+    the first fill and every refill count the same way."""
+    stats = EnumerationStats()
+    gen = enumerate_spans(compile_regex(parse_formula(formula)), "abab", stats)
+    next(gen)
+    assert tuple(getattr(stats, f) for f in STATS_FIELDS) == after_first
+    list(gen)
+    assert tuple(getattr(stats, f) for f in STATS_FIELDS) == after_all
 
 
 def test_no_cold_transitions_after_first_result():

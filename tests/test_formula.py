@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from spanex.formula import (
     Alt, Any, Bind, Cat, Empty, Epsilon, Star, Sym,
     FormulaSyntaxError, NotFunctionalError, RefWordMatcher,
-    check_functional, formula_size, formula_to_source, formula_variables,
+    check_functional, formula_to_source, formula_variables,
     match_ref_word, parse_formula, require_functional,
 )
 from spanex.model import close_op, open_op
 
-from helpers import brute_force_functional, random_formula
+from helpers import brute_force_functional, formula_size, random_formula
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,11 @@ import pytest
 from spanex.model import (
     CLOSED, EMPTY_TUPLE, OPEN, WAITING,
     Span, SpanTuple,
-    all_spans, clean, close_op, is_valid_ref_word, is_valid_span,
-    is_valid_state_sequence, open_op, ref_word_span_tuple, span_text,
-    state_sequence_to_tuple, tuple_ref_words, tuple_to_state_sequence,
+    all_spans, clean, close_op, is_valid_ref_word, open_op,
+    ref_word_span_tuple, span_text, state_sequence_to_tuple, tuple_ref_words,
 )
+
+from helpers import is_valid_span, is_valid_state_sequence, tuple_to_state_sequence
 
 
 # ---------------------------------------------------------------------------

@@ -5,16 +5,17 @@ import random
 
 import pytest
 
+from spanex import compiler
 from spanex.compiler import compile_regex
 from spanex.harness import gen_3cnf_query, gen_clique_query
 from spanex.model import EMPTY_TUPLE, Span, SpanTuple
 from spanex.query import (
     CANONICAL, COMPILED, ConjunctiveQuery, PlanOptions, QuerySyntaxError,
-    UnionQuery, eval_canonical, eval_compiled, eval_query, map_to_relational,
-    parse_query, plan_query, query_to_source,
+    UnionQuery, eval_canonical, eval_compiled, eval_query, parse_query,
+    plan_query, query_to_source,
 )
 
-from helpers import random_doc, random_functional_formula, relation_of
+from helpers import map_to_relational, random_doc, random_functional_formula, relation_of
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +237,40 @@ def test_mixed_plan_agrees_with_all_canonical():
     mixed = list(eval_query(q, "ab", options=options))
     assert len(mixed) == len(set(mixed))
     assert set(mixed) == set(eval_query(q, "ab", strategy="canonical"))
+
+
+def _count_equality_builds(monkeypatch):
+    calls = []
+    build = compiler.build_equality_automaton
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(compiler, "build_equality_automaton", counting)
+    return calls
+
+
+def test_budget_fallback_builds_the_equality_automaton_once(monkeypatch):
+    q = parse_query("SELECT x, y FROM /.* x{.*} .* y{.*} .*/ WHERE x == y")
+    calls = _count_equality_builds(monkeypatch)
+    rows = list(eval_query(q, "abaab", PlanOptions(eq_path_budget=10)))
+    assert len(calls) == 1
+    assert rows == eval_canonical(q.disjuncts[0], "abaab")
+
+
+def test_union_with_an_over_budget_disjunct_keeps_its_order(monkeypatch):
+    """The compiled disjunct streams first in enumeration order, then the
+    over-budget one falls back to canonical (sorted), repeats dropped."""
+    q = parse_query("SELECT x FROM /.* x{a .*} .*/ UNION "
+                    "SELECT x FROM /.* x{.*} .* y{.*} .*/ WHERE x == y")
+    calls = _count_equality_builds(monkeypatch)
+    rows = list(eval_query(q, "abaab", PlanOptions(eq_path_budget=10)))
+    assert len(calls) == 1
+    assert [str(row["x"]) for row in rows] == [
+        "4..6", "4..5", "3..6", "3..5", "3..4", "1..6", "1..5", "1..4",
+        "1..3", "1..2", "1..1", "2..2", "2..3", "3..3", "4..4", "5..5", "6..6",
+    ]
 
 
 def test_unknown_strategy_is_rejected():

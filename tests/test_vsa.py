@@ -12,13 +12,12 @@ from spanex.model import CLOSED, OPEN, WAITING, close_op, open_op
 from spanex.vsa import (
     ANY, VSA, NotFunctionalAutomaton, VsaFormatError,
     accepts_ref_word, check_functional_vsa, compute_state_configs,
-    config_to_str, dump_vsa, eps_closure, is_empty_language,
-    is_key_attribute, load_vsa, require_functional_vsa, symbol_step,
-    trim, var_eps_closure, wildcard_step,
+    dump_vsa, eps_closure, functional_configs, is_empty_language,
+    is_key_attribute, load_vsa, symbol_step, trim, var_eps_closure,
 )
 
 from helpers import (
-    marker_automaton, diamond_automaton, loop_automaton,
+    config_to_str, marker_automaton, diamond_automaton, loop_automaton,
     brute_force_key, all_docs, random_functional_formula, relation_of,
 )
 
@@ -98,14 +97,15 @@ def test_config_to_str():
 
 def test_fixture_is_functional():
     assert check_functional_vsa(marker_automaton()).ok
-    require_functional_vsa(marker_automaton())
+    _, configs = functional_configs(marker_automaton())
+    assert configs == [(WAITING,), (OPEN,), (CLOSED,)]
 
 
 def test_loop_is_not_functional():
     report = check_functional_vsa(loop_automaton())
     assert not report.ok
     with pytest.raises(NotFunctionalAutomaton):
-        require_functional_vsa(loop_automaton())
+        functional_configs(loop_automaton())
 
 
 def test_open_variable_at_final_is_not_functional():
@@ -118,6 +118,7 @@ def test_open_variable_at_final_is_not_functional():
 def test_empty_language_is_functional():
     a = VSA({"x"}, 2, 0, 1, [])  # final unreachable
     assert check_functional_vsa(a).ok
+    assert functional_configs(a)[1] is None
 
 
 def test_compiled_formulas_are_functional():
@@ -156,10 +157,13 @@ def test_wildcard_step():
     closure = eps_closure(a)
     sources = [src for src, label, dst in a.transitions if label is ANY]
     assert sources
-    targets = wildcard_step(a, sources[0], closure)
+    targets = symbol_step(a, sources[0], ANY, closure)
     assert targets  # closure after the step reaches past the dot edge
     # a concrete symbol also takes the wildcard edge
     assert symbol_step(a, sources[0], "q", closure) == targets
+    # the wildcard symbol does not take a concrete edge
+    d = diamond_automaton()
+    assert symbol_step(d, 1, ANY, eps_closure(d)) == frozenset()
 
 
 def test_accepts_ref_word():
