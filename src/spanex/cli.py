@@ -409,6 +409,9 @@ def main(argv=None) -> int:
             NotFunctionalAutomaton, EqualityBudgetError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: input too long or too deeply nested to process", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         return 0
 

@@ -2,9 +2,11 @@
 algebra: projection, union, natural join, and string-equality selection.
 
 Every construction takes and returns functional automata, so the enumerator
-can run directly on any output.  The join is a product over configuration-
-consistent state pairs; string equality is handled by joining with a
-document-specific automaton whose paths spell out the admissible assignments.
+can run directly on any output.  The join is a product of the two inputs'
+ε-free normal forms, which alternate one marker move and one letter, so it
+synchronises letters and pairs marker moves that agree on shared variables;
+string equality is handled by joining with a document-specific automaton
+whose paths spell out the admissible assignments.
 """
 
 from __future__ import annotations
@@ -24,18 +26,8 @@ from .formula import (
     formula_variables,
     require_functional,
 )
-from .model import CLOSED, OP_CLOSE, OP_OPEN, OPEN, WAITING, all_spans, close_op, open_op
-from .vsa import (
-    ANY,
-    VSA,
-    cached_symbol_step,
-    empty_vsa,
-    eps_closure,
-    functional_configs,
-    symbol_step,
-    trim,
-    var_eps_closure,
-)
+from .model import OP_OPEN, all_spans, close_op, open_op
+from .vsa import ANY, VSA, empty_vsa, normal_form, trim
 
 
 # ---------------------------------------------------------------------------
@@ -162,109 +154,63 @@ def union_vsa(*automata: VSA) -> VSA:
 # ---------------------------------------------------------------------------
 
 
-def _ops_between(ordered_vars, from_config, to_config, acc: set) -> None:
-    for i, var in enumerate(ordered_vars):
-        was, now = from_config[i], to_config[i]
-        if was == now:
-            continue
-        if was == WAITING:
-            acc.add((OP_OPEN, var))
-            if now == CLOSED:
-                acc.add((OP_CLOSE, var))
-        elif was == OPEN and now == CLOSED:
-            acc.add((OP_CLOSE, var))
-        else:  # pragma: no cover - closure paths only advance configurations
-            raise AssertionError("configuration moved backwards")
-
-
 def join(first: VSA, second: VSA) -> VSA:
     """Natural join: tuples that agree on the shared variables, merged.
 
-    Product automaton over configuration-consistent state pairs.  Three edge
-    families: ε-edges fanning out of the initial pair (covering moves before
-    anything is read), symbol edges synchronising both sides' reads, and
-    operation edges labeled with exactly the operations that map the source
-    pair's configurations to the target pair's.
+    The product of the two normal forms (:func:`~spanex.vsa.normal_form`),
+    explored forward from the initial pair, with two rules.  A pair of
+    source copies reads a symbol both sides can read: concrete on both
+    sides, concrete against wildcard, or wildcard on both.  Any other pair
+    takes one marker move on each side when the two moves agree on the
+    shared variables, labelled with the union of their operations.  The
+    product is again in normal form.
     """
-    a, configs_a = functional_configs(first)
-    b, configs_b = functional_configs(second)
+    a, configs_a = normal_form(first)
+    b, configs_b = normal_form(second)
     variables = a.variables | b.variables
     if configs_a is None or configs_b is None:
         return empty_vsa(variables)
 
     shared = sorted(a.variables & b.variables)
-    index_a = {var: i for i, var in enumerate(a.ordered_variables)}
-    index_b = {var: i for i, var in enumerate(b.ordered_variables)}
-    shared_a = tuple(index_a[var] for var in shared)
-    shared_b = tuple(index_b[var] for var in shared)
+    shared_a = [[c[a.ordered_variables.index(v)] for v in shared] for c in configs_a]
+    shared_b = [[c[b.ordered_variables.index(v)] for v in shared] for c in configs_b]
 
-    def restricted_b(state: int) -> tuple:
-        config = configs_b[state]
-        return tuple(config[i] for i in shared_b)
-
-    # consistent pairs, grouped through the shared-variable configuration
-    by_restricted: dict[tuple, list[int]] = {}
-    for q2 in range(b.n_states):
-        by_restricted.setdefault(restricted_b(q2), []).append(q2)
-    pair_id: dict[tuple[int, int], int] = {}
-    pairs: list[tuple[int, int]] = []
-    for q1 in range(a.n_states):
-        config = configs_a[q1]
-        key = tuple(config[i] for i in shared_a)
-        for q2 in by_restricted.get(key, ()):
-            pair_id[(q1, q2)] = len(pairs)
-            pairs.append((q1, q2))
-
-    eps_a, eps_b = eps_closure(a), eps_closure(b)
-    var_a, var_b = var_eps_closure(a), var_eps_closure(b)
-    # pairs come grouped by their first state, so only that side's step is
-    # memoized: a second-side cache would keep one set per state of a wide
-    # equality automaton alive, each reused by few pairs
-    step_a = cached_symbol_step(a, eps_a)
-    symbols = sorted(a.concrete_symbols() | b.concrete_symbols())
-    if a.has_wildcard() and b.has_wildcard():
-        symbols.append(ANY)  # steps through wildcard edges on both sides
-
+    eps_a, ops_a, sym_a, any_a = a.eps_out, a.ops_out, a.sym_out, a.any_out
+    eps_b, ops_b, sym_b, any_b = b.eps_out, b.ops_out, b.sym_out, b.any_out
+    pair_id = {(a.initial, b.initial): 0}
+    pairs = [(a.initial, b.initial)]
     transitions: list[tuple] = []
-    initial = pair_id[(a.initial, b.initial)]
-    final = pair_id[(a.final, b.final)]
 
-    # rule 1: silent fan-out from the initial pair
-    for q1 in eps_a[a.initial]:
-        for q2 in eps_b[b.initial]:
-            target = pair_id.get((q1, q2))
-            if target is not None and target != initial:
-                transitions.append((initial, None, target))
+    def add(source: int, label, q1: int, q2: int) -> None:
+        target = pair_id.setdefault((q1, q2), len(pairs))
+        if target == len(pairs):
+            pairs.append((q1, q2))
+        transitions.append((source, label, target))
 
-    for source, (p1, p2) in enumerate(pairs):
-        # rule 2: synchronised reads (concrete symbols, and wildcard–wildcard)
-        for symbol in symbols:
-            targets_1 = step_a(p1, symbol)
-            if not targets_1:
-                continue
-            targets_2 = symbol_step(b, p2, symbol, eps_b)
-            for q1 in targets_1:
-                for q2 in targets_2:
-                    target = pair_id.get((q1, q2))
-                    if target is not None:
-                        transitions.append((source, symbol, target))
-        # rule 3: variable moves — any consistent closure pair whose combined
-        # configuration actually changes, labeled with the exact difference
-        config_1, config_2 = configs_a[p1], configs_b[p2]
-        for q1 in var_a[p1]:
-            changed_1 = configs_a[q1] != config_1
-            for q2 in var_b[p2]:
-                if not changed_1 and configs_b[q2] == config_2:
-                    continue
-                target = pair_id.get((q1, q2))
-                if target is None:
-                    continue
-                ops: set = set()
-                _ops_between(a.ordered_variables, config_1, configs_a[q1], ops)
-                _ops_between(b.ordered_variables, config_2, configs_b[q2], ops)
-                transitions.append((source, frozenset(ops), target))
+    for source, (p1, p2) in enumerate(pairs):  # grows while it is walked
+        sym_1, any_1 = sym_a[p1], any_a[p1]
+        if sym_1 or any_1:  # rule 1: a pair of source copies reads a symbol
+            sym_2, any_2 = sym_b[p2], any_b[p2]
+            reads = [(symbol, dsts, sym_2.get(symbol, []) + any_2)
+                     for symbol, dsts in sym_1.items()]
+            reads += [(symbol, any_1, dsts) for symbol, dsts in sym_2.items()]
+            reads.append((ANY, any_1, any_2))
+            for symbol, dsts_1, dsts_2 in reads:
+                for q1 in dsts_1:
+                    for q2 in dsts_2:
+                        add(source, symbol, q1, q2)
+            continue
+        # rule 2: one marker move on each side, agreeing on shared variables
+        moves_2 = [(None, q2) for q2 in eps_b[p2]] + ops_b[p2]
+        for ops_1, q1 in [(None, q1) for q1 in eps_a[p1]] + ops_a[p1]:
+            for ops_2, q2 in moves_2:
+                if shared_a[q1] == shared_b[q2]:
+                    add(source, frozenset().union(ops_1 or (), ops_2 or ()) or None, q1, q2)
 
-    return trim(VSA(variables, len(pairs), initial, final, transitions))
+    final = pair_id.get((a.final, b.final))
+    if final is None:
+        return empty_vsa(variables)
+    return trim(VSA(variables, len(pairs), 0, final, transitions))
 
 
 def join_many(automata) -> VSA:
@@ -283,12 +229,6 @@ def join_many(automata) -> VSA:
 # ---------------------------------------------------------------------------
 
 
-def _canonical_op_order(ops) -> list:
-    opens = sorted(op for op in ops if op[0] == OP_OPEN)
-    closes = sorted(op for op in ops if op[0] == OP_CLOSE)
-    return opens + closes
-
-
 def expand_strict(vsa: VSA) -> VSA:
     """Split multi-operation edges into chains of single-operation edges
     (opens before closes, each alphabetical).  Tuples are unchanged."""
@@ -297,7 +237,7 @@ def expand_strict(vsa: VSA) -> VSA:
     for src, label, dst in vsa.transitions:
         if isinstance(label, frozenset) and len(label) > 1:
             here = src
-            ops = _canonical_op_order(label)
+            ops = sorted(label, key=lambda op: (op[0] != OP_OPEN, op[1]))
             for op in ops[:-1]:
                 transitions.append((here, frozenset((op,)), n_states))
                 here = n_states

@@ -1,13 +1,13 @@
 """Ordered, polynomial-delay enumeration of a functional automaton's results.
 
 The evaluation of a functional automaton on a fixed document is flattened
-into a layered acyclic graph: layer ``i`` holds the automaton states
-reachable right before reading symbol ``i+1`` (closing over ε and variable
-moves), a virtual start node fans into layer 0, and the last layer is
-restricted to the final state and pruned backwards.  Every start→end path
-has the same length, and labelling each node with its state's variable
-configuration turns paths into exactly the per-position state sequences of
-the result tuples — one path label string per result, no duplicates.
+into a layered acyclic graph: layer ``i`` holds the states of its normal
+form reachable right before reading symbol ``i+1`` (a step reads a letter,
+then one marker move), a virtual start node fans into layer 0, and the last
+layer is restricted to the final state and pruned backwards.  Every path
+has the same length, and labelling each node with its state's configuration
+turns paths into exactly the per-position state sequences of the result
+tuples — one path label string per result, no duplicates.
 
 Enumeration then walks that string language in ascending order (letters are
 configurations ordered as tuples, WAITING < OPEN < CLOSED, variables in name
@@ -27,7 +27,7 @@ searches the monotone per-variable state sequence.
 from __future__ import annotations
 
 from .model import CLOSED, WAITING, Span, SpanTuple
-from .vsa import VSA, cached_symbol_step, functional_configs, var_eps_closure
+from .vsa import VSA, cached_step, marker_moves, normal_form
 
 _START = -1  # virtual start node's "state" id
 
@@ -87,27 +87,26 @@ def build_match_graph(automaton: VSA, doc: str) -> MatchGraph:
     Raises if the automaton is not functional; an automaton with no results
     on this document yields a graph flagged empty.
     """
-    trimmed, configs = functional_configs(automaton)
-    variables = trimmed.ordered_variables
+    form, configs = normal_form(automaton)
+    variables = form.ordered_variables
     doc_len = len(doc)
     if configs is None:
         return _empty_graph(doc_len, variables)
-    closure = var_eps_closure(trimmed)
-    step = cached_symbol_step(trimmed, closure)
+    step = cached_step(form)
 
     # forward sweep: layers[i] = states reachable before reading symbol i+1
-    layers: list[set[int]] = [set(closure[trimmed.initial])]
+    layers: list[set[int]] = [set(marker_moves(form, form.initial))]
     for i in range(doc_len):
         nxt: set[int] = set()
         for state in layers[i]:
             nxt |= step(state, doc[i])
         layers.append(nxt)
-    if trimmed.final not in layers[doc_len]:
+    if form.final not in layers[doc_len]:
         return _empty_graph(doc_len, variables)
 
     # backward prune to nodes that still reach the accepting node
     alive: list[set[int]] = [set() for _ in range(doc_len + 1)]
-    alive[doc_len] = {trimmed.final}
+    alive[doc_len] = {form.final}
     for i in range(doc_len - 1, -1, -1):
         keep = set()
         for state in layers[i]:
@@ -121,7 +120,7 @@ def build_match_graph(automaton: VSA, doc: str) -> MatchGraph:
     letter_set = {configs[state] for layer in alive for state in layer}
     config_by_rank = sorted(letter_set)
     rank = {config: i for i, config in enumerate(config_by_rank)}
-    final_letter = rank[configs[trimmed.final]]
+    final_letter = rank[configs[form.final]]
 
     node_count = 1 + sum(len(layer) for layer in alive)
     edge_count = 0

@@ -79,6 +79,7 @@ def all_spans(doc_len: int) -> Iterator[Span]:
 class SpanTuple:
     """An immutable assignment from variable names to spans.
 
+    The values must be :class:`Span` objects; they are kept as given.
     Hashable and comparable so result sets behave like relations; ordering is
     by the (variable, span) items sorted by variable name.
     """
@@ -87,12 +88,8 @@ class SpanTuple:
 
     def __init__(self, assignment: dict[str, Span] | Iterable[tuple[str, Span]]):
         if isinstance(assignment, dict):
-            items = sorted(assignment.items())
-        else:
-            items = sorted(assignment)
-        self._items: tuple[tuple[str, Span], ...] = tuple(
-            (var, Span(*span)) for var, span in items
-        )
+            assignment = assignment.items()
+        self._items: tuple[tuple[str, Span], ...] = tuple(sorted(assignment))
         self._hash = hash(self._items)
 
     @property

@@ -14,13 +14,17 @@ An automaton is *functional* when every accepted marker sequence opens and
 closes every variable exactly once.  For trimmed automata this is equivalent
 to a local condition: every state is reached with one well-defined tuple of
 per-variable states (its *configuration*), and the final state's
-configuration has closed everything.  Configurations are the workhorse of
-this module — the enumerator's output alphabet, the join's compatibility
-relation and the key test all speak configurations.
+configuration has closed everything.  The marker set between two states is
+then fixed by their configurations, which gives every functional automaton
+an ε-free *normal form* (:func:`normal_form`) of at most ``2n + 2`` states
+in which a run alternates one marker move and one letter.  The join, the
+match graph and the key test all read that form through one memoized step,
+and the enumerator's output alphabet is its configurations.
 """
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -142,22 +146,30 @@ def empty_vsa(variables: Iterable[str]) -> VSA:
     return VSA(variables, 2, 0, 1, ())
 
 
-def is_empty_language(vsa: VSA) -> bool:
-    """True when the final state cannot be reached from the initial state."""
-    seen = {vsa.initial}
-    stack = [vsa.initial]
-    succ = [[] for _ in range(vsa.n_states)]
-    for src, _, dst in vsa.transitions:
-        succ[src].append(dst)
+def _reach(start: int, succ) -> set[int]:
+    """States reachable from ``start`` along ``succ``, ``start`` included."""
+    seen = {start}
+    stack = [start]
     while stack:
-        state = stack.pop()
-        if state == vsa.final:
-            return False
-        for nxt in succ[state]:
+        for nxt in succ[stack.pop()]:
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
-    return True
+    return seen
+
+
+def _successors(vsa: VSA, backward: bool = False) -> list[list[int]]:
+    succ = [[] for _ in range(vsa.n_states)]
+    for src, _, dst in vsa.transitions:
+        if backward:
+            src, dst = dst, src
+        succ[src].append(dst)
+    return succ
+
+
+def is_empty_language(vsa: VSA) -> bool:
+    """True when the final state cannot be reached from the initial state."""
+    return vsa.final not in _reach(vsa.initial, _successors(vsa))
 
 
 # ---------------------------------------------------------------------------
@@ -171,24 +183,8 @@ def trim(vsa: VSA) -> VSA:
     If the initial or final state would die, the language is empty and the
     canonical empty automaton (over the same variables) is returned.
     """
-    fwd = [[] for _ in range(vsa.n_states)]
-    bwd = [[] for _ in range(vsa.n_states)]
-    for src, _, dst in vsa.transitions:
-        fwd[src].append(dst)
-        bwd[dst].append(src)
-
-    def reach(start: int, succ) -> set[int]:
-        seen = {start}
-        stack = [start]
-        while stack:
-            state = stack.pop()
-            for nxt in succ[state]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return seen
-
-    alive = reach(vsa.initial, fwd) & reach(vsa.final, bwd)
+    alive = (_reach(vsa.initial, _successors(vsa))
+             & _reach(vsa.final, _successors(vsa, backward=True)))
     if vsa.initial not in alive or vsa.final not in alive:
         return empty_vsa(vsa.variables)
     if len(alive) == vsa.n_states:
@@ -326,25 +322,9 @@ def check_functional_vsa(vsa: VSA) -> VsaReport:
 # ---------------------------------------------------------------------------
 
 
-def _closure(n_states: int, succ: list[list[int]]) -> list[frozenset[int]]:
-    """Reflexive-transitive closure per state, as frozensets."""
-    result: list[frozenset[int]] = [frozenset()] * n_states
-    for start in range(n_states):
-        seen = {start}
-        stack = [start]
-        while stack:
-            state = stack.pop()
-            for nxt in succ[state]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        result[start] = frozenset(seen)
-    return result
-
-
 def eps_closure(vsa: VSA) -> list[frozenset[int]]:
     """States reachable via ε-moves only."""
-    return _closure(vsa.n_states, vsa.eps_out)
+    return [frozenset(_reach(state, vsa.eps_out)) for state in range(vsa.n_states)]
 
 
 def var_eps_closure(vsa: VSA) -> list[frozenset[int]]:
@@ -352,33 +332,85 @@ def var_eps_closure(vsa: VSA) -> list[frozenset[int]]:
     succ = [list(eps) for eps in vsa.eps_out]
     for state, edges in enumerate(vsa.ops_out):
         succ[state].extend(dst for _, dst in edges)
-    return _closure(vsa.n_states, succ)
+    return [frozenset(_reach(state, succ)) for state in range(vsa.n_states)]
 
 
-def symbol_step(vsa: VSA, state: int, symbol: str,
-                closure: list[frozenset[int]]) -> frozenset[int]:
-    """Consume ``symbol`` from ``state`` (concrete or wildcard edges), then
-    close off with the supplied closure.  The symbol :data:`ANY` follows
-    wildcard edges only."""
-    targets: set[int] = set()
-    for dst in vsa.sym_out[state].get(symbol, ()):
-        targets |= closure[dst]
-    for dst in vsa.any_out[state]:
-        targets |= closure[dst]
-    return frozenset(targets)
+# ---------------------------------------------------------------------------
+# Normal form
+# ---------------------------------------------------------------------------
 
 
-def cached_symbol_step(vsa: VSA, closure: list[frozenset[int]]
-                       ) -> Callable[[int, str], frozenset[int]]:
-    """:func:`symbol_step` on ``vsa`` with ``closure``, memoized per
-    (state, symbol)."""
-    cache: dict[tuple[int, str], frozenset[int]] = {}
+def _marker_set(before: tuple[int, ...], after: tuple[int, ...],
+                ordered: tuple[str, ...]) -> Ops:
+    """The operations that advance configuration ``before`` to ``after``."""
+    ops = set()
+    for var, was, now in zip(ordered, before, after):
+        if was == WAITING and now != WAITING:
+            ops.add((OP_OPEN, var))
+        if was != CLOSED and now == CLOSED:
+            ops.add((OP_CLOSE, var))
+    return frozenset(ops)
 
-    def step(state: int, symbol: str) -> frozenset[int]:
+
+def normal_form(vsa: VSA) -> tuple[VSA, list[tuple[int, ...]] | None]:
+    """The ε-free ("extended") form of a functional automaton, with its
+    state configurations.
+
+    States: the initial state, the final state, one *source copy* of each
+    state with a letter edge and one *target copy* of each letter-edge
+    target (a state can be both).  Letter edges run from source to target
+    copies.  Every other edge is one marker move: from the initial state or
+    a target copy to a source copy or the final state, labelled with the
+    operations between the two configurations (ε when there are none).  So
+    a run alternates one marker move and one letter, and the form has at
+    most ``2n + 2`` states.  Returns ``(form, configs)``, or the trimmed
+    automaton and None when the language is empty (see
+    :func:`functional_configs`, which raises on a non-functional input).
+    """
+    trimmed, configs = functional_configs(vsa)
+    if configs is None:
+        return trimmed, None
+    letters = [(src, label, dst) for src, label, dst in trimmed.transitions
+               if label is ANY or isinstance(label, str)]
+    sources = sorted({src for src, _, _ in letters})
+    targets = sorted({dst for _, _, dst in letters})
+    source_id = {state: 2 + i for i, state in enumerate(sources)}
+    target_id = {state: 2 + len(sources) + i for i, state in enumerate(targets)}
+    transitions = [(source_id[src], label, target_id[dst])
+                   for src, label, dst in letters]
+    closure = var_eps_closure(trimmed)
+    ordered = trimmed.ordered_variables
+    for here, start in [(0, trimmed.initial)] + [(target_id[t], t) for t in targets]:
+        for state in closure[start]:
+            ends = [source_id[state]] if state in source_id else []
+            if state == trimmed.final:
+                ends.append(1)
+            ops = _marker_set(configs[start], configs[state], ordered)
+            transitions.extend((here, ops or None, end) for end in ends)
+    form_configs = ([configs[trimmed.initial], configs[trimmed.final]]
+                    + [configs[state] for state in sources + targets])
+    return VSA(trimmed.variables, len(form_configs), 0, 1, transitions), form_configs
+
+
+def marker_moves(form: VSA, state: int) -> frozenset[int]:
+    """Where one marker move of a normal form leads from the initial state
+    or a target copy."""
+    return frozenset(form.eps_out[state]).union(dst for _, dst in form.ops_out[state])
+
+
+def cached_step(form: VSA) -> Callable[[int, object], frozenset[int]]:
+    """The step of a normal form, memoized per (state, symbol): from a
+    source copy, read ``symbol`` over a concrete or wildcard edge, then take
+    that target's marker moves.  The symbol :data:`ANY` follows wildcard
+    edges only."""
+    cache: dict[tuple[int, object], frozenset[int]] = {}
+
+    def step(state: int, symbol) -> frozenset[int]:
         key = (state, symbol)
         hit = cache.get(key)
         if hit is None:
-            hit = symbol_step(vsa, state, symbol, closure)
+            dsts = form.sym_out[state].get(symbol, []) + form.any_out[state]
+            hit = frozenset().union(*(marker_moves(form, dst) for dst in dsts))
             cache[key] = hit
         return hit
 
@@ -459,27 +491,27 @@ def is_key_attribute(vsa: VSA, var: str) -> KeyReport:
     """
     if var not in vsa.variables:
         raise ValueError(f"unknown variable {var!r}")
-    trimmed, configs = functional_configs(vsa)
+    form, configs = normal_form(vsa)
     if configs is None:
         return KeyReport(True)
     if len(vsa.variables) <= 1:
         # the single variable trivially determines the tuple
         return KeyReport(True)
 
-    ordered = trimmed.ordered_variables
+    ordered = form.ordered_variables
     var_pos = ordered.index(var)
-    closure = var_eps_closure(trimmed)
-    symbols = sorted(trimmed.concrete_symbols())
-    if trimmed.has_wildcard():
-        symbols.append(_fresh_symbol(trimmed.concrete_symbols()))
+    symbols = sorted(form.concrete_symbols())
+    if form.has_wildcard():
+        symbols.append(_fresh_symbol(form.concrete_symbols()))
 
-    step = cached_symbol_step(trimmed, closure)
+    step = cached_step(form)
+    starts = marker_moves(form, form.initial)
 
     # product states: (bit, state1, state2); parents for witness decoding
     parents: dict[tuple[int, int, int], tuple[tuple[int, int, int] | None, str | None]] = {}
     queue: deque[tuple[int, int, int]] = deque()
-    for p1 in closure[trimmed.initial]:
-        for p2 in closure[trimmed.initial]:
+    for p1 in starts:
+        for p2 in starts:
             c1, c2 = configs[p1], configs[p2]
             if c1[var_pos] != c2[var_pos]:
                 continue
@@ -492,7 +524,7 @@ def is_key_attribute(vsa: VSA, var: str) -> KeyReport:
     while queue and goal is None:
         node = queue.popleft()
         bit, p1, p2 = node
-        if bit == 1 and p1 == trimmed.final and p2 == trimmed.final:
+        if bit == 1 and p1 == form.final and p2 == form.final:
             goal = node
             break
         for symbol in symbols:
@@ -540,9 +572,12 @@ def is_key_attribute(vsa: VSA, var: str) -> KeyReport:
 #   <from> <label> <to>      with label: eps | sym:<symbol> | any | ops:[...]
 #
 # Operation lists use ⊢x for open and ⊣x for close, opens first, each group
-# sorted by variable name.
+# sorted by variable name.  A backslash or non-printable symbol is written
+# as its Python escape (\\, \n, \x0c, \u2028, ...), so every symbol stays
+# on its line.
 
 _OPEN_MARK = "⊢"
+_SYMBOL_ESCAPE = re.compile(r"\\(?:[\\tnr]|x[0-9a-f]{2}|u[0-9a-f]{4}|U[0-9a-f]{8})")
 _CLOSE_MARK = "⊣"
 
 
@@ -574,7 +609,8 @@ def dump_vsa(vsa: VSA) -> str:
         elif label is ANY:
             text = "any"
         elif isinstance(label, str):
-            text = "sym:" + label
+            text = "sym:" + (label if label.isprintable() and label != "\\"
+                             else label.encode("unicode_escape").decode("ascii"))
         else:
             text = _ops_label(label)
         lines.append(f"{src} {text} {dst}")
@@ -585,51 +621,54 @@ class VsaFormatError(ValueError):
     pass
 
 
+def _parse_label(text: str):
+    if text == "eps":
+        return None
+    if text == "any":
+        return ANY
+    if text.startswith("sym:"):
+        symbol = text[4:]
+        if len(symbol) == 1:
+            return symbol
+        if not _SYMBOL_ESCAPE.fullmatch(symbol):
+            raise ValueError(f"bad symbol label: {text!r}")
+        return symbol.encode("ascii").decode("unicode_escape")
+    if text.startswith("ops:[") and text.endswith("]"):
+        ops = set()
+        for item in text[5:-1].split(",") if text[5:-1] else []:
+            if item[:1] not in (_OPEN_MARK, _CLOSE_MARK):
+                raise ValueError(f"bad operation: {item!r}")
+            ops.add((OP_OPEN if item[0] == _OPEN_MARK else OP_CLOSE, item[1:]))
+        return frozenset(ops)
+    raise ValueError(f"bad label: {text!r}")
+
+
 def load_vsa(text: str) -> VSA:
-    lines = [line for line in text.splitlines() if line.strip()]
+    """Parse :func:`dump_vsa` output; any malformed input raises
+    :class:`VsaFormatError`."""
+    lines = [line for line in text.split("\n") if line.strip()]
     if not lines or not lines[0].startswith("vsa "):
         raise VsaFormatError("missing 'vsa' header")
-    header = lines[0].split()
-    fields = dict(part.split("=", 1) for part in header[1:] if "=" in part)
+    fields = dict(part.split("=", 1) for part in lines[0].split()[1:] if "=" in part)
     if "n" not in fields or "v" not in fields:
         raise VsaFormatError("header needs v=<vars> and n=<states>")
-    variables = [v for v in fields["v"].split(",") if v]
-    n_states = int(fields["n"])
-    initial = final = None
+    ends: dict[str, int] = {}
     transitions = []
     for line in lines[1:]:
-        if line.startswith("init "):
-            initial = int(line.split()[1])
-            continue
-        if line.startswith("final "):
-            final = int(line.split()[1])
-            continue
-        src_text, rest = line.split(" ", 1)
-        label_text, dst_text = rest.rsplit(" ", 1)
-        src, dst = int(src_text), int(dst_text)
-        if label_text == "eps":
-            label = None
-        elif label_text == "any":
-            label = ANY
-        elif label_text.startswith("sym:"):
-            symbol = label_text[4:]
-            if len(symbol) != 1:
-                raise VsaFormatError(f"bad symbol label: {label_text!r}")
-            label = symbol
-        elif label_text.startswith("ops:[") and label_text.endswith("]"):
-            body = label_text[5:-1]
-            ops = set()
-            for item in body.split(",") if body else []:
-                if item.startswith(_OPEN_MARK):
-                    ops.add((OP_OPEN, item[1:]))
-                elif item.startswith(_CLOSE_MARK):
-                    ops.add((OP_CLOSE, item[1:]))
-                else:
-                    raise VsaFormatError(f"bad operation: {item!r}")
-            label = frozenset(ops)
-        else:
-            raise VsaFormatError(f"bad label: {label_text!r}")
-        transitions.append((src, label, dst))
-    if initial is None or final is None:
+        try:
+            if line.startswith(("init ", "final ")):
+                kind, state = line.split()
+                ends[kind] = int(state)
+                continue
+            src, rest = line.split(" ", 1)
+            label, dst = rest.rsplit(" ", 1)
+            transitions.append((int(src), _parse_label(label), int(dst)))
+        except ValueError as err:
+            raise VsaFormatError(f"{err} (in line {line!r})") from None
+    if len(ends) < 2:
         raise VsaFormatError("missing init/final lines")
-    return VSA(variables, n_states, initial, final, transitions)
+    try:
+        return VSA([v for v in fields["v"].split(",") if v], int(fields["n"]),
+                   ends["init"], ends["final"], transitions)
+    except ValueError as err:
+        raise VsaFormatError(str(err)) from None

@@ -18,7 +18,7 @@ from spanex.model import (
     CLOSED, OPEN, WAITING, Span, SpanTuple, all_spans, is_valid_ref_word,
     open_op, close_op,
 )
-from spanex.vsa import VSA
+from spanex.vsa import ANY, VSA
 from spanex.enumerator import enumerate_spans
 
 
@@ -256,6 +256,23 @@ def loop_automaton() -> VSA:
         (0, frozenset([close_op("x")]), 0),
         (0, "a", 0),
     ])
+
+
+def assert_normal_form(form: VSA) -> None:
+    """Source copies carry only letter edges into target copies; the initial
+    state and target copies carry only marker or ε edges into source copies
+    or the final state; the final state has no out-edges."""
+    letters = [(src, dst) for src, label, dst in form.transitions
+               if label is ANY or isinstance(label, str)]
+    sources = {src for src, _ in letters}
+    targets = {dst for _, dst in letters}
+    assert not sources & targets
+    assert not {form.initial, form.final} & (sources | targets)
+    for src, label, dst in form.transitions:
+        assert src != form.final
+        if src not in sources:
+            assert src == form.initial or src in targets
+            assert dst in sources or dst == form.final
 
 
 def span_set(rows, var: str = "x") -> set[tuple[int, int]]:

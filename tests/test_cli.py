@@ -160,6 +160,14 @@ def test_check_non_functional_formula(capsys):
     assert "x" in out
 
 
+def test_check_recursion_limit_exits_2(capsys):
+    """A 3,000-symbol literal overflows the recursive parser: one error line
+    and exit code 2, not a traceback and not the negative verdict 1."""
+    code, out, err = run_cli(capsys, "check", "--formula", "a" * 3000)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_check_parse_error(capsys):
     code, _, err = run_cli(capsys, "check", "--formula", "x{")
     assert code == 2 and err.startswith("error:")

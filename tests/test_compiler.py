@@ -11,11 +11,12 @@ from spanex.compiler import (
 )
 from spanex.enumerator import enumerate_spans
 from spanex.formula import NotFunctionalError, parse_formula
+from spanex.harness import gen_3cnf_query
 from spanex.model import EMPTY_TUPLE, Span, SpanTuple, all_spans, close_op, open_op
 from spanex.vsa import check_functional_vsa, is_empty_language
 
 from helpers import (
-    filter_rows, join_rows, project_rows, random_doc,
+    assert_normal_form, filter_rows, join_rows, project_rows, random_doc,
     random_functional_formula, relation_of, span_set,
 )
 
@@ -219,6 +220,32 @@ def test_join_many_identity_and_associativity():
                          relation_of(autos[2], doc))
         assert relation_of(left, doc) == rows
         assert relation_of(right, doc) == rows
+
+
+def test_join_output_is_in_normal_form():
+    """Random pairs, wildcards included: the product is again in normal
+    form, so a later join reads it as is."""
+    rng = random.Random(515_151)
+    for _ in range(60):
+        f1 = random_functional_formula(rng, depth=3, variables=("x", "y", "z"))
+        f2 = random_functional_formula(rng, depth=3, variables=("x", "y", "z"))
+        joined = join(compile_regex(f1), compile_regex(f2))
+        if not is_empty_language(joined):
+            assert_normal_form(joined)
+
+
+def test_join_of_3cnf_atoms_stays_small():
+    """The product of one 3-clause, 6-variable instance's atoms (110, 46 and
+    46 states) stays linear in them; pairing raw automata gave 4,855 states
+    and 321,615 transitions."""
+    query, _ = gen_3cnf_query([(2, -5, 1), (3, -3, 5), (6, 5, -6)])
+    atoms = [compile_regex(atom) for atom in query.disjuncts[0].atoms]
+    assert [atom.n_states for atom in atoms] == [110, 46, 46]
+    joined = join_many(atoms)
+    assert joined.n_states <= 100
+    assert len(joined.transitions) <= 200
+    rows = [relation_of(atom, "a") for atom in atoms]
+    assert relation_of(joined, "a") == join_rows(join_rows(rows[0], rows[1]), rows[2])
 
 
 # ---------------------------------------------------------------------------

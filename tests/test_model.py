@@ -64,6 +64,12 @@ def test_tuple_access_and_restrict():
     assert t.restrict([]) == EMPTY_TUPLE
 
 
+def test_tuple_keeps_the_given_spans():
+    span = Span(2, 3)
+    assert SpanTuple({"x": span})["x"] is span
+    assert SpanTuple([("y", Span(1, 1)), ("x", span)]).items()[0][1] is span
+
+
 def test_tuple_merge_agreeing():
     t1 = SpanTuple({"x": Span(1, 2), "y": Span(2, 3)})
     t2 = SpanTuple({"y": Span(2, 3), "z": Span(1, 1)})

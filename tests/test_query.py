@@ -7,12 +7,13 @@ import pytest
 
 from spanex import compiler
 from spanex.compiler import compile_regex
+from spanex.enumerator import EnumerationStats, build_match_graph, enumerate_graph
 from spanex.harness import gen_3cnf_query, gen_clique_query
 from spanex.model import EMPTY_TUPLE, Span, SpanTuple
 from spanex.query import (
     CANONICAL, COMPILED, ConjunctiveQuery, PlanOptions, QuerySyntaxError,
-    UnionQuery, eval_canonical, eval_compiled, eval_query, parse_query,
-    plan_query, query_to_source,
+    UnionQuery, compile_query, eval_canonical, eval_compiled, eval_query,
+    parse_query, plan_query, query_to_source,
 )
 
 from helpers import map_to_relational, random_doc, random_functional_formula, relation_of
@@ -207,6 +208,29 @@ def test_satisfiable_3cnf_query_is_nonempty():
     assert list(eval_query(query, doc)) == [EMPTY_TUPLE]
     query, doc = gen_3cnf_query([(1, 1, 1), (-1, -1, -1)])
     assert list(eval_query(query, doc)) == []
+
+
+@pytest.mark.parametrize("text, graph_size, after_first, after_all", [
+    ("SELECT x, y FROM /.* x{a .*} .*/, /.* x{.*} y{.*b} .*/",
+     (14, 17), (1, 0, 4, 10, 2), (5, 15, 11, 10, 2)),
+    ("SELECT x, y FROM /.* x{.+} .* y{.+} .*/ WHERE x == y",
+     (13, 14), (1, 0, 4, 8, 1), (3, 11, 9, 8, 1)),
+])
+def test_compiled_query_graph_and_stats_are_pinned(text, graph_size, after_first,
+                                                   after_all):
+    """Exact match-graph size and work counters on "abab" for a joined query
+    and an equality query: the join's product shape must not change them."""
+    fields = ("tuples", "scan_steps", "fill_steps", "cold_transitions",
+              "max_node_set")
+    united, _ = compile_query(parse_query(text), "abab")
+    graph = build_match_graph(united, "abab")
+    assert (graph.node_count, graph.edge_count) == graph_size
+    stats = EnumerationStats()
+    stream = enumerate_graph(graph, stats)
+    next(stream)
+    assert tuple(getattr(stats, f) for f in fields) == after_first
+    list(stream)
+    assert tuple(getattr(stats, f) for f in fields) == after_all
 
 
 # ---------------------------------------------------------------------------

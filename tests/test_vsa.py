@@ -12,13 +12,15 @@ from spanex.model import CLOSED, OPEN, WAITING, close_op, open_op
 from spanex.vsa import (
     ANY, VSA, NotFunctionalAutomaton, VsaFormatError,
     accepts_ref_word, check_functional_vsa, compute_state_configs,
-    dump_vsa, eps_closure, functional_configs, is_empty_language,
-    is_key_attribute, load_vsa, symbol_step, trim, var_eps_closure,
+    cached_step, dump_vsa, eps_closure, functional_configs, is_empty_language,
+    is_key_attribute, load_vsa, marker_moves, normal_form, trim,
+    var_eps_closure,
 )
 
 from helpers import (
     config_to_str, marker_automaton, diamond_automaton, loop_automaton,
     brute_force_key, all_docs, random_functional_formula, relation_of,
+    assert_normal_form,
 )
 
 
@@ -145,25 +147,51 @@ def test_eps_closure_is_identity_without_eps_edges():
     assert eps_closure(a) == [frozenset({0}), frozenset({1}), frozenset({2})]
 
 
+def letter_sources(form):
+    return [s for s in range(form.n_states) if form.sym_out[s] or form.any_out[s]]
+
+
 def test_symbol_step_on_diamond():
-    a = diamond_automaton()
-    closure = eps_closure(a)
-    assert symbol_step(a, 1, "a", closure) == frozenset({1, 2})
-    assert symbol_step(a, 0, "a", closure) == frozenset()
+    form, _ = normal_form(diamond_automaton())
+    step = cached_step(form)
+    sources = letter_sources(form)
+    assert len(sources) == 2  # the copies of states 1 and 2
+    # either copy reads "a" into both copies, and the close marker reaches
+    # the final state
+    assert step(sources[0], "a") == frozenset(sources) | {form.final}
+    assert step(form.initial, "a") == frozenset()
 
 
 def test_wildcard_step():
-    a = compile_regex(parse_formula(".*"))
-    closure = eps_closure(a)
-    sources = [src for src, label, dst in a.transitions if label is ANY]
+    form, _ = normal_form(compile_regex(parse_formula(".*")))
+    step = cached_step(form)
+    sources = [src for src, label, dst in form.transitions if label is ANY]
     assert sources
-    targets = symbol_step(a, sources[0], ANY, closure)
-    assert targets  # closure after the step reaches past the dot edge
+    targets = step(sources[0], ANY)
+    assert targets  # the marker moves after the step reach past the dot edge
     # a concrete symbol also takes the wildcard edge
-    assert symbol_step(a, sources[0], "q", closure) == targets
+    assert step(sources[0], "q") == targets
     # the wildcard symbol does not take a concrete edge
-    d = diamond_automaton()
-    assert symbol_step(d, 1, ANY, eps_closure(d)) == frozenset()
+    d, _ = normal_form(diamond_automaton())
+    assert cached_step(d)(letter_sources(d)[0], ANY) == frozenset()
+
+
+def test_normal_form_shape_and_relation():
+    """At most 2n + 2 states; letter edges only out of source copies, marker
+    moves out of the initial state and target copies, none out of the final
+    state; configurations labelled by the marker moves; same relation."""
+    rng = random.Random(7_313)
+    for _ in range(40):
+        a = compile_regex(random_functional_formula(rng))
+        form, configs = normal_form(a)
+        if configs is None:
+            continue
+        assert form.n_states <= 2 * a.n_states + 2
+        assert_normal_form(form)
+        assert configs == compute_state_configs(form)
+        assert marker_moves(form, form.initial) <= set(letter_sources(form)) | {form.final}
+        for doc in ("", "a", "ab", "bba"):
+            assert relation_of(form, doc) == relation_of(a, doc)
 
 
 def test_accepts_ref_word():
@@ -253,6 +281,20 @@ def test_dump_round_trip_projection_and_union():
         assert relation_of(again, doc) == relation_of(automaton, doc)
 
 
+def test_dump_round_trips_every_symbol():
+    """Line breaks of every kind, other non-printable symbols and the
+    backslash are escaped; printable ones are written as they are."""
+    symbols = ["\n", "\r", "\x0c", "\x0b", "\x1c", "\x85", "\u2028", "\u2029",
+               "\t", "\x00", "\\", " ", "é", "\U0001f600", "a"]
+    a = VSA(set(), 2, 0, 1, [(0, symbol, 1) for symbol in symbols])
+    text = dump_vsa(a)
+    assert len(text.splitlines()) == 3 + len(symbols)
+    again = load_vsa(text)
+    assert sorted(again.transitions) == sorted(a.transitions)
+    assert load_vsa("vsa v= n=2\ninit 0\nfinal 1\n0 sym:\\ 1\n").transitions == \
+        ((0, "\\", 1),)  # a bare backslash still reads as itself
+
+
 def test_load_rejects_malformed_text():
     with pytest.raises(VsaFormatError):
         load_vsa("not a dump\n")
@@ -260,5 +302,7 @@ def test_load_rejects_malformed_text():
         load_vsa("vsa v=x n=2\ninit 0\n")  # missing final
     with pytest.raises(VsaFormatError):
         load_vsa("vsa n=2\ninit 0\nfinal 1\n")  # missing variable field
-    with pytest.raises(VsaFormatError):
-        load_vsa("vsa v=x n=2\ninit 0\nfinal 1\n0 sym:ab 1\n")
+    for line in ("0 sym:ab 1", "0 sym:a", "q eps 1", "0 eps 7", "0 sym:\\x4 1",
+                 "0 sym:\\q 1", "0 ops:[+x] 1", "0 ops:[⊢z] 1", "init 0 1", "0 eps"):
+        with pytest.raises(VsaFormatError):
+            load_vsa(f"vsa v=x n=2\ninit 0\nfinal 1\n{line}\n")
