@@ -80,7 +80,6 @@ from .query import (
     QuerySyntaxError,
     UnionQuery,
     eval_canonical,
-    eval_compiled,
     eval_query,
     parse_query,
     plan_query,
@@ -142,7 +141,6 @@ __all__ = [
     "enumerate_graph",
     "enumerate_spans",
     "eval_canonical",
-    "eval_compiled",
     "eval_query",
     "expand_strict",
     "formula_to_source",

@@ -18,7 +18,6 @@ import array
 import gc
 import itertools
 import json
-import os
 import statistics
 import sys
 import time
@@ -44,8 +43,6 @@ from .query import (
 )
 from .compiler import EqualityBudgetError
 from .vsa import NotFunctionalAutomaton, dump_vsa, is_key_attribute
-
-_ENV_JOIN_LIMIT = "SPANEX_MAX_JOIN_COMPILE"
 
 
 class CliError(Exception):
@@ -88,16 +85,7 @@ def _read_query(args) -> UnionQuery:
 
 def _plan_options(args) -> PlanOptions:
     limit = getattr(args, "max_join_compile", None)
-    if limit is None:
-        env = os.environ.get(_ENV_JOIN_LIMIT)
-        if env is not None:
-            try:
-                limit = int(env)
-            except ValueError as err:
-                raise CliError(f"bad {_ENV_JOIN_LIMIT} value {env!r}") from err
-    if limit is None:
-        return PlanOptions()
-    return PlanOptions(max_join_compile=limit)
+    return PlanOptions() if limit is None else PlanOptions(max_join_compile=limit)
 
 
 def _span_json(span: Span) -> list[int]:
@@ -359,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default="auto")
     p_eval.add_argument("--max-join-compile", type=int, default=None,
                         help="largest atom count compiled into one automaton "
-                             f"(default 3; env {_ENV_JOIN_LIMIT})")
+                             "(default 3)")
     p_eval.add_argument("--limit", type=int, default=None,
                         help="stop after this many tuples")
     p_eval.set_defaults(func=cmd_eval)
@@ -414,6 +402,9 @@ def main(argv=None) -> int:
         return 2
     except BrokenPipeError:
         return 0
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

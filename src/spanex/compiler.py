@@ -6,7 +6,9 @@ can run directly on any output.  The join is a product of the two inputs'
 ε-free normal forms, which alternate one marker move and one letter, so it
 synchronises letters and pairs marker moves that agree on shared variables;
 string equality is handled by joining with a document-specific automaton
-whose paths spell out the admissible assignments.
+whose paths spell out the admissible assignments.  The join, projection and
+equality automaton return a :class:`~spanex.vsa.NormalForm`, so no later
+stage rebuilds one; compiled formulas and unions stay plain automata.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from .formula import (
     formula_variables,
     require_functional,
 )
-from .model import OP_OPEN, all_spans, close_op, open_op
-from .vsa import ANY, VSA, empty_vsa, normal_form, trim
+from .model import CLOSED, OP_OPEN, OPEN, WAITING, all_spans, close_op, open_op
+from .vsa import ANY, VSA, NormalForm, empty_vsa, normal_form, trim
 
 
 # ---------------------------------------------------------------------------
@@ -105,23 +107,30 @@ def compile_regex(formula: Formula, *, check: bool = True) -> VSA:
 # ---------------------------------------------------------------------------
 
 
-def project(vsa: VSA, keep) -> VSA:
+def project(vsa: VSA, keep) -> NormalForm:
     """Restrict the automaton's tuples to the given variables.
 
-    Marker operations of dropped variables are erased in place (an emptied
-    set becomes a plain ε-edge); the state graph is unchanged.
+    On the input's normal form, marker operations of dropped variables are
+    erased in place (an emptied set becomes a plain ε-edge) and their
+    columns leave the configurations; the state graph is unchanged.
     """
     keep = frozenset(keep)
     extra = keep - vsa.variables
     if extra:
         raise ValueError(f"projection variables not in automaton: {sorted(extra)}")
+    form = normal_form(vsa)
+    if form.configs is None:
+        return empty_vsa(keep)
     transitions = []
-    for src, label, dst in vsa.transitions:
+    for src, label, dst in form.transitions:
         if isinstance(label, frozenset):
             kept = frozenset(op for op in label if op[1] in keep)
             label = kept if kept else None
         transitions.append((src, label, dst))
-    return VSA(keep, vsa.n_states, vsa.initial, vsa.final, transitions)
+    columns = [i for i, var in enumerate(form.ordered_variables) if var in keep]
+    configs = [tuple(config[i] for i in columns) for config in form.configs]
+    return NormalForm(keep, form.n_states, form.initial, form.final, transitions,
+                      configs)
 
 
 def union_vsa(*automata: VSA) -> VSA:
@@ -154,7 +163,7 @@ def union_vsa(*automata: VSA) -> VSA:
 # ---------------------------------------------------------------------------
 
 
-def join(first: VSA, second: VSA) -> VSA:
+def join(first: VSA, second: VSA) -> NormalForm:
     """Natural join: tuples that agree on the shared variables, merged.
 
     The product of the two normal forms (:func:`~spanex.vsa.normal_form`),
@@ -163,10 +172,11 @@ def join(first: VSA, second: VSA) -> VSA:
     sides, concrete against wildcard, or wildcard on both.  Any other pair
     takes one marker move on each side when the two moves agree on the
     shared variables, labelled with the union of their operations.  The
-    product is again in normal form.
+    product is again in normal form, and a pair's configuration merges the
+    two sides' configurations, which agree on the shared variables.
     """
-    a, configs_a = normal_form(first)
-    b, configs_b = normal_form(second)
+    a, b = normal_form(first), normal_form(second)
+    configs_a, configs_b = a.configs, b.configs
     variables = a.variables | b.variables
     if configs_a is None or configs_b is None:
         return empty_vsa(variables)
@@ -174,6 +184,9 @@ def join(first: VSA, second: VSA) -> VSA:
     shared = sorted(a.variables & b.variables)
     shared_a = [[c[a.ordered_variables.index(v)] for v in shared] for c in configs_a]
     shared_b = [[c[b.ordered_variables.index(v)] for v in shared] for c in configs_b]
+    # a merged configuration, read off the concatenation of the two sides
+    both = a.ordered_variables + b.ordered_variables
+    columns = [both.index(var) for var in sorted(variables)]
 
     eps_a, ops_a, sym_a, any_a = a.eps_out, a.ops_out, a.sym_out, a.any_out
     eps_b, ops_b, sym_b, any_b = b.eps_out, b.ops_out, b.sym_out, b.any_out
@@ -210,7 +223,9 @@ def join(first: VSA, second: VSA) -> VSA:
     final = pair_id.get((a.final, b.final))
     if final is None:
         return empty_vsa(variables)
-    return trim(VSA(variables, len(pairs), 0, final, transitions))
+    merged = [configs_a[q1] + configs_b[q2] for q1, q2 in pairs]
+    configs = [tuple(config[i] for i in columns) for config in merged]
+    return trim(NormalForm(variables, len(pairs), 0, final, transitions, configs))
 
 
 def join_many(automata) -> VSA:
@@ -294,14 +309,16 @@ def _equal_substring_groups(doc: str) -> list[list]:
 
 
 def build_equality_automaton(doc: str, selections, *,
-                             path_budget: int | None = None) -> VSA:
+                             path_budget: int | None = None) -> NormalForm:
     """An automaton that accepts, on this document only, exactly the tuples
     over the selection variables whose equated variables span equal
     substrings.
 
-    One linear path per admissible assignment: a chain of wildcard edges
-    pinning the document length, with the assignment's marker operations
-    interleaved at their positions; paths share common prefixes.
+    One linear path per admissible assignment, built in normal form: before
+    each symbol one marker move (ε when no marker sits at that position),
+    then a wildcard edge; a last marker move enters the final state.  Paths
+    share common prefixes, so a state's configuration is read off the
+    assignment of any path through it.
     """
     selections = [(x, y) for x, y in selections]
     if not selections:
@@ -326,9 +343,8 @@ def build_equality_automaton(doc: str, selections, *,
         per_class.append(options)
 
     transitions: list[tuple] = []
-    n_states = 2  # 0 = initial, 1 = final
-    trie: dict[tuple[int, object], int] = {}
-    leaves: set[int] = set()
+    configs = [(WAITING,) * len(variables), (CLOSED,) * len(variables)]  # initial, final
+    trie: dict[tuple[int, object], int] = {}  # (target copy, marker) -> source copy
 
     for parts in itertools.product(*per_class):
         assignment: dict = {}
@@ -338,28 +354,23 @@ def build_equality_automaton(doc: str, selections, *,
         for var, span in assignment.items():
             ops_at.setdefault(span.begin, set()).add(open_op(var))
             ops_at.setdefault(span.end, set()).add(close_op(var))
-        labels: list = []
-        for position in range(1, doc_len + 1):
-            if position in ops_at:
-                labels.append(frozenset(ops_at[position]))
-            labels.append(ANY)
-        if doc_len + 1 in ops_at:
-            labels.append(frozenset(ops_at[doc_len + 1]))
+        spans = [assignment[var] for var in variables]
         node = 0
-        for label in labels:
-            key = (node, label)
-            child = trie.get(key)
-            if child is None:
-                child = n_states
-                n_states += 1
-                trie[key] = child
-                transitions.append((node, label, child))
-            node = child
-        leaves.add(node)
-
-    for leaf in leaves:
-        transitions.append((leaf, None, 1))
-    return VSA(variables, n_states, 0, 1, transitions)
+        for position in range(1, doc_len + 2):
+            marker = frozenset(ops_at[position]) if position in ops_at else None
+            source = trie.get((node, marker))
+            if source is None:
+                source = len(configs) if position <= doc_len else 1
+                if source > 1:  # a source copy, then the target copy it reads into
+                    config = tuple(WAITING if position < span.begin
+                                   else OPEN if position < span.end else CLOSED
+                                   for span in spans)
+                    configs += (config, config)
+                    transitions.append((source, ANY, source + 1))
+                trie[node, marker] = source
+                transitions.append((node, marker, source))
+            node = source + 1
+    return NormalForm(variables, len(configs), 0, 1, transitions, configs)
 
 
 def apply_selections(vsa: VSA, selections, doc: str, *,

@@ -87,7 +87,8 @@ def build_match_graph(automaton: VSA, doc: str) -> MatchGraph:
     Raises if the automaton is not functional; an automaton with no results
     on this document yields a graph flagged empty.
     """
-    form, configs = normal_form(automaton)
+    form = normal_form(automaton)
+    configs = form.configs
     variables = form.ordered_variables
     doc_len = len(doc)
     if configs is None:

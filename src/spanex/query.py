@@ -394,13 +394,6 @@ def compile_cq(cq: ConjunctiveQuery, doc: str, *,
     return project(joined, cq.projected_set)
 
 
-def eval_compiled(cq: ConjunctiveQuery, doc: str, *,
-                  path_budget: int | None = None):
-    """Stream the answer through one compiled automaton: duplicate-free and
-    in the enumerator's canonical order."""
-    yield from enumerate_spans(compile_cq(cq, doc, path_budget=path_budget), doc)
-
-
 def compile_query(query: UnionQuery, doc: str, decisions: list[str] | None = None,
                   *, path_budget: int | None = None):
     """Compile each disjunct planned ``COMPILED`` (all when ``decisions`` is

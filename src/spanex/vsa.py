@@ -16,10 +16,12 @@ to a local condition: every state is reached with one well-defined tuple of
 per-variable states (its *configuration*), and the final state's
 configuration has closed everything.  The marker set between two states is
 then fixed by their configurations, which gives every functional automaton
-an ε-free *normal form* (:func:`normal_form`) of at most ``2n + 2`` states
-in which a run alternates one marker move and one letter.  The join, the
-match graph and the key test all read that form through one memoized step,
-and the enumerator's output alphabet is its configurations.
+an ε-free *normal form* of at most ``2n + 2`` states in which a run
+alternates one marker move and one letter.  A :class:`NormalForm` carries
+its configurations; :func:`normal_form`, the one functionality check, builds
+one once.  The join, the match graph and the key test all read that form
+through one memoized step, and the enumerator's output alphabet is its
+configurations.
 """
 
 from __future__ import annotations
@@ -141,9 +143,24 @@ class VSA:
                 f"{len(self.transitions)} transitions)")
 
 
-def empty_vsa(variables: Iterable[str]) -> VSA:
+class NormalForm(VSA):
+    """An automaton in the shape :func:`normal_form` gives, with the
+    configuration ``configs[q]`` of each state ``q`` (None only for the
+    canonical empty automaton).  Whoever builds one vouches for both, so
+    :func:`normal_form` and the functionality check take it as it is."""
+
+    __slots__ = ("configs",)
+
+    def __init__(self, variables: Iterable[str], n_states: int, initial: int,
+                 final: int, transitions: Iterable[Transition],
+                 configs: list[tuple[int, ...]] | None):
+        super().__init__(variables, n_states, initial, final, transitions)
+        self.configs = configs
+
+
+def empty_vsa(variables: Iterable[str]) -> NormalForm:
     """The canonical automaton with an empty ref-word language."""
-    return VSA(variables, 2, 0, 1, ())
+    return NormalForm(variables, 2, 0, 1, (), None)
 
 
 def _reach(start: int, succ) -> set[int]:
@@ -167,11 +184,6 @@ def _successors(vsa: VSA, backward: bool = False) -> list[list[int]]:
     return succ
 
 
-def is_empty_language(vsa: VSA) -> bool:
-    """True when the final state cannot be reached from the initial state."""
-    return vsa.final not in _reach(vsa.initial, _successors(vsa))
-
-
 # ---------------------------------------------------------------------------
 # Trimming
 # ---------------------------------------------------------------------------
@@ -181,7 +193,8 @@ def trim(vsa: VSA) -> VSA:
     """Restrict to states that lie on some initial→final path.
 
     If the initial or final state would die, the language is empty and the
-    canonical empty automaton (over the same variables) is returned.
+    canonical empty automaton (over the same variables) is returned.  A
+    :class:`NormalForm` stays one, with the configurations of its kept states.
     """
     alive = (_reach(vsa.initial, _successors(vsa))
              & _reach(vsa.final, _successors(vsa, backward=True)))
@@ -189,15 +202,15 @@ def trim(vsa: VSA) -> VSA:
         return empty_vsa(vsa.variables)
     if len(alive) == vsa.n_states:
         return vsa
-    remap = {}
-    for state in range(vsa.n_states):
-        if state in alive:
-            remap[state] = len(remap)
+    kept = [state for state in range(vsa.n_states) if state in alive]
+    remap = {state: i for i, state in enumerate(kept)}
     transitions = [(remap[src], label, remap[dst])
                    for src, label, dst in vsa.transitions
                    if src in alive and dst in alive]
-    return VSA(vsa.variables, len(remap), remap[vsa.initial], remap[vsa.final],
-               transitions)
+    shape = (vsa.variables, len(kept), remap[vsa.initial], remap[vsa.final], transitions)
+    if isinstance(vsa, NormalForm):
+        return NormalForm(*shape, [vsa.configs[state] for state in kept])
+    return VSA(*shape)
 
 
 # ---------------------------------------------------------------------------
@@ -285,33 +298,13 @@ class VsaReport:
         return self.ok
 
 
-def functional_configs(vsa: VSA) -> tuple[VSA, list[tuple[int, ...]] | None]:
-    """Trim the automaton and compute its state configurations, requiring
-    functionality.
-
-    Returns ``(trimmed, configs)``; ``configs`` is None when the ref-word
-    language is empty (vacuously functional).  Raises
-    :class:`NotFunctionalAutomaton` on conflicting configurations or on a
-    variable left unclosed at the final state, naming the variable.
-    """
-    trimmed = trim(vsa)
-    if is_empty_language(trimmed):
-        return trimmed, None
-    configs = compute_state_configs(trimmed)
-    for var, state in zip(trimmed.ordered_variables, configs[trimmed.final]):
-        if state != CLOSED:
-            raise NotFunctionalAutomaton("variable not closed at the final state",
-                                         trimmed.final, var)
-    return trimmed, configs
-
-
 def check_functional_vsa(vsa: VSA) -> VsaReport:
-    """Functionality test (see :func:`functional_configs`) as a report.
+    """Functionality test (see :func:`normal_form`) as a report.
 
     An automaton with an empty ref-word language is vacuously functional.
     """
     try:
-        functional_configs(vsa)
+        normal_form(vsa)
     except NotFunctionalAutomaton as err:
         return VsaReport(False, err.reason, err.state, err.variable)
     return VsaReport(True)
@@ -325,14 +318,6 @@ def check_functional_vsa(vsa: VSA) -> VsaReport:
 def eps_closure(vsa: VSA) -> list[frozenset[int]]:
     """States reachable via ε-moves only."""
     return [frozenset(_reach(state, vsa.eps_out)) for state in range(vsa.n_states)]
-
-
-def var_eps_closure(vsa: VSA) -> list[frozenset[int]]:
-    """States reachable via ε-moves and variable-operation moves."""
-    succ = [list(eps) for eps in vsa.eps_out]
-    for state, edges in enumerate(vsa.ops_out):
-        succ[state].extend(dst for _, dst in edges)
-    return [frozenset(_reach(state, succ)) for state in range(vsa.n_states)]
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +337,9 @@ def _marker_set(before: tuple[int, ...], after: tuple[int, ...],
     return frozenset(ops)
 
 
-def normal_form(vsa: VSA) -> tuple[VSA, list[tuple[int, ...]] | None]:
+def normal_form(vsa: VSA) -> NormalForm:
     """The ε-free ("extended") form of a functional automaton, with its
-    state configurations.
+    state configurations; a :class:`NormalForm` is returned as it is.
 
     States: the initial state, the final state, one *source copy* of each
     state with a letter edge and one *target copy* of each letter-edge
@@ -363,13 +348,23 @@ def normal_form(vsa: VSA) -> tuple[VSA, list[tuple[int, ...]] | None]:
     a target copy to a source copy or the final state, labelled with the
     operations between the two configurations (ε when there are none).  So
     a run alternates one marker move and one letter, and the form has at
-    most ``2n + 2`` states.  Returns ``(form, configs)``, or the trimmed
-    automaton and None when the language is empty (see
-    :func:`functional_configs`, which raises on a non-functional input).
+    most ``2n + 2`` states.  The canonical empty automaton stands for an
+    empty language.
+
+    This is the one functionality check: it raises
+    :class:`NotFunctionalAutomaton` on conflicting configurations or on a
+    variable left unclosed at the final state, naming the variable.
     """
-    trimmed, configs = functional_configs(vsa)
-    if configs is None:
-        return trimmed, None
+    if isinstance(vsa, NormalForm):
+        return vsa
+    trimmed = trim(vsa)
+    if isinstance(trimmed, NormalForm):  # only an empty language trims to one
+        return trimmed
+    configs = compute_state_configs(trimmed)
+    for var, state in zip(trimmed.ordered_variables, configs[trimmed.final]):
+        if state != CLOSED:
+            raise NotFunctionalAutomaton("variable not closed at the final state",
+                                         trimmed.final, var)
     letters = [(src, label, dst) for src, label, dst in trimmed.transitions
                if label is ANY or isinstance(label, str)]
     sources = sorted({src for src, _, _ in letters})
@@ -378,10 +373,12 @@ def normal_form(vsa: VSA) -> tuple[VSA, list[tuple[int, ...]] | None]:
     target_id = {state: 2 + len(sources) + i for i, state in enumerate(targets)}
     transitions = [(source_id[src], label, target_id[dst])
                    for src, label, dst in letters]
-    closure = var_eps_closure(trimmed)
+    markers = [list(eps) for eps in trimmed.eps_out]
+    for state, edges in enumerate(trimmed.ops_out):
+        markers[state].extend(dst for _, dst in edges)
     ordered = trimmed.ordered_variables
     for here, start in [(0, trimmed.initial)] + [(target_id[t], t) for t in targets]:
-        for state in closure[start]:
+        for state in _reach(start, markers):
             ends = [source_id[state]] if state in source_id else []
             if state == trimmed.final:
                 ends.append(1)
@@ -389,7 +386,8 @@ def normal_form(vsa: VSA) -> tuple[VSA, list[tuple[int, ...]] | None]:
             transitions.extend((here, ops or None, end) for end in ends)
     form_configs = ([configs[trimmed.initial], configs[trimmed.final]]
                     + [configs[state] for state in sources + targets])
-    return VSA(trimmed.variables, len(form_configs), 0, 1, transitions), form_configs
+    return NormalForm(trimmed.variables, len(form_configs), 0, 1, transitions,
+                      form_configs)
 
 
 def marker_moves(form: VSA, state: int) -> frozenset[int]:
@@ -491,7 +489,8 @@ def is_key_attribute(vsa: VSA, var: str) -> KeyReport:
     """
     if var not in vsa.variables:
         raise ValueError(f"unknown variable {var!r}")
-    form, configs = normal_form(vsa)
+    form = normal_form(vsa)
+    configs = form.configs
     if configs is None:
         return KeyReport(True)
     if len(vsa.variables) <= 1:

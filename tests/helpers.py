@@ -18,7 +18,9 @@ from spanex.model import (
     CLOSED, OPEN, WAITING, Span, SpanTuple, all_spans, is_valid_ref_word,
     open_op, close_op,
 )
-from spanex.vsa import ANY, VSA
+from spanex.vsa import (
+    ANY, VSA, NormalForm, check_functional_vsa, compute_state_configs, normal_form,
+)
 from spanex.enumerator import enumerate_spans
 
 
@@ -261,7 +263,13 @@ def loop_automaton() -> VSA:
 def assert_normal_form(form: VSA) -> None:
     """Source copies carry only letter edges into target copies; the initial
     state and target copies carry only marker or ε edges into source copies
-    or the final state; the final state has no out-edges."""
+    or the final state; the final state has no out-edges.  The form carries
+    the configurations a search from its initial state finds, the final one
+    closes every variable, and ``normal_form`` gives the form back as is."""
+    assert isinstance(form, NormalForm)
+    assert normal_form(form) is form
+    assert form.configs == compute_state_configs(form)
+    assert set(form.configs[form.final]) <= {CLOSED}
     letters = [(src, dst) for src, label, dst in form.transitions
                if label is ANY or isinstance(label, str)]
     sources = {src for src, _ in letters}
@@ -273,6 +281,14 @@ def assert_normal_form(form: VSA) -> None:
         if src not in sources:
             assert src == form.initial or src in targets
             assert dst in sources or dst == form.final
+
+
+def is_functional(automaton: VSA) -> bool:
+    """The functionality check run on the automaton's edges alone, so the
+    configurations a :class:`NormalForm` carries are not taken on trust."""
+    plain = VSA(automaton.variables, automaton.n_states, automaton.initial,
+                automaton.final, automaton.transitions)
+    return check_functional_vsa(plain).ok
 
 
 def span_set(rows, var: str = "x") -> set[tuple[int, int]]:

@@ -16,6 +16,11 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_one_error_line(err: str) -> None:
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 SUBSTRINGS = "SELECT x FROM /a* x{a*} a*/"
 
 
@@ -136,13 +141,6 @@ def test_eval_errors_exit_2(capsys):
     assert code == 2 and err.startswith("error:")
 
 
-def test_eval_join_limit_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("SPANEX_MAX_JOIN_COMPILE", "many")
-    code, _, err = run_cli(capsys, "eval", "--query-text", SUBSTRINGS,
-                           "--input-text", "aaa")
-    assert code == 2 and "SPANEX_MAX_JOIN_COMPILE" in err
-
-
 # ---------------------------------------------------------------------------
 # check / compile / analyze
 # ---------------------------------------------------------------------------
@@ -182,6 +180,13 @@ def test_compile_dump_round_trips(capsys, tmp_path):
     assert {str(t["x"]) for t in relation_of(reloaded, "aaa")} == {
         f"{i}..{j}" for i in range(1, 5) for j in range(i, 5)
     }
+
+
+def test_compile_dump_into_missing_directory_exits_2(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "compile", "--formula", "x{a}",
+                           "--dump", str(tmp_path / "missing" / "a.vsa"))
+    assert code == 2
+    assert_one_error_line(err)
 
 
 def test_compile_dump_to_stdout(capsys):
@@ -246,6 +251,14 @@ def test_bench_report_shape(capsys, tmp_path):
     assert by_name["preprocess"] > 0
 
 
+def test_bench_report_into_missing_directory_exits_2(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "bench", "--query-text", SUBSTRINGS,
+                           "--input-text", "aaa",
+                           "--report", str(tmp_path / "missing" / "out.csv"))
+    assert code == 2
+    assert_one_error_line(err)
+
+
 def test_bench_empty_result_reports_preprocess_only(capsys, tmp_path):
     report = tmp_path / "empty.csv"
     code, _, _ = run_cli(capsys, "bench", "--query-text",
@@ -294,6 +307,13 @@ def test_gen_clique_instances_evaluate(capsys, tmp_path, kind):
     code, _, _ = run_cli(capsys, "eval", "--query", str(prefix) + ".spq",
                          "--input", str(prefix) + ".doc")
     assert code == 1  # the path has none
+
+
+def test_gen_out_into_missing_directory_exits_2(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "gen", "3cnf", "--clauses", "1 2 3",
+                           "--out", str(tmp_path / "missing" / "sat"))
+    assert code == 2
+    assert_one_error_line(err)
 
 
 def test_gen_argument_validation(capsys, tmp_path):

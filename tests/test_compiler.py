@@ -13,10 +13,10 @@ from spanex.enumerator import enumerate_spans
 from spanex.formula import NotFunctionalError, parse_formula
 from spanex.harness import gen_3cnf_query
 from spanex.model import EMPTY_TUPLE, Span, SpanTuple, all_spans, close_op, open_op
-from spanex.vsa import check_functional_vsa, is_empty_language
+from spanex.vsa import check_functional_vsa, normal_form
 
 from helpers import (
-    assert_normal_form, filter_rows, join_rows, project_rows, random_doc,
+    assert_normal_form, filter_rows, is_functional, join_rows, project_rows, random_doc,
     random_functional_formula, relation_of, span_set,
 )
 
@@ -34,7 +34,7 @@ def test_compile_all_substrings():
 
 
 def test_compile_empty_formula_language():
-    assert is_empty_language(compile_regex(parse_formula("∅")))
+    assert normal_form(compile_regex(parse_formula("∅"))).configs is None
     assert relation_of(compile_regex(parse_formula("∅ x{a}")), "a") == set()
 
 
@@ -85,8 +85,11 @@ def test_project_matches_relational_oracle():
         a = compile_regex(formula)
         doc = random_doc(rng, 5)
         keep = {v for v in a.variables if rng.random() < 0.5}
-        assert relation_of(project(a, keep), doc) == project_rows(
+        projected = project(a, keep)
+        assert relation_of(projected, doc) == project_rows(
             relation_of(a, doc), keep), (formula, doc, keep)
+        if projected.configs is not None:
+            assert_normal_form(projected)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +181,7 @@ def test_join_with_empty_language():
     a = compile_regex(parse_formula("x{a}"))
     e = compile_regex(parse_formula("∅"))
     j = join(a, e)
-    assert is_empty_language(j)
+    assert j.configs is None
     assert j.variables == {"x"}
 
 
@@ -200,7 +203,7 @@ def test_join_matches_relational_oracle():
         got = relation_of(join(a1, a2), doc)
         want = join_rows(relation_of(a1, doc), relation_of(a2, doc))
         assert got == want, (f1, f2, doc)
-        assert check_functional_vsa(join(a1, a2)).ok, (f1, f2)
+        assert is_functional(join(a1, a2)), (f1, f2)
 
 
 def test_join_many_identity_and_associativity():
@@ -230,7 +233,7 @@ def test_join_output_is_in_normal_form():
         f1 = random_functional_formula(rng, depth=3, variables=("x", "y", "z"))
         f2 = random_functional_formula(rng, depth=3, variables=("x", "y", "z"))
         joined = join(compile_regex(f1), compile_regex(f2))
-        if not is_empty_language(joined):
+        if joined.configs is not None:
             assert_normal_form(joined)
 
 
@@ -373,10 +376,16 @@ def test_path_budget_overflow():
 
 
 def test_equality_automaton_is_functional():
-    rng = random.Random(5)
+    """Built in normal form, for one equality class or two, with the
+    configurations its own search finds; on "aab" it accepts every pair of
+    spans with equal text."""
     for doc in ("", "a", "ab", "aab", "abab"):
-        a = build_equality_automaton(doc, [("x", "y")])
-        assert check_functional_vsa(a).ok, doc
+        for selections in ([("x", "y")], [("x", "y"), ("z", "w")]):
+            assert_normal_form(build_equality_automaton(doc, selections))
+    rows = relation_of(build_equality_automaton("aab", [("x", "y")]), "aab")
+    spans = list(all_spans(3))
+    assert rows == {SpanTuple({"x": s, "y": t}) for s in spans for t in spans
+                    if "aab"[s.begin - 1:s.end - 1] == "aab"[t.begin - 1:t.end - 1]}
 
 
 def test_selection_matches_oracle_on_random_instances():

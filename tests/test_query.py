@@ -5,14 +5,16 @@ import random
 
 import pytest
 
-from spanex import compiler
+from spanex import compiler, vsa
 from spanex.compiler import compile_regex
-from spanex.enumerator import EnumerationStats, build_match_graph, enumerate_graph
+from spanex.enumerator import (
+    EnumerationStats, build_match_graph, enumerate_graph, enumerate_spans,
+)
 from spanex.harness import gen_3cnf_query, gen_clique_query
 from spanex.model import EMPTY_TUPLE, Span, SpanTuple
 from spanex.query import (
     CANONICAL, COMPILED, ConjunctiveQuery, PlanOptions, QuerySyntaxError,
-    UnionQuery, compile_query, eval_canonical, eval_compiled, eval_query,
+    UnionQuery, compile_cq, compile_query, eval_canonical, eval_query,
     parse_query, plan_query, query_to_source,
 )
 
@@ -172,7 +174,7 @@ def test_two_atom_join_pins_both_strategies():
     q = parse_query("SELECT x, y FROM /x{a}.*/, /.*y{a}/")
     want = [SpanTuple({"x": Span(1, 2), "y": Span(2, 3)})]
     assert eval_canonical(q.disjuncts[0], "aa") == want
-    assert list(eval_compiled(q.disjuncts[0], "aa")) == want
+    assert list(enumerate_spans(compile_cq(q.disjuncts[0], "aa"), "aa")) == want
 
 
 def test_single_atom_query_equals_enumeration():
@@ -180,7 +182,7 @@ def test_single_atom_query_equals_enumeration():
     from spanex.formula import parse_formula
     want = relation_of(compile_regex(parse_formula("a* x{a*} a*")), "aaa")
     assert set(eval_canonical(q.disjuncts[0], "aaa")) == want
-    assert set(eval_compiled(q.disjuncts[0], "aaa")) == want
+    assert set(enumerate_spans(compile_cq(q.disjuncts[0], "aaa"), "aaa")) == want
     assert set(eval_query(q, "aaa")) == want
 
 
@@ -188,14 +190,14 @@ def test_boolean_query_yields_one_empty_tuple():
     q = parse_query("SELECT () FROM /.* x{a} .*/")
     assert list(eval_query(q, "ba")) == [EMPTY_TUPLE]
     assert list(eval_query(q, "bb")) == []
-    assert list(eval_compiled(q.disjuncts[0], "ba")) == [EMPTY_TUPLE]
+    assert list(enumerate_spans(compile_cq(q.disjuncts[0], "ba"), "ba")) == [EMPTY_TUPLE]
 
 
 def test_equality_query_filters_substrings():
     q = parse_query("SELECT x, y FROM /.* x{.*} .* y{.*} .*/ WHERE x == y")
     doc = "abab"
     got_canonical = set(eval_canonical(q.disjuncts[0], doc))
-    got_compiled = set(eval_compiled(q.disjuncts[0], doc))
+    got_compiled = set(enumerate_spans(compile_cq(q.disjuncts[0], doc), doc))
     assert got_canonical == got_compiled
     for row in got_canonical:
         x, y = row["x"], row["y"]
@@ -231,6 +233,26 @@ def test_compiled_query_graph_and_stats_are_pinned(text, graph_size, after_first
     assert tuple(getattr(stats, f) for f in fields) == after_first
     list(stream)
     assert tuple(getattr(stats, f) for f in fields) == after_all
+
+
+def test_equality_query_normalizes_only_its_atom(monkeypatch):
+    """The equality automaton, the join, the projection and the match graph
+    are built in normal form, so only the atom's configurations are
+    searched for."""
+    calls = []
+    search = vsa.compute_state_configs
+
+    def counting(automaton):
+        calls.append(automaton.n_states)
+        return search(automaton)
+
+    monkeypatch.setattr(vsa, "compute_state_configs", counting)
+    q = parse_query("SELECT x, y FROM /.* x{.*} .* y{.*} .*/ WHERE x == y")
+    atom = compile_regex(q.disjuncts[0].atoms[0])
+    united, _ = compile_query(q, "abab")
+    rows = list(enumerate_spans(united, "abab"))
+    assert calls == [atom.n_states]
+    assert set(rows) == set(eval_canonical(q.disjuncts[0], "abab"))
 
 
 # ---------------------------------------------------------------------------
@@ -328,5 +350,5 @@ def test_strategies_agree_on_random_queries():
         cq.validate()
         doc = random_doc(rng, 5)
         want = set(eval_canonical(cq, doc))
-        got = set(eval_compiled(cq, doc))
+        got = set(enumerate_spans(compile_cq(cq, doc), doc))
         assert got == want, (query_to_source(UnionQuery((cq,))), doc)

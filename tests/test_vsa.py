@@ -12,9 +12,8 @@ from spanex.model import CLOSED, OPEN, WAITING, close_op, open_op
 from spanex.vsa import (
     ANY, VSA, NotFunctionalAutomaton, VsaFormatError,
     accepts_ref_word, check_functional_vsa, compute_state_configs,
-    cached_step, dump_vsa, eps_closure, functional_configs, is_empty_language,
+    cached_step, dump_vsa, eps_closure,
     is_key_attribute, load_vsa, marker_moves, normal_form, trim,
-    var_eps_closure,
 )
 
 from helpers import (
@@ -55,7 +54,7 @@ def test_trim_drops_isolated_state():
 
 def test_trim_unreachable_final_gives_empty_language():
     a = VSA(set(), 2, 0, 1, [(0, "a", 0)])
-    assert is_empty_language(trim(a))
+    assert trim(a).configs is None  # the canonical empty automaton
 
 
 # ---------------------------------------------------------------------------
@@ -99,15 +98,16 @@ def test_config_to_str():
 
 def test_fixture_is_functional():
     assert check_functional_vsa(marker_automaton()).ok
-    _, configs = functional_configs(marker_automaton())
-    assert configs == [(WAITING,), (OPEN,), (CLOSED,)]
+    # initial, final, source copies of states 0-2, target copies of states 0-2
+    w, o, c = (WAITING,), (OPEN,), (CLOSED,)
+    assert normal_form(marker_automaton()).configs == [w, c, w, o, c, w, o, c]
 
 
 def test_loop_is_not_functional():
     report = check_functional_vsa(loop_automaton())
     assert not report.ok
     with pytest.raises(NotFunctionalAutomaton):
-        functional_configs(loop_automaton())
+        normal_form(loop_automaton())
 
 
 def test_open_variable_at_final_is_not_functional():
@@ -120,7 +120,7 @@ def test_open_variable_at_final_is_not_functional():
 def test_empty_language_is_functional():
     a = VSA({"x"}, 2, 0, 1, [])  # final unreachable
     assert check_functional_vsa(a).ok
-    assert functional_configs(a)[1] is None
+    assert normal_form(a).configs is None
 
 
 def test_compiled_formulas_are_functional():
@@ -135,11 +135,29 @@ def test_compiled_formulas_are_functional():
 # ---------------------------------------------------------------------------
 
 
-def test_variable_eps_closure_spans_markers():
-    closure = var_eps_closure(marker_automaton())
-    assert closure[0] == frozenset({0, 1, 2})
-    assert closure[1] == frozenset({1, 2})
-    assert closure[2] == frozenset({2})
+def test_normal_form_marker_moves_span_markers():
+    """On the fixture, the marker moves close over marker edges: from the
+    initial state and the copy of state 0 they reach states 0, 1 and 2,
+    from the copy of state 1 states 1 and 2, from that of state 2 state 2
+    alone.  Each move is labelled with the markers it passes, and the moves
+    into state 2 also enter the final state."""
+    form = normal_form(marker_automaton())
+    letters = [(src, dst) for src, label, dst in form.transitions if label == "a"]
+    source = {form.configs[src]: src for src, _ in letters}
+    target = {form.configs[dst]: dst for _, dst in letters}
+    w, o, c = (WAITING,), (OPEN,), (CLOSED,)
+    opens, both = frozenset([open_op("x")]), frozenset([open_op("x"), close_op("x")])
+    closes = frozenset([close_op("x")])
+
+    def moves(state):
+        return {dst: label for src, label, dst in form.transitions if src == state}
+
+    from_start = {source[w]: None, source[o]: opens, source[c]: both, form.final: both}
+    assert moves(form.initial) == from_start
+    assert moves(target[w]) == from_start
+    assert moves(target[o]) == {source[o]: None, source[c]: closes, form.final: closes}
+    assert moves(target[c]) == {source[c]: None, form.final: None}
+    assert marker_moves(form, target[o]) == {source[o], source[c], form.final}
 
 
 def test_eps_closure_is_identity_without_eps_edges():
@@ -152,7 +170,7 @@ def letter_sources(form):
 
 
 def test_symbol_step_on_diamond():
-    form, _ = normal_form(diamond_automaton())
+    form = normal_form(diamond_automaton())
     step = cached_step(form)
     sources = letter_sources(form)
     assert len(sources) == 2  # the copies of states 1 and 2
@@ -163,7 +181,7 @@ def test_symbol_step_on_diamond():
 
 
 def test_wildcard_step():
-    form, _ = normal_form(compile_regex(parse_formula(".*")))
+    form = normal_form(compile_regex(parse_formula(".*")))
     step = cached_step(form)
     sources = [src for src, label, dst in form.transitions if label is ANY]
     assert sources
@@ -172,7 +190,7 @@ def test_wildcard_step():
     # a concrete symbol also takes the wildcard edge
     assert step(sources[0], "q") == targets
     # the wildcard symbol does not take a concrete edge
-    d, _ = normal_form(diamond_automaton())
+    d = normal_form(diamond_automaton())
     assert cached_step(d)(letter_sources(d)[0], ANY) == frozenset()
 
 
@@ -183,12 +201,11 @@ def test_normal_form_shape_and_relation():
     rng = random.Random(7_313)
     for _ in range(40):
         a = compile_regex(random_functional_formula(rng))
-        form, configs = normal_form(a)
-        if configs is None:
+        form = normal_form(a)
+        if form.configs is None:
             continue
         assert form.n_states <= 2 * a.n_states + 2
         assert_normal_form(form)
-        assert configs == compute_state_configs(form)
         assert marker_moves(form, form.initial) <= set(letter_sources(form)) | {form.final}
         for doc in ("", "a", "ab", "bba"):
             assert relation_of(form, doc) == relation_of(a, doc)
