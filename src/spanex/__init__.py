@@ -21,8 +21,6 @@ from .model import (
     SpanTuple,
     WAITING,
     all_spans,
-    clean,
-    ref_word_span_tuple,
     span_text,
 )
 from .formula import (
@@ -41,7 +39,6 @@ from .formula import (
     check_functional,
     formula_to_source,
     formula_variables,
-    match_ref_word,
     parse_formula,
 )
 from .vsa import (
@@ -61,7 +58,6 @@ from .compiler import (
     apply_selections,
     build_equality_automaton,
     compile_regex,
-    expand_strict,
     join,
     join_many,
     project,
@@ -86,12 +82,10 @@ from .query import (
     query_to_source,
 )
 from .harness import (
-    brute_force_clique,
     brute_force_sat,
     gen_3cnf_query,
     gen_clique_query,
     gen_streq_clique_query,
-    oracle_enumerate,
 )
 
 __version__ = "0.1.0"
@@ -129,20 +123,17 @@ __all__ = [
     "WAITING",
     "all_spans",
     "apply_selections",
-    "brute_force_clique",
     "brute_force_sat",
     "build_equality_automaton",
     "build_match_graph",
     "check_functional",
     "check_functional_vsa",
-    "clean",
     "compile_regex",
     "dump_vsa",
     "enumerate_graph",
     "enumerate_spans",
     "eval_canonical",
     "eval_query",
-    "expand_strict",
     "formula_to_source",
     "formula_variables",
     "gen_3cnf_query",
@@ -152,14 +143,11 @@ __all__ = [
     "join",
     "join_many",
     "load_vsa",
-    "match_ref_word",
-    "oracle_enumerate",
     "parse_formula",
     "parse_query",
     "plan_query",
     "project",
     "query_to_source",
-    "ref_word_span_tuple",
     "span_text",
     "trim",
     "union_vsa",

@@ -18,6 +18,7 @@ import array
 import gc
 import itertools
 import json
+import os
 import statistics
 import sys
 import time
@@ -401,6 +402,12 @@ def main(argv=None) -> int:
         print("error: input too long or too deeply nested to process", file=sys.stderr)
         return 2
     except BrokenPipeError:
+        # the reader is gone: send what is still buffered to /dev/null so
+        # the flush at interpreter shutdown does not fail a second time
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (AttributeError, ValueError, OSError):
+            pass  # stdout is not a real file, as under a capturing test
         return 0
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)

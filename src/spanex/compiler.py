@@ -28,7 +28,7 @@ from .formula import (
     formula_variables,
     require_functional,
 )
-from .model import CLOSED, OP_OPEN, OPEN, WAITING, all_spans, close_op, open_op
+from .model import CLOSED, OPEN, WAITING, all_spans, close_op, open_op
 from .vsa import ANY, VSA, NormalForm, empty_vsa, normal_form, trim
 
 
@@ -237,30 +237,6 @@ def join_many(automata) -> VSA:
     for vsa in automata[1:]:
         result = join(result, vsa)
     return result
-
-
-# ---------------------------------------------------------------------------
-# Canonical single-operation form
-# ---------------------------------------------------------------------------
-
-
-def expand_strict(vsa: VSA) -> VSA:
-    """Split multi-operation edges into chains of single-operation edges
-    (opens before closes, each alphabetical).  Tuples are unchanged."""
-    transitions: list[tuple] = []
-    n_states = vsa.n_states
-    for src, label, dst in vsa.transitions:
-        if isinstance(label, frozenset) and len(label) > 1:
-            here = src
-            ops = sorted(label, key=lambda op: (op[0] != OP_OPEN, op[1]))
-            for op in ops[:-1]:
-                transitions.append((here, frozenset((op,)), n_states))
-                here = n_states
-                n_states += 1
-            transitions.append((here, frozenset((ops[-1],)), dst))
-        else:
-            transitions.append((src, label, dst))
-    return VSA(vsa.variables, n_states, vsa.initial, vsa.final, transitions)
 
 
 # ---------------------------------------------------------------------------

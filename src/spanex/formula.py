@@ -4,8 +4,9 @@ The abstract syntax is the usual regex algebra (empty language, empty string,
 single symbol, any-symbol wildcard, alternation, concatenation, star) plus a
 binding form ``x{inner}`` that wraps whatever ``inner`` matches in the open
 and close markers of variable ``x``.  A formula therefore describes a set of
-ref-words (see :mod:`spanex.model`); applied to a document it yields the span
-tuples of all its ref-words whose marker-free projection equals the document.
+ref-words, strings over the document symbols and the variables' markers;
+applied to a document it yields the span tuples of all its ref-words whose
+marker-free projection equals the document.
 
 A formula is *functional* when every ref-word it generates opens and closes
 every variable of the formula exactly once — only those formulas denote
@@ -26,8 +27,6 @@ Concrete syntax (used by ``parse_formula`` and the ``.spq`` query files):
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from .model import OP_CLOSE, OP_OPEN
 
 
 # ---------------------------------------------------------------------------
@@ -393,97 +392,3 @@ def require_functional(formula: Formula) -> None:
     report = check_functional(formula)
     if not report.ok:
         raise NotFunctionalError(report.violation)
-
-
-# ---------------------------------------------------------------------------
-# Ref-word matching (position-automaton simulation)
-# ---------------------------------------------------------------------------
-#
-# Used by the brute-force test oracle.  Deliberately does NOT share machinery
-# with the compiler: the formula tree is linearised into its leaf occurrences
-# (terminals plus the open/close markers contributed by bindings) and matched
-# with the classic first/last/follow position sets, so oracle and engine can
-# only agree because they implement the same semantics.
-
-
-class RefWordMatcher:
-    """Matches ref-words (tuples of symbols and markers) against a formula."""
-
-    def __init__(self, formula: Formula):
-        self._leaves: list[tuple] = []  # ("sym", ch) | ("any",) | ("op", kind, var)
-        self._follow: list[set[int]] = []
-        self._nullable, self._first, _last = self._build(formula)
-        self._last = _last
-
-    def _leaf(self, spec: tuple) -> tuple[bool, set[int], set[int]]:
-        idx = len(self._leaves)
-        self._leaves.append(spec)
-        self._follow.append(set())
-        return False, {idx}, {idx}
-
-    def _build(self, node: Formula) -> tuple[bool, set[int], set[int]]:
-        if isinstance(node, Empty):
-            return False, set(), set()
-        if isinstance(node, Epsilon):
-            return True, set(), set()
-        if isinstance(node, Sym):
-            return self._leaf(("sym", node.char))
-        if isinstance(node, Any):
-            return self._leaf(("any",))
-        if isinstance(node, Alt):
-            n1, f1, l1 = self._build(node.left)
-            n2, f2, l2 = self._build(node.right)
-            return n1 or n2, f1 | f2, l1 | l2
-        if isinstance(node, Cat):
-            n1, f1, l1 = self._build(node.left)
-            n2, f2, l2 = self._build(node.right)
-            for p in l1:
-                self._follow[p] |= f2
-            first = f1 | f2 if n1 else f1
-            last = l2 | l1 if n2 else l2
-            return n1 and n2, first, last
-        if isinstance(node, Star):
-            n1, f1, l1 = self._build(node.inner)
-            for p in l1:
-                self._follow[p] |= f1
-            return True, f1, l1
-        if isinstance(node, Bind):
-            no, fo, lo = self._leaf(("op", OP_OPEN, node.var))
-            ni, fi, li = self._build(node.inner)
-            nc, fc, lc = self._leaf(("op", OP_CLOSE, node.var))
-            # open · inner · close
-            for p in lo:
-                self._follow[p] |= fi
-            mid_last = li | lo if ni else li
-            for p in mid_last:
-                self._follow[p] |= fc
-            return False, fo, lc
-        raise TypeError(f"not a formula node: {node!r}")  # pragma: no cover
-
-    @staticmethod
-    def _leaf_matches(spec: tuple, symbol) -> bool:
-        if spec[0] == "sym":
-            return isinstance(symbol, str) and symbol == spec[1]
-        if spec[0] == "any":
-            return isinstance(symbol, str)
-        _, kind, var = spec
-        return not isinstance(symbol, str) and symbol == (kind, var)
-
-    def matches(self, ref_word) -> bool:
-        symbols = tuple(ref_word)
-        if not symbols:
-            return self._nullable
-        current = {p for p in self._first if self._leaf_matches(self._leaves[p], symbols[0])}
-        for symbol in symbols[1:]:
-            if not current:
-                return False
-            candidates = set()
-            for p in current:
-                candidates |= self._follow[p]
-            current = {p for p in candidates if self._leaf_matches(self._leaves[p], symbol)}
-        return bool(current & self._last)
-
-
-def match_ref_word(formula: Formula, ref_word) -> bool:
-    """One-shot ref-word membership test (builds a fresh matcher)."""
-    return RefWordMatcher(formula).matches(ref_word)

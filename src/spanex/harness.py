@@ -1,18 +1,12 @@
-"""Brute-force oracles and reduction-based instance generators.
-
-Everything in here exists to *check* the engine, so it deliberately avoids
-the engine's own machinery wherever that is possible: the oracle decides
-membership through ref-word matching (position-set simulation for formulas,
-plain NFA simulation for automata) over exhaustively generated candidate
-tuples, instead of configurations, match graphs, or ordered enumeration.
+"""Reduction-based instance generators.
 
 The generators translate classic hard problems into (document, query) pairs
 whose answer is nonempty exactly when the instance is solvable: Boolean
 satisfiability via per-clause disjunctions over a one-letter document, and
 k-clique search via a document listing a graph's edges, matched either by
-per-node disjunction atoms or by string-equality selections.  Small-scale
-brute-force deciders for both problems live here too, so tests can compare
-verdicts end to end.
+per-node disjunction atoms or by string-equality selections.  An exhaustive
+satisfiability decider lives here too, so a caller can compare verdicts end
+to end.
 """
 
 from __future__ import annotations
@@ -20,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 
-from .compiler import expand_strict
 from .formula import (
     Alt,
     Any,
@@ -28,52 +21,9 @@ from .formula import (
     Cat,
     Epsilon,
     Formula,
-    RefWordMatcher,
     Star,
     Sym,
-    formula_variables,
 )
-from .model import SpanTuple, all_spans, tuple_ref_words
-from .vsa import VSA, accepts_ref_word
-
-_MAX_ORACLE_VARS = 3
-_MAX_ORACLE_DOC = 8
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracle
-# ---------------------------------------------------------------------------
-
-
-def oracle_enumerate(target, doc: str) -> list[SpanTuple]:
-    """Every span tuple of the formula/automaton on ``doc``, the slow way.
-
-    Tries each candidate tuple over the variables (all spans, all variables)
-    and accepts it when any ref-word denoting it is matched.  Guard rails
-    keep the candidate space honest: at most 3 variables and 8 symbols.
-    """
-    if isinstance(target, Formula):
-        variables = sorted(formula_variables(target))
-        matcher = RefWordMatcher(target)
-        accepts = matcher.matches
-    elif isinstance(target, VSA):
-        variables = sorted(target.variables)
-        strict = expand_strict(target)
-        accepts = lambda word: accepts_ref_word(strict, word)  # noqa: E731
-    else:
-        raise TypeError(f"expected a formula or automaton, got {type(target)!r}")
-    if len(variables) > _MAX_ORACLE_VARS:
-        raise ValueError(f"oracle guard: more than {_MAX_ORACLE_VARS} variables")
-    if len(doc) > _MAX_ORACLE_DOC:
-        raise ValueError(f"oracle guard: document longer than {_MAX_ORACLE_DOC}")
-
-    spans = list(all_spans(len(doc)))
-    results = []
-    for combo in itertools.product(spans, repeat=len(variables)):
-        candidate = SpanTuple(dict(zip(variables, combo)))
-        if any(accepts(word) for word in tuple_ref_words(candidate, doc)):
-            results.append(candidate)
-    return sorted(results)
 
 
 # ---------------------------------------------------------------------------
@@ -295,14 +245,3 @@ def gen_streq_clique_query(graph, k: int):
                                          tuple(equalities)),))
     query.validate()
     return query, doc
-
-
-def brute_force_clique(graph, k: int) -> bool:
-    """Exhaustive k-clique check (for verdict comparison in tests)."""
-    n, edges = _normalize_graph(graph)
-    edge_set = set(edges)
-    for combo in itertools.combinations(range(1, n + 1), k):
-        if all((a, b) in edge_set
-               for a, b in itertools.combinations(combo, 2)):
-            return True
-    return False

@@ -1,4 +1,4 @@
-"""Core data model: documents, spans, span tuples, ref-words, variable states.
+"""Core data model: documents, spans, span tuples, variable states.
 
 A *document* is a plain string; positions are 1-based.  A *span* ``(i, j)``
 with ``1 <= i <= j <= len(doc) + 1`` selects the half-open slice between
@@ -7,11 +7,10 @@ position ``i``, and ``(1, len(doc) + 1)`` covers the whole document).
 
 A *span tuple* assigns a span to every variable of a fixed variable set.
 
-A *ref-word* is a string over the document alphabet extended with per-variable
-open/close markers.  Erasing the markers gives back a document; the marker
-positions encode a span tuple.  Ref-words are the semantic glue between regex
-formulas, variable-set automata and span relations, and everything downstream
-leans on the encoding/decoding helpers collected here.
+Each variable has an open and a close marker.  Automaton edges carry sets of
+these markers, and the scan of a document tracks each variable's state
+(waiting, open, closed) between symbols, which the helpers at the end of
+this module turn back into span tuples.
 """
 
 from __future__ import annotations
@@ -139,119 +138,6 @@ class SpanTuple:
 
 
 EMPTY_TUPLE = SpanTuple({})
-
-
-# ---------------------------------------------------------------------------
-# Ref-words
-# ---------------------------------------------------------------------------
-
-# A ref-word is a tuple whose entries are either 1-character strings
-# (document symbols) or ("open"/"close", var) operation pairs.
-
-
-def clean(ref_word: Iterable) -> str:
-    """Erase all variable markers, leaving the document string."""
-    return "".join(sym for sym in ref_word if isinstance(sym, str))
-
-
-def is_valid_ref_word(ref_word: Iterable, variables: Iterable[str]) -> bool:
-    """Check that every variable is opened exactly once and closed exactly
-    once afterwards, and that no foreign markers occur."""
-    states = {v: WAITING for v in variables}
-    for sym in ref_word:
-        if isinstance(sym, str):
-            continue
-        kind, var = sym
-        if var not in states:
-            return False
-        if kind == OP_OPEN:
-            if states[var] != WAITING:
-                return False
-            states[var] = OPEN
-        else:
-            if states[var] != OPEN:
-                return False
-            states[var] = CLOSED
-    return all(state == CLOSED for state in states.values())
-
-
-def ref_word_span_tuple(ref_word: Iterable, variables: Iterable[str]) -> SpanTuple:
-    """Decode the span tuple a valid ref-word denotes.
-
-    A variable's span begins right after the document symbols preceding its
-    open marker and extends over the symbols up to its close marker.  A
-    marker pair with no symbols in between denotes an empty span *at the
-    position following the preceding symbols* — e.g. markers after the whole
-    document denote (len+1, len+1), not a span touching the last symbol.
-    """
-    variables = list(variables)
-    opens: dict[str, int] = {}
-    closes: dict[str, int] = {}
-    pos = 1  # 1-based position of the next document symbol
-    for sym in ref_word:
-        if isinstance(sym, str):
-            pos += 1
-            continue
-        kind, var = sym
-        if kind == OP_OPEN:
-            opens[var] = pos
-        else:
-            closes[var] = pos
-    missing = [v for v in variables if v not in opens or v not in closes]
-    if missing:
-        raise ValueError(f"ref-word does not bind variables: {missing}")
-    return SpanTuple({v: Span(opens[v], closes[v]) for v in variables})
-
-
-def tuple_ref_words(tup: SpanTuple, doc: str) -> Iterator[tuple]:
-    """All ref-words over ``doc`` that denote ``tup``.
-
-    Markers attached to the same position can interleave in any order, except
-    that a variable's open marker must precede its own close marker.  Used by
-    the brute-force oracle; the count is small for small variable sets.
-    """
-    from itertools import permutations
-
-    doc_len = len(doc)
-    blocks: list[list[tuple[str, str]]] = [[] for _ in range(doc_len + 2)]
-    for var, span in tup.items():
-        blocks[span.begin].append(open_op(var))
-        blocks[span.end].append(close_op(var))
-
-    def block_orders(ops: list[tuple[str, str]]) -> list[tuple]:
-        seen = set()
-        orders = []
-        for perm in permutations(ops):
-            if perm in seen:
-                continue
-            seen.add(perm)
-            pending = set()
-            ok = True
-            for kind, var in perm:
-                if kind == OP_OPEN:
-                    pending.add(var)
-                elif var in pending:
-                    pending.discard(var)
-                elif (OP_OPEN, var) in ops:
-                    ok = False  # close before its own open in the same block
-                    break
-            if ok:
-                orders.append(perm)
-        return orders
-
-    choices = [block_orders(blocks[pos]) for pos in range(1, doc_len + 2)]
-
-    def rec(pos: int, acc: list) -> Iterator[tuple]:
-        if pos > doc_len + 1:
-            yield tuple(acc)
-            return
-        for order in choices[pos - 1]:
-            acc2 = acc + list(order)
-            if pos <= doc_len:
-                acc2.append(doc[pos - 1])
-            yield from rec(pos + 1, acc2)
-
-    yield from rec(1, [])
 
 
 # ---------------------------------------------------------------------------

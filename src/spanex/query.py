@@ -315,15 +315,22 @@ class PlanOptions:
     ``max_eq_compile``: largest number of equality selections still compiled.
     ``eq_path_budget``: hard cap on equality-automaton assignment paths; when
     the estimate exceeds it, evaluation falls back to the canonical route.
+    It is used as given, even above :data:`COMPILED_PATH_CEILING`.
     """
 
     max_join_compile: int = 3
     max_eq_compile: int = 2
-    eq_path_budget: int | None = 20000
+    eq_path_budget: int = 20000
 
 
 CANONICAL = "canonical"
 COMPILED = "compiled"
+
+# Equality-automaton paths a route without fallback may build (forced
+# compiled evaluation, ``spanex bench``).  The automaton grows about
+# linearly in paths: ``x == y`` on a 50-char unary document needs 45,526
+# paths, 1.78 M states and 0.44 GB (Python 3.11, x86-64).
+COMPILED_PATH_CEILING = 50_000
 
 
 def plan_query(query: UnionQuery, options: PlanOptions | None = None) -> list[str]:
@@ -401,17 +408,22 @@ def compile_query(query: UnionQuery, doc: str, decisions: list[str] | None = Non
 
     Returns ``(united, parts)``.  ``parts[i]`` is disjunct i's automaton, or
     None when it is left to the canonical route: planned so, or its equality
-    automaton would exceed ``path_budget``.  ``united`` is the union of all
-    parts (a lone part as is) when none is None, else None.
+    automaton would exceed ``path_budget``.  Without a ``path_budget``, an
+    equality automaton over :data:`COMPILED_PATH_CEILING` paths raises
+    :class:`EqualityBudgetError`.  ``united`` is the union of all parts (a
+    lone part as is) when none is None, else None.
     """
     parts = []
     for i, cq in enumerate(query.disjuncts):
         automaton = None
         if decisions is None or decisions[i] == COMPILED:
-            try:
-                automaton = compile_cq(cq, doc, path_budget=path_budget)
-            except EqualityBudgetError:
-                pass
+            if path_budget is None:
+                automaton = compile_cq(cq, doc, path_budget=COMPILED_PATH_CEILING)
+            else:
+                try:
+                    automaton = compile_cq(cq, doc, path_budget=path_budget)
+                except EqualityBudgetError:
+                    pass
         parts.append(automaton)
     if any(part is None for part in parts):
         return None, parts
@@ -429,7 +441,8 @@ def eval_query(query: UnionQuery, doc: str,
     """Evaluate a union query: a stream of distinct projected span tuples.
 
     ``strategy`` is ``auto`` (plan per disjunct), ``canonical``, or
-    ``compiled`` (force one automaton; ignores the plan limits).  When every
+    ``compiled`` (force one automaton; ignores the plan limits, and raises
+    :class:`EqualityBudgetError` above :data:`COMPILED_PATH_CEILING`).  When every
     disjunct compiles, the union automaton is enumerated; otherwise the
     disjuncts stream in order, each through its automaton or the canonical
     route, with repeats dropped.

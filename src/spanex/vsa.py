@@ -311,16 +311,6 @@ def check_functional_vsa(vsa: VSA) -> VsaReport:
 
 
 # ---------------------------------------------------------------------------
-# Closures
-# ---------------------------------------------------------------------------
-
-
-def eps_closure(vsa: VSA) -> list[frozenset[int]]:
-    """States reachable via ε-moves only."""
-    return [frozenset(_reach(state, vsa.eps_out)) for state in range(vsa.n_states)]
-
-
-# ---------------------------------------------------------------------------
 # Normal form
 # ---------------------------------------------------------------------------
 
@@ -413,41 +403,6 @@ def cached_step(form: VSA) -> Callable[[int, object], frozenset[int]]:
         return hit
 
     return step
-
-
-# ---------------------------------------------------------------------------
-# Ref-word acceptance (single-operation automata)
-# ---------------------------------------------------------------------------
-
-
-def accepts_ref_word(vsa: VSA, ref_word) -> bool:
-    """NFA membership for automata whose operation sets are singletons.
-
-    Used by the brute-force oracle (after canonical expansion); operation
-    sets of size > 1 are rejected to keep the oracle's semantics plain.
-    """
-    closure = eps_closure(vsa)
-    current = set(closure[vsa.initial])
-    for symbol in ref_word:
-        nxt: set[int] = set()
-        if isinstance(symbol, str):
-            for state in current:
-                for dst in vsa.sym_out[state].get(symbol, ()):
-                    nxt |= closure[dst]
-                for dst in vsa.any_out[state]:
-                    nxt |= closure[dst]
-        else:
-            want = frozenset({symbol})
-            for state in current:
-                for ops, dst in vsa.ops_out[state]:
-                    if len(ops) > 1:
-                        raise ValueError("expand the automaton before oracle matching")
-                    if ops == want:
-                        nxt |= closure[dst]
-        current = nxt
-        if not current:
-            return False
-    return vsa.final in current
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,14 @@ from spanex.formula import (
     check_functional, formula_variables,
 )
 from spanex.model import (
-    CLOSED, OPEN, WAITING, Span, SpanTuple, all_spans, is_valid_ref_word,
-    open_op, close_op,
+    CLOSED, OPEN, WAITING, Span, SpanTuple, all_spans, open_op, close_op,
 )
 from spanex.vsa import (
     ANY, VSA, NormalForm, check_functional_vsa, compute_state_configs, normal_form,
 )
 from spanex.enumerator import enumerate_spans
+
+from oracle import is_valid_ref_word
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,13 @@ import time
 
 from spanex.cli import main as cli_main
 from spanex.compiler import (
-    apply_selections, build_equality_automaton, compile_regex, expand_strict,
-    join, project, union_vsa,
+    apply_selections, build_equality_automaton, compile_regex, join, project,
+    union_vsa,
 )
 from spanex.enumerator import enumerate_spans
 from spanex.formula import parse_formula
 from spanex.harness import (
-    brute_force_clique, brute_force_sat, gen_3cnf_query, gen_clique_query,
-    gen_streq_clique_query, oracle_enumerate,
+    brute_force_sat, gen_3cnf_query, gen_clique_query, gen_streq_clique_query,
 )
 from spanex.model import EMPTY_TUPLE, Span, SpanTuple
 from spanex.query import ConjunctiveQuery, compile_cq, eval_canonical, eval_query
@@ -28,6 +27,7 @@ from helpers import (
     is_functional, join_rows, project_rows, random_doc, random_functional_formula,
     relation_of, span_set,
 )
+from oracle import brute_force_clique, expand_strict, oracle_enumerate
 
 
 def test_criterion_1_worked_example_exactness():

@@ -1,10 +1,17 @@
 """End-to-end tests of the command-line interface (in-process, via main)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spanex
 from spanex.cli import main
+from spanex.harness import gen_streq_clique_query
+from spanex.query import query_to_source
 from spanex.vsa import load_vsa
 
 from helpers import relation_of
@@ -139,6 +146,52 @@ def test_eval_errors_exit_2(capsys):
     code, _, err = run_cli(capsys, "eval", "--query-text", SUBSTRINGS,
                            "--input", "/no/such/file")
     assert code == 2 and err.startswith("error:")
+
+
+def test_eval_document_not_utf8_exits_2(capsys, tmp_path):
+    doc = tmp_path / "doc.txt"
+    doc.write_bytes(b"a\xffb")
+    code, out, err = run_cli(capsys, "eval", "--query-text", SUBSTRINGS,
+                             "--input", str(doc))
+    assert code == 2 and out == ""
+    assert_one_error_line(err)
+
+
+def test_eval_directory_argument_exits_2(capsys, tmp_path):
+    for argv in (["--query-text", SUBSTRINGS, "--input", str(tmp_path)],
+                 ["--query", str(tmp_path), "--input-text", "aaa"]):
+        code, out, err = run_cli(capsys, "eval", *argv)
+        assert code == 2 and out == "", argv
+        assert_one_error_line(err)
+
+
+def test_eval_into_a_closed_pipe_exits_0_quietly():
+    src = str(Path(spanex.__file__).resolve().parent.parent)
+    # buffered stdout, as in a terminal pipeline: the unwritten rows are
+    # flushed once more at interpreter shutdown
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    # about 180 kB of rows, more than a pipe buffers
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "spanex.cli", "eval", "--query-text",
+         "SELECT x FROM /.* x{.*} .*/", "--input-text", "ab" * 100],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"# x\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+
+
+def test_compiled_route_over_the_path_ceiling_exits_2(capsys, tmp_path):
+    query, doc = gen_streq_clique_query((4, [(1, 2), (2, 3), (1, 3), (3, 4)]), 3)
+    source = ["--query-text", query_to_source(query), "--input-text", doc]
+    for command in (["eval", "--strategy", "compiled"],
+                    ["bench", "--report", str(tmp_path / "out.csv")]):
+        code, _, err = run_cli(capsys, *command, *source)
+        assert code == 2, command
+        assert_one_error_line(err)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from spanex.compiler import (
     EqualityBudgetError, apply_selections, build_equality_automaton,
-    compile_regex, expand_strict, join, join_many, project, union_vsa,
+    compile_regex, join, join_many, project, union_vsa,
 )
 from spanex.enumerator import enumerate_spans
 from spanex.formula import NotFunctionalError, parse_formula
@@ -19,6 +19,7 @@ from helpers import (
     assert_normal_form, filter_rows, is_functional, join_rows, project_rows, random_doc,
     random_functional_formula, relation_of, span_set,
 )
+from oracle import expand_strict
 
 
 # ---------------------------------------------------------------------------

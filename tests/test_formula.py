@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 from spanex.formula import (
     Alt, Any, Bind, Cat, Empty, Epsilon, Star, Sym,
-    FormulaSyntaxError, NotFunctionalError, RefWordMatcher,
+    FormulaSyntaxError, NotFunctionalError,
     check_functional, formula_to_source, formula_variables,
-    match_ref_word, parse_formula, require_functional,
+    parse_formula, require_functional,
 )
 from spanex.model import close_op, open_op
 
 from helpers import brute_force_functional, formula_size, random_formula
+from oracle import RefWordMatcher
 
 
 # ---------------------------------------------------------------------------
@@ -166,12 +167,12 @@ def test_functional_verdict_matches_brute_force():
 
 
 def test_match_ref_word_examples():
-    f = parse_formula("a* x{a*} a*")
-    assert match_ref_word(f, ("a", open_op("x"), "a", close_op("x"), "a"))
-    assert match_ref_word(f, (open_op("x"), close_op("x")))
-    assert not match_ref_word(f, ("a",))  # variable symbols are mandatory
-    assert not match_ref_word(parse_formula("x{a}"), ("a",))
-    assert match_ref_word(parse_formula("ε"), ())
+    match = RefWordMatcher(parse_formula("a* x{a*} a*")).matches
+    assert match(("a", open_op("x"), "a", close_op("x"), "a"))
+    assert match((open_op("x"), close_op("x")))
+    assert not match(("a",))  # variable symbols are mandatory
+    assert not RefWordMatcher(parse_formula("x{a}")).matches(("a",))
+    assert RefWordMatcher(parse_formula("ε")).matches(())
 
 
 def test_matcher_is_reusable():

@@ -7,8 +7,8 @@ import pytest
 from spanex.compiler import compile_regex
 from spanex.formula import parse_formula
 from spanex.harness import (
-    brute_force_clique, brute_force_sat, clique_document, gen_3cnf_query,
-    gen_clique_query, gen_streq_clique_query, oracle_enumerate,
+    brute_force_sat, clique_document, gen_3cnf_query, gen_clique_query,
+    gen_streq_clique_query,
 )
 from spanex.model import EMPTY_TUPLE, Span, SpanTuple
 from spanex.query import eval_query
@@ -17,6 +17,7 @@ from helpers import (
     marker_automaton, random_doc, random_functional_formula, relation_of,
     span_set,
 )
+from oracle import brute_force_clique, oracle_enumerate
 
 
 def is_satisfied(query, doc) -> bool:

@@ -7,11 +7,11 @@ import pytest
 from spanex.model import (
     CLOSED, EMPTY_TUPLE, OPEN, WAITING,
     Span, SpanTuple,
-    all_spans, clean, close_op, is_valid_ref_word, open_op,
-    ref_word_span_tuple, span_text, state_sequence_to_tuple, tuple_ref_words,
+    all_spans, close_op, open_op, span_text, state_sequence_to_tuple,
 )
 
 from helpers import is_valid_span, is_valid_state_sequence, tuple_to_state_sequence
+from oracle import is_valid_ref_word, ref_word_span_tuple, tuple_ref_words
 
 
 # ---------------------------------------------------------------------------
@@ -94,13 +94,6 @@ def test_tuple_ordering_is_deterministic():
 # ---------------------------------------------------------------------------
 # Ref-words
 # ---------------------------------------------------------------------------
-
-
-def test_clean_drops_variable_operations():
-    word = ("c", open_op("x"), "o", "o", close_op("x"), "k", "i", "e")
-    assert clean(word) == "cookie"
-    assert clean((open_op("x"), close_op("x"))) == ""
-    assert clean(tuple("abc")) == "abc"
 
 
 def test_ref_word_span_extraction():

@@ -1,0 +1,102 @@
+"""Property tests on documents past the ref-word oracle's 8-symbol limit.
+
+Each reference builds no automaton: a closed form, ``str.find``, a
+brute-force comparison of substrings, or the canonical route checked
+against the compiled one.  Examples are derandomized, so a run is
+reproducible.
+"""
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from spanex.model import all_spans, span_text
+from spanex.query import PlanOptions, compile_query, eval_query, parse_query
+
+from helpers import span_set
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=6)
+
+
+def documents(alphabet: str, low: int, high: int):
+    """Texts with lengths spread over ``low..high`` (``st.text`` alone keeps
+    them near its minimum)."""
+    return st.integers(low, high).flatmap(
+        lambda n: st.text(alphabet=alphabet, min_size=n, max_size=n))
+
+
+def drain(text: str, doc: str, **kwargs) -> list:
+    return list(eval_query(parse_query(text), doc, **kwargs))
+
+
+@PROPERTY
+@given(documents("abc", 20, 200))
+def test_every_span_of_long_documents(doc):
+    rows = drain("SELECT x FROM /.* x{.*} .*/", doc)
+    length = len(doc)
+    assert len(rows) == (length + 1) * (length + 2) // 2
+    assert span_set(rows) == {(i, j) for i in range(1, length + 2)
+                              for j in range(i, length + 2)}
+
+
+@settings(PROPERTY, max_examples=20)
+@given(documents("ab", 20, 200),
+       st.text(alphabet="ab", min_size=1, max_size=3))
+def test_word_occurrences_match_str_find(doc, word):
+    want = set()
+    start = doc.find(word)
+    while start != -1:
+        want.add((start + 1, start + 1 + len(word)))
+        start = doc.find(word, start + 1)
+    rows = drain(f"SELECT x FROM /.* x{{{word}}} .*/", doc)
+    assert len(rows) == len(want)
+    assert span_set(rows) == want
+
+
+# The query of the benchmark's streq workload: x ends before y starts.
+EQUAL_PAIRS = "SELECT x, y FROM /.* x{.*} .* y{.*} .*/ WHERE x == y"
+
+
+@settings(PROPERTY, max_examples=4)
+@given(documents("ab", 9, 12))
+@example("a" * 38)
+def test_equal_substring_pairs(doc):
+    by_text: dict[str, list] = {}
+    for span in all_spans(len(doc)):
+        by_text.setdefault(span_text(doc, span), []).append(span)
+    want = {(x, y) for group in by_text.values() for x in group for y in group
+            if x.end <= y.begin}
+    rows = drain(EQUAL_PAIRS, doc)
+    assert len(rows) == len(want)
+    assert {(row["x"], row["y"]) for row in rows} == want
+    _, parts = compile_query(parse_query(EQUAL_PAIRS), doc,
+                             path_budget=PlanOptions().eq_path_budget)
+    assert (parts == [None]) == (len(doc) == 38)  # only it is over budget
+
+
+# Atom parts whose relations stay small on binary documents, so that the
+# canonical route, which materializes every atom, stays fast.
+PATTERNS = ("a", "b", "ab", "ba", "a b*", "b+ a", ".", "(a|b) a", "a*", "ε")
+GAPS = ("", ".", ".*")
+
+
+@st.composite
+def conjunctive_queries(draw):
+    atoms = []
+    used = set()
+    for _ in range(draw(st.integers(1, 3))):
+        variables = draw(st.sampled_from([("x",), ("y",), ("x", "y"), ("y", "x")]))
+        used.update(variables)
+        binds = [f"{var}{{{draw(st.sampled_from(PATTERNS))}}}" for var in variables]
+        gap = draw(st.sampled_from(GAPS))
+        atoms.append("/.* " + f" {gap} ".join(binds) + " .*/")
+    projection = draw(st.sampled_from(
+        [(), *((var,) for var in sorted(used)), tuple(sorted(used))]))
+    return f"SELECT {', '.join(projection) or '()'} FROM {', '.join(atoms)}"
+
+
+@settings(PROPERTY, max_examples=40)
+@given(conjunctive_queries(), documents("ab", 20, 60))
+def test_canonical_and_compiled_agree(text, doc):
+    compiled = drain(text, doc, strategy="compiled")
+    assert len(compiled) == len(set(compiled))
+    assert set(compiled) == set(drain(text, doc, strategy="canonical"))

@@ -10,10 +10,11 @@ from spanex.compiler import compile_regex
 from spanex.enumerator import (
     EnumerationStats, build_match_graph, enumerate_graph, enumerate_spans,
 )
-from spanex.harness import gen_3cnf_query, gen_clique_query
-from spanex.model import EMPTY_TUPLE, Span, SpanTuple
+from spanex.harness import gen_3cnf_query, gen_clique_query, gen_streq_clique_query
+from spanex.model import EMPTY_TUPLE, Span, SpanTuple, all_spans, span_text
 from spanex.query import (
-    CANONICAL, COMPILED, ConjunctiveQuery, PlanOptions, QuerySyntaxError,
+    CANONICAL, COMPILED, COMPILED_PATH_CEILING, ConjunctiveQuery, PlanOptions,
+    QuerySyntaxError,
     UnionQuery, compile_cq, compile_query, eval_canonical, eval_query,
     parse_query, plan_query, query_to_source,
 )
@@ -317,6 +318,26 @@ def test_union_with_an_over_budget_disjunct_keeps_its_order(monkeypatch):
         "4..6", "4..5", "3..6", "3..5", "3..4", "1..6", "1..5", "1..4",
         "1..3", "1..2", "1..1", "2..2", "2..3", "3..3", "4..4", "5..5", "6..6",
     ]
+
+
+def test_forced_compiled_route_stops_at_the_path_ceiling():
+    # 3,092,990,993 estimated paths on a 28-char document
+    query, doc = gen_streq_clique_query((4, [(1, 2), (2, 3), (1, 3), (3, 4)]), 3)
+    with pytest.raises(compiler.EqualityBudgetError) as err:
+        next(eval_query(query, doc, strategy="compiled"))
+    assert err.value.budget == COMPILED_PATH_CEILING < err.value.estimate
+
+
+def test_forced_compiled_route_fits_the_largest_streq_document():
+    doc = "a" * 38  # 20,540 paths: over the auto budget, under the ceiling
+    q = parse_query("SELECT x, y FROM /x{.*} .* y{.*}/ WHERE x == y")
+    rows = list(eval_query(q, doc, strategy="compiled"))
+    spans = list(all_spans(len(doc)))
+    want = {(x, y) for x in spans if x.begin == 1
+            for y in spans if y.end == len(doc) + 1
+            if x.end <= y.begin and span_text(doc, x) == span_text(doc, y)}
+    assert len(want) == 20
+    assert {(row["x"], row["y"]) for row in rows} == want
 
 
 def test_unknown_strategy_is_rejected():

@@ -11,8 +11,7 @@ from spanex.formula import parse_formula
 from spanex.model import CLOSED, OPEN, WAITING, close_op, open_op
 from spanex.vsa import (
     ANY, VSA, NotFunctionalAutomaton, VsaFormatError,
-    accepts_ref_word, check_functional_vsa, compute_state_configs,
-    cached_step, dump_vsa, eps_closure,
+    check_functional_vsa, compute_state_configs, cached_step, dump_vsa,
     is_key_attribute, load_vsa, marker_moves, normal_form, trim,
 )
 
@@ -21,6 +20,7 @@ from helpers import (
     brute_force_key, all_docs, random_functional_formula, relation_of,
     assert_normal_form,
 )
+from oracle import accepts_ref_word, eps_closure
 
 
 # ---------------------------------------------------------------------------
