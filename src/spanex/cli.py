@@ -115,11 +115,15 @@ def cmd_eval(args) -> int:
         out.write(f"{count}\n")
         out.flush()
     else:
+        # take the first row before any output, so that a query that fails
+        # to evaluate writes its error alone
+        first = next(stream, None)
+        rows = () if first is None else itertools.chain((first,), stream)
         if args.format == "tsv":
             header = "\t".join(columns) if columns else "()"
             out.write(f"# {header}\n")
             out.flush()
-        for row in stream:
+        for row in rows:
             if args.format == "tsv":
                 if columns:
                     out.write("\t".join(str(row[c]) for c in columns) + "\n")

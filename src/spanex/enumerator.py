@@ -1,4 +1,5 @@
-"""Ordered, polynomial-delay enumeration of a functional automaton's results.
+"""Ordered enumeration of a functional automaton's results, with a delay that
+does not depend on the document's length.
 
 The evaluation of a functional automaton on a fixed document is flattened
 into a layered acyclic graph: layer ``i`` holds the states of its normal
@@ -9,38 +10,61 @@ has the same length, and labelling each node with its state's configuration
 turns paths into exactly the per-position state sequences of the result
 tuples — one path label string per result, no duplicates.
 
-Enumeration then walks that string language in ascending order (letters are
+Enumeration walks that string language in ascending order (letters are
 configurations ordered as tuples, WAITING < OPEN < CLOSED, variables in name
-order; strings compared position by position).  A stack of node sets keeps
-the frontier for every prefix of the current string, the next string is
-found by scanning from the tail for the first position that can be bumped to
-a larger letter, and the suffix is refilled minimally.  The per-result delay
-is polynomial in the document and automaton sizes, independent of how many
-results were already produced.
+order; strings compared position by position).  Configurations only grow
+along a path, so a string is a sequence of at most 2·|variables| + 1 *runs*
+(stretches of one letter), and it is told apart from the strings sharing
+its prefix by where its current run ends and which letter comes next.
+Staying on a letter sorts before changing it, so the later a run's change
+point the earlier its strings: a run's change points are visited latest
+first, each with its next letters in ascending order.
+
+The frontier node sets a run can reach are determinized once, before the
+first result (within an allowance linear in the graph), and a *run index*
+over them lists any run's change points latest first, each in time that
+does not depend on the run's length (a binary search over the runs that
+merge there, where several do).  The walk keeps one frame per run, so
+between two results it does work bounded by the number of variables and
+the automaton, not by the document.
 
 Representation choices for speed: configurations are interned to integer
 ranks (so letter comparison is int comparison), node sets are interned per
-layer with memoized (set, letter) successors, and tuple decoding binary
-searches the monotone per-variable state sequence.
+slab with memoized (set, letter) successors, and each variable's span is
+written when a run that changes it is entered.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 from .model import CLOSED, WAITING, Span, SpanTuple
 from .vsa import VSA, cached_step, marker_moves, normal_form
 
 _START = -1  # virtual start node's "state" id
 
-# Elementary-operation allowance for pre-warming frontier-set transitions
-# before the first result is emitted.  Within the allowance, every set the
-# enumeration can reach has its successors memoized up front, so mid-stream
-# delays stay uniform; past it (pathological subset growth), transitions are
-# computed lazily and delays may spike but stay polynomial.
+# Elementary-operation allowance for determinizing frontier sets before the
+# first result: the larger of a fixed floor and a multiple of the match
+# graph's edges, so the up-front work stays linear in the graph.  Within it,
+# every set the enumeration can reach has its successors computed up front
+# and the run index covers every run; past it (pathological subset growth),
+# sets are computed lazily and each run lists its change points on entry,
+# so delays may spike but stay polynomial.
 _PREWARM_OPS = 1 << 19
+_PREWARM_PER_EDGE = 4
 
 
 class EnumerationStats:
-    """Counters a caller can pass in to observe the enumeration's work."""
+    """Counters a caller can pass in to observe the enumeration's work.
+
+    ``fill_steps`` counts the runs entered (the runs of the emitted strings,
+    those of a shared prefix once) and ``scan_steps`` the moves from an
+    exhausted change point to the next one of its run, or out of the run
+    when none is left.  Both grow with the number of results and variables,
+    not with the document's length.  ``cold_transitions`` counts the
+    frontier-set transitions computed, ``max_node_set`` the size of the
+    largest frontier set.
+    """
 
     __slots__ = ("tuples", "max_node_set", "scan_steps", "fill_steps",
                  "cold_transitions")
@@ -161,174 +185,281 @@ def build_match_graph(automaton: VSA, doc: str) -> MatchGraph:
                       slab_letters, slab_trans, node_count, edge_count)
 
 
-def enumerate_graph(graph: MatchGraph, stats: EnumerationStats | None = None):
-    """Yield the graph's span tuples in canonical configuration order.
+class _Frontiers:
+    """The frontier node sets of one enumeration, interned per slab, numbered
+    globally, with memoized successors.
 
-    The hot loops below are written flat on purpose: the worst-case delay of
-    one result is a scan plus a refill across every slab, so each per-slab
-    step is kept to a couple of int-keyed dict probes and list indexings.
+    A set at slab j >= 1 holds layer j-1 nodes that share one letter, the
+    letter chosen at slab j-1; the set at slab 0 is the virtual start, with
+    letter -1.  Per set g:
+      choices[g]: the letters that end a run at g, ascending: at the last
+                  slab every available letter, else every available letter
+                  but the set's own (g is a change point when non-empty)
+      stay[g]:    the set a run continues with on g's letter; -1 for none,
+                  -2 while not yet computed
+    and ``succ`` maps ``g * n_ranks + letter`` to the next slab's set.
     """
-    if graph.empty:
-        return
-    doc_len = graph.doc_len
-    variables = graph.variables
-    n_vars = len(variables)
-    config_by_rank = graph.config_by_rank
-    slab_letters = graph.slab_letters
-    slab_trans = graph.slab_trans
-    n_ranks = len(config_by_rank)
 
-    letters = [0] * (doc_len + 1)
-    letters[doc_len] = graph.final_letter
+    def __init__(self, graph: MatchGraph, stats: EnumerationStats | None):
+        self.graph = graph
+        self.stats = stats
+        self.last = graph.doc_len - 1
+        self.n_ranks = len(graph.config_by_rank)
+        self.set_ids: list[dict[frozenset, int]] = [dict() for _ in range(graph.doc_len)]
+        self.members: list[frozenset] = []
+        self.slab_of: list[int] = []
+        self.letter_of: list[int] = []
+        self.choices: list[tuple[int, ...]] = []
+        self.stay: list[int] = []
+        self.succ: dict[int, int] = {}
+        self.start = self.intern(0, frozenset((_START,)), -1)
 
-    def decode() -> SpanTuple:
-        assignment = {}
-        for v in range(n_vars):
-            lo, hi = 0, doc_len
-            while lo < hi:  # first position where the variable is past WAITING
-                mid = (lo + hi) >> 1
-                if config_by_rank[letters[mid]][v] != WAITING:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            begin = lo + 1
-            hi = doc_len
-            while lo < hi:  # first position where the variable is CLOSED
-                mid = (lo + hi) >> 1
-                if config_by_rank[letters[mid]][v] == CLOSED:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            assignment[variables[v]] = Span(begin, lo + 1)
-        return SpanTuple(assignment)
-
-    if doc_len == 0:
-        # one-letter language: the accepting configuration alone
-        if stats is not None:
-            stats.tuples += 1
-            stats.max_node_set = 1
-        yield decode()
-        return
-
-    # interned node sets, per slab, as parallel lists indexed by set id:
-    #   min_letter[slab][sid]  = least available letter of the set
-    #   next_letter[slab][sid] = letter -> next larger available letter
-    #   trans_memo[slab]       = sid*n_ranks+letter -> next slab's set id
-    set_ids: list[dict[frozenset, int]] = [dict() for _ in range(doc_len)]
-    members: list[list[frozenset]] = [[] for _ in range(doc_len)]
-    min_letter: list[list[int]] = [[] for _ in range(doc_len)]
-    next_letter: list[list[dict[int, int]]] = [[] for _ in range(doc_len)]
-    trans_memo: list[dict[int, int]] = [dict() for _ in range(doc_len)]
-
-    def intern(slab: int, node_set: frozenset) -> int:
-        table = set_ids[slab]
-        sid = table.get(node_set)
-        if sid is None:
-            sid = len(members[slab])
-            table[node_set] = sid
-            members[slab].append(node_set)
-            letter_lists = slab_letters[slab]
+    def intern(self, slab: int, node_set: frozenset, letter: int) -> int:
+        table = self.set_ids[slab]
+        g = table.get(node_set)
+        if g is None:
+            g = len(self.members)
+            table[node_set] = g
+            self.members.append(node_set)
+            self.slab_of.append(slab)
+            self.letter_of.append(letter)
+            letter_lists = self.graph.slab_letters[slab]
             available: set[int] = set()
             for state in node_set:
                 lst = letter_lists.get(state)
                 if lst:
                     available.update(lst)
             merged = sorted(available)
-            min_letter[slab].append(merged[0])
-            next_letter[slab].append(dict(zip(merged, merged[1:])))
+            if slab < self.last and merged[0] == letter:
+                self.choices.append(tuple(merged[1:]))
+                self.stay.append(-2)
+            else:
+                self.choices.append(tuple(merged))
+                self.stay.append(-1)
+            stats = self.stats
             if stats is not None and len(node_set) > stats.max_node_set:
                 stats.max_node_set = len(node_set)
-        return sid
+        return g
 
-    def cold_transition(slab: int, sid: int, letter: int) -> int:
-        if stats is not None:
-            stats.cold_transitions += 1
-        targets: set[int] = set()
-        table = slab_trans[slab]
-        for state in members[slab][sid]:
-            hit = table.get((state, letter))
-            if hit:
-                targets.update(hit)
-        nxt = intern(slab + 1, frozenset(targets))
-        trans_memo[slab][sid * n_ranks + letter] = nxt
+    def step(self, g: int, letter: int) -> int:
+        key = g * self.n_ranks + letter
+        nxt = self.succ.get(key)
+        if nxt is None:
+            if self.stats is not None:
+                self.stats.cold_transitions += 1
+            slab = self.slab_of[g]
+            targets: set[int] = set()
+            table = self.graph.slab_trans[slab]
+            for state in self.members[g]:
+                hit = table.get((state, letter))
+                if hit:
+                    targets.update(hit)
+            nxt = self.intern(slab + 1, frozenset(targets), letter)
+            self.succ[key] = nxt
+            if letter == self.letter_of[g]:
+                self.stay[g] = nxt
         return nxt
 
-    stack = [intern(0, frozenset((_START,)))]
-    stack_append = stack.append
-    stack_pop = stack.pop
+    def prewarm(self, budget: int) -> bool:
+        """Compute the successors of every reachable set, at a cost of one
+        operation per member per letter; False when the budget ran out."""
+        slab_of, members, letter_of = self.slab_of, self.members, self.letter_of
+        choices, stay, succ, n_ranks = self.choices, self.stay, self.succ, self.n_ranks
+        pending = [self.start]
+        while pending and budget > 0:
+            g = pending.pop()
+            if slab_of[g] >= self.last:  # no transitions out of the last slab
+                continue
+            size = len(members[g])
+            for letter in (letter_of[g], *choices[g]) if stay[g] != -1 else choices[g]:
+                budget -= size
+                if succ.get(g * n_ranks + letter) is None:
+                    before = len(members)
+                    nxt = self.step(g, letter)
+                    if len(members) > before:
+                        pending.append(nxt)
+        return not pending
+
+
+def _index_runs(sets: _Frontiers):
+    """The run index over fully computed frontier sets.
+
+    The change points of a run entered at set y are the sets with choices on
+    y's stay chain, latest first.  Stay chains merge but never split, so
+    linking each such set to the next one on its chain gives a forest whose
+    roots end their chains, and a run's change points are the forest path
+    from ``top[first[y]]`` down to ``first[y]``.  Where chains merge, a set
+    has several children; preorder numbers pick the one on that path.
+
+    Returns ``(first, top, down, preorder)``: ``down[g]`` is g's only child,
+    or its children with their preorder numbers, ascending.
+    """
+    choices, stay = sets.choices, sets.stay
+    n_sets = len(choices)
+    first = [0] * n_sets
+    top = [0] * n_sets
+    down: list = [None] * n_sets
+    kids: dict[int, list[int]] = {}
+    roots: list[int] = []
+    for slab in range(sets.last, -1, -1):  # a set's stay successor first
+        for g in sets.set_ids[slab].values():
+            nxt = stay[g]
+            if not choices[g]:
+                first[g] = first[nxt]
+                continue
+            first[g] = g
+            if nxt < 0:
+                top[g] = g
+                roots.append(g)
+            else:
+                up = first[nxt]
+                top[g] = top[up]
+                kids.setdefault(up, []).append(g)
+    preorder = [0] * n_sets
+    counter = 0
+    walk = roots
+    while walk:
+        g = walk.pop()
+        preorder[g] = counter
+        counter += 1
+        below = kids.get(g)
+        if below:
+            walk.extend(reversed(below))
+    for g, below in kids.items():
+        down[g] = below[0] if len(below) == 1 else (below, [preorder[k] for k in below])
+    return first, top, down, preorder
+
+
+def enumerate_graph(graph: MatchGraph, stats: EnumerationStats | None = None):
+    """Yield the graph's span tuples in canonical configuration order.
+
+    The walk keeps one frame per run of the current string: the run's letter,
+    its first change point and the change point it is at.  Between two
+    results it leaves and enters at most one run per configuration change,
+    so the delay does not depend on the document's length.
+    """
+    if graph.empty:
+        return
+    doc_len = graph.doc_len
+    variables = graph.variables
+    n_vars = len(variables)
+    if doc_len == 0:
+        # one-letter language: the accepting configuration alone
+        if stats is not None:
+            stats.tuples += 1
+            stats.max_node_set = 1
+        yield SpanTuple({var: Span(1, 1) for var in variables})
+        return
     last = doc_len - 1
+
+    sets = _Frontiers(graph, stats)
+    indexed = sets.prewarm(max(_PREWARM_OPS, _PREWARM_PER_EDGE * graph.edge_count))
+    if indexed:
+        first, top, down, preorder = _index_runs(sets)
+    choices, slab_of, succ, stay = sets.choices, sets.slab_of, sets.succ, sets.stay
+    step = sets.step
+    n_ranks = sets.n_ranks
+
+    def enter_unindexed(letter: int, y: int) -> list:
+        """A frame for the run entered at set ``y``, its change points listed
+        by walking the run (the budget ran out before the index was built)."""
+        path = []
+        g = y
+        while g >= 0:
+            if choices[g]:
+                path.append(g)
+            nxt = stay[g]
+            g = step(g, letter) if nxt == -2 else nxt
+        return [letter, path[0], path.pop(), 0, path]
+
+    # begin[v] / end[v]: the 1-based positions where variable v leaves
+    # WAITING / becomes CLOSED on the current string.  A run writes the
+    # entries of the variables its letter changes, at its first slab; each
+    # string changes each variable once, so entries left by runs no longer
+    # on the stack are always overwritten before the next result.
+    begin = [0] * n_vars
+    end = [0] * n_vars
+    config_of = graph.config_by_rank + [(WAITING,) * n_vars]  # letter -1: before the document
+    final_pos = doc_len + 1
     scan_total = 0
     fill_total = 0
     base_scan = stats.scan_steps if stats is not None else 0
     base_fill = stats.fill_steps if stats is not None else 0
 
-    # pre-warm: walk the reachable frontier sets once, memoizing every
-    # (set, letter) successor, so enumeration almost never computes a
-    # transition mid-stream
-    budget = _PREWARM_OPS
-    pending = [(0, stack[0])]
-    while pending and budget > 0:
-        slab, sid = pending.pop()
-        if slab >= last:  # transitions out of the final slab are never taken
-            continue
-        size = len(members[slab][sid])
-        nxt_map = next_letter[slab][sid]
-        memo = trans_memo[slab]
-        grown = members[slab + 1]
-        letter = min_letter[slab][sid]
-        while letter is not None:
-            budget -= size
-            if memo.get(sid * n_ranks + letter) is None:
-                before = len(grown)
-                nsid = cold_transition(slab, sid, letter)
-                if len(grown) > before:
-                    pending.append((slab + 1, nsid))
-            letter = nxt_map.get(letter)
-
-    j = 0  # first slab to fill; 0 gives the overall minimal string
+    # a frame: [run letter, first change point, current change point,
+    #           next choice there, unindexed change points still to visit]
+    frame = [-1, sets.start, sets.start, 0, None if indexed else []]
+    frames = [frame]
     while True:
-        # fill the tail from slab j with least letters
-        while j < doc_len:
-            sid = stack[j]
-            lt = min_letter[j][sid]
-            letters[j] = lt
-            if j < last:
-                nxt = trans_memo[j].get(sid * n_ranks + lt)
-                if nxt is None:
-                    nxt = cold_transition(j, sid, lt)
-                stack_append(nxt)
-            j += 1
-            fill_total += 1
-        if stats is not None:
-            stats.tuples += 1
-            stats.scan_steps = base_scan + scan_total
-            stats.fill_steps = base_fill + fill_total
-        yield decode()
-
-        # scan from the tail for the deepest slab that can take a larger
-        # letter, dropping exhausted frontier entries along the way
-        i = last
-        while i >= 0:
-            scan_total += 1
-            sid = stack[i]
-            nl = next_letter[i][sid].get(letters[i])
-            if nl is None:
-                stack_pop()
-                i -= 1
+        at = frame[2]
+        options = choices[at]
+        if slab_of[at] == last:
+            # every choice completes a result: the last slab's letter, then
+            # the accepting configuration after the document
+            before = config_of[frame[0]]
+            for letter in options:
+                after = config_of[letter]
+                for v in range(n_vars):
+                    was = before[v]
+                    if was != CLOSED:
+                        now = after[v]
+                        if was == WAITING:
+                            begin[v] = doc_len if now != WAITING else final_pos
+                        end[v] = doc_len if now == CLOSED else final_pos
+                if stats is not None:
+                    stats.tuples += 1
+                    stats.scan_steps = base_scan + scan_total
+                    stats.fill_steps = base_fill + fill_total
+                yield SpanTuple(zip(variables, map(Span, begin, end)))
+        else:
+            i = frame[3]
+            if i < len(options):
+                # change letter here: enter the run that starts with it
+                letter = options[i]
+                frame[3] = i + 1
+                position = slab_of[at] + 1
+                before = config_of[frame[0]]
+                after = config_of[letter]
+                for v in range(n_vars):
+                    was = before[v]
+                    now = after[v]
+                    if was != now:
+                        if was == WAITING:
+                            begin[v] = position
+                        if now == CLOSED:
+                            end[v] = position
+                fill_total += 1
+                y = succ.get(at * n_ranks + letter)
+                if y is None:
+                    y = step(at, letter)
+                if indexed:
+                    goal = first[y]
+                    frame = [letter, goal, top[goal], 0, None]
+                else:
+                    frame = enter_unindexed(letter, y)
+                frames.append(frame)
                 continue
-            letters[i] = nl
-            if i < last:
-                nxt = trans_memo[i].get(sid * n_ranks + nl)
-                if nxt is None:
-                    nxt = cold_transition(i, sid, nl)
-                stack_append(nxt)
-            break
-        if i < 0:
-            if stats is not None:
-                stats.scan_steps = base_scan + scan_total
-                stats.fill_steps = base_fill + fill_total
-            return
-        j = i + 1
+        # this change point is done: go to the run's next one, or leave it
+        scan_total += 1
+        if at == frame[1]:
+            frames.pop()
+            if not frames:
+                if stats is not None:
+                    stats.scan_steps = base_scan + scan_total
+                    stats.fill_steps = base_fill + fill_total
+                return
+            frame = frames[-1]
+            continue
+        path = frame[4]
+        if path is None:
+            below = down[at]
+            if type(below) is tuple:
+                kids_of, order = below
+                below = kids_of[bisect_right(order, preorder[frame[1]]) - 1]
+            frame[2] = below
+        else:
+            frame[2] = path.pop()
+        frame[3] = 0
 
 
 def enumerate_spans(automaton: VSA, doc: str,

@@ -340,6 +340,19 @@ def tuple_to_state_sequence(tup: SpanTuple, doc_len: int, variables) -> list[tup
     return seq
 
 
+def canonical_key(tup: SpanTuple, doc_len: int, variables) -> tuple:
+    """Sort key of the enumeration's canonical order: the per-position state
+    sequence, compared position by position, each position's states in
+    variable-name order with WAITING < OPEN < CLOSED."""
+    return tuple(tuple_to_state_sequence(tup, doc_len, variables))
+
+
+def assert_canonical_order(rows: list, doc_len: int, variables) -> None:
+    """The stream is duplicate-free and sorted by ``canonical_key``."""
+    assert len(rows) == len(set(rows))
+    assert rows == sorted(rows, key=lambda row: canonical_key(row, doc_len, variables))
+
+
 def is_valid_state_sequence(seq: list[tuple[int, ...]]) -> bool:
     """Monotone per variable (w* o* c*), ending all-CLOSED."""
     if not seq:

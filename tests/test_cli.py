@@ -189,8 +189,9 @@ def test_compiled_route_over_the_path_ceiling_exits_2(capsys, tmp_path):
     source = ["--query-text", query_to_source(query), "--input-text", doc]
     for command in (["eval", "--strategy", "compiled"],
                     ["bench", "--report", str(tmp_path / "out.csv")]):
-        code, _, err = run_cli(capsys, *command, *source)
+        code, out, err = run_cli(capsys, *command, *source)
         assert code == 2, command
+        assert out == "", command  # no TSV header before the error
         assert_one_error_line(err)
 
 

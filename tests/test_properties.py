@@ -2,8 +2,9 @@
 
 Each reference builds no automaton: a closed form, ``str.find``, a
 brute-force comparison of substrings, or the canonical route checked
-against the compiled one.  Examples are derandomized, so a run is
-reproducible.
+against the compiled one.  Streams from one automaton are also checked to
+come in the canonical order, against a sort by ``canonical_key``.  Examples
+are derandomized, so a run is reproducible.
 """
 
 from hypothesis import example, given, settings
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from spanex.model import all_spans, span_text
 from spanex.query import PlanOptions, compile_query, eval_query, parse_query
 
-from helpers import span_set
+from helpers import assert_canonical_order, span_set
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=6)
 
@@ -36,6 +37,7 @@ def test_every_span_of_long_documents(doc):
     assert len(rows) == (length + 1) * (length + 2) // 2
     assert span_set(rows) == {(i, j) for i in range(1, length + 2)
                               for j in range(i, length + 2)}
+    assert_canonical_order(rows, len(doc), ("x",))
 
 
 @settings(PROPERTY, max_examples=20)
@@ -50,6 +52,7 @@ def test_word_occurrences_match_str_find(doc, word):
     rows = drain(f"SELECT x FROM /.* x{{{word}}} .*/", doc)
     assert len(rows) == len(want)
     assert span_set(rows) == want
+    assert_canonical_order(rows, len(doc), ("x",))
 
 
 # The query of the benchmark's streq workload: x ends before y starts.
@@ -98,5 +101,5 @@ def conjunctive_queries(draw):
 @given(conjunctive_queries(), documents("ab", 20, 60))
 def test_canonical_and_compiled_agree(text, doc):
     compiled = drain(text, doc, strategy="compiled")
-    assert len(compiled) == len(set(compiled))
+    assert_canonical_order(compiled, len(doc), parse_query(text).disjuncts[0].projection)
     assert set(compiled) == set(drain(text, doc, strategy="canonical"))

@@ -215,9 +215,9 @@ def test_satisfiable_3cnf_query_is_nonempty():
 
 @pytest.mark.parametrize("text, graph_size, after_first, after_all", [
     ("SELECT x, y FROM /.* x{a .*} .*/, /.* x{.*} y{.*b} .*/",
-     (14, 17), (1, 0, 4, 10, 2), (5, 15, 11, 10, 2)),
+     (14, 17), (1, 0, 2, 10, 2), (5, 10, 6, 10, 2)),
     ("SELECT x, y FROM /.* x{.+} .* y{.+} .*/ WHERE x == y",
-     (13, 14), (1, 0, 4, 8, 1), (3, 11, 9, 8, 1)),
+     (13, 14), (1, 0, 3, 8, 1), (3, 9, 7, 8, 1)),
 ])
 def test_compiled_query_graph_and_stats_are_pinned(text, graph_size, after_first,
                                                    after_all):
