@@ -21,10 +21,10 @@ point the earlier its strings: a run's change points are visited latest
 first, each with its next letters in ascending order.
 
 The frontier node sets a run can reach are determinized once, before the
-first result (within an allowance linear in the graph), and a *run index*
-over them lists any run's change points latest first, each in time that
-does not depend on the run's length (a binary search over the runs that
-merge there, where several do).  The walk keeps one frame per run, so
+first result (within a fixed allowance), and a *run index* over them lists
+any run's change points latest first, each in time that does not depend on
+the run's length (a binary search over the runs that merge there, where
+several do).  The walk keeps one frame per run, so
 between two results it does work bounded by the number of variables and
 the automaton, not by the document.
 
@@ -44,14 +44,11 @@ from .vsa import VSA, cached_step, marker_moves, normal_form
 _START = -1  # virtual start node's "state" id
 
 # Elementary-operation allowance for determinizing frontier sets before the
-# first result: the larger of a fixed floor and a multiple of the match
-# graph's edges, so the up-front work stays linear in the graph.  Within it,
-# every set the enumeration can reach has its successors computed up front
-# and the run index covers every run; past it (pathological subset growth),
-# sets are computed lazily and each run lists its change points on entry,
-# so delays may spike but stay polynomial.
+# first result.  Within it, every set the enumeration can reach has its
+# successors computed up front and the run index covers every run; past it
+# (pathological subset growth), sets are computed lazily and each run lists
+# its change points on entry, so delays may spike but stay polynomial.
 _PREWARM_OPS = 1 << 19
-_PREWARM_PER_EDGE = 4
 
 
 class EnumerationStats:
@@ -353,7 +350,7 @@ def enumerate_graph(graph: MatchGraph, stats: EnumerationStats | None = None):
     last = doc_len - 1
 
     sets = _Frontiers(graph, stats)
-    indexed = sets.prewarm(max(_PREWARM_OPS, _PREWARM_PER_EDGE * graph.edge_count))
+    indexed = sets.prewarm(_PREWARM_OPS)
     if indexed:
         first, top, down, preorder = _index_runs(sets)
     choices, slab_of, succ, stay = sets.choices, sets.slab_of, sets.succ, sets.stay

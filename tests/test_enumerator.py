@@ -233,7 +233,6 @@ def test_streams_agree_without_the_run_index(monkeypatch, formula, doc):
     a = compile_regex(parse_formula(formula))
     want = list(enumerate_spans(a, doc))
     monkeypatch.setattr(enumerator, "_PREWARM_OPS", 0)
-    monkeypatch.setattr(enumerator, "_PREWARM_PER_EDGE", 0)
     stats = EnumerationStats()
     assert list(enumerate_spans(a, doc, stats)) == want
     assert stats.cold_transitions > 0
