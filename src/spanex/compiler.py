@@ -4,16 +4,15 @@ algebra: projection, union, natural join, and string-equality selection.
 Every construction takes and returns functional automata, so the enumerator
 can run directly on any output.  The join is a product of the two inputs'
 ε-free normal forms, which alternate one marker move and one letter, so it
-synchronises letters and pairs marker moves that agree on shared variables;
-string equality is handled by joining with a document-specific automaton
-whose paths spell out the admissible assignments.  The join, projection and
-equality automaton return a :class:`~spanex.vsa.NormalForm`, so no later
-stage rebuilds one; compiled formulas and unions stay plain automata.
+synchronises letters and pairs marker moves that agree on shared variables.
+String equality is one forward search over a normal form along the
+document, keeping a marker move only when the spans it opens and closes fit
+the equated substrings.  The join, projection and equality selection return
+a :class:`~spanex.vsa.NormalForm`, so no later stage rebuilds one; compiled
+formulas and unions stay plain automata.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from .formula import (
     Alt,
@@ -28,7 +27,7 @@ from .formula import (
     formula_variables,
     require_functional,
 )
-from .model import CLOSED, OPEN, WAITING, all_spans, close_op, open_op
+from .model import CLOSED, OPEN, WAITING, close_op, open_op
 from .vsa import ANY, VSA, NormalForm, empty_vsa, normal_form, trim
 
 
@@ -245,119 +244,148 @@ def join_many(automata) -> VSA:
 
 
 class EqualityBudgetError(RuntimeError):
-    """Raised when the equality automaton would need more assignment paths
-    than the caller allowed."""
+    """Raised when the equality search would create more states than the
+    caller allowed; ``estimate`` is the count it had reached."""
 
     def __init__(self, estimate: int, budget: int):
-        super().__init__(f"equality automaton needs {estimate} assignment paths, "
-                         f"budget is {budget}")
+        super().__init__(f"equality selection needs more than {budget} automaton "
+                         f"states (stopped at {estimate})")
         self.estimate = estimate
         self.budget = budget
 
 
 def _equality_classes(selections) -> list[list[str]]:
-    parent: dict[str, str] = {}
-
-    def find(var: str) -> str:
-        parent.setdefault(var, var)
-        while parent[var] != var:
-            parent[var] = parent[parent[var]]
-            var = parent[var]
-        return var
-
-    for x, y in selections:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-    classes: dict[str, list[str]] = {}
-    for var in parent:
-        classes.setdefault(find(var), []).append(var)
-    return [sorted(members) for _, members in sorted(classes.items())]
-
-
-def _equal_substring_groups(doc: str) -> list[list]:
-    """Group all spans of the document by substring equality; groups and
-    their members both follow ``all_spans`` order."""
-    groups: dict[str, list] = {}
-    for span in all_spans(len(doc)):
-        groups.setdefault(doc[span.begin - 1:span.end - 1], []).append(span)
-    return list(groups.values())
-
-
-def build_equality_automaton(doc: str, selections, *,
-                             path_budget: int | None = None) -> NormalForm:
-    """An automaton that accepts, on this document only, exactly the tuples
-    over the selection variables whose equated variables span equal
-    substrings.
-
-    One linear path per admissible assignment, built in normal form: before
-    each symbol one marker move (ε when no marker sits at that position),
-    then a wildcard edge; a last marker move enters the final state.  Paths
-    share common prefixes, so a state's configuration is read off the
-    assignment of any path through it.
-    """
-    selections = [(x, y) for x, y in selections]
-    if not selections:
-        raise ValueError("no selections; caller should skip the construction")
-    classes = _equality_classes(selections)
-    variables = sorted({var for members in classes for var in members})
-    doc_len = len(doc)
-    groups = _equal_substring_groups(doc)
-
-    estimate = 1
-    for members in classes:
-        estimate *= sum(len(group) ** len(members) for group in groups)
-    if path_budget is not None and estimate > path_budget:
-        raise EqualityBudgetError(estimate, path_budget)
-
-    per_class: list[list[dict]] = []
-    for members in classes:
-        options = []
-        for group in groups:
-            for combo in itertools.product(group, repeat=len(members)):
-                options.append(dict(zip(members, combo)))
-        per_class.append(options)
-
-    transitions: list[tuple] = []
-    configs = [(WAITING,) * len(variables), (CLOSED,) * len(variables)]  # initial, final
-    trie: dict[tuple[int, object], int] = {}  # (target copy, marker) -> source copy
-
-    for parts in itertools.product(*per_class):
-        assignment: dict = {}
-        for part in parts:
-            assignment.update(part)
-        ops_at: dict[int, set] = {}
-        for var, span in assignment.items():
-            ops_at.setdefault(span.begin, set()).add(open_op(var))
-            ops_at.setdefault(span.end, set()).add(close_op(var))
-        spans = [assignment[var] for var in variables]
-        node = 0
-        for position in range(1, doc_len + 2):
-            marker = frozenset(ops_at[position]) if position in ops_at else None
-            source = trie.get((node, marker))
-            if source is None:
-                source = len(configs) if position <= doc_len else 1
-                if source > 1:  # a source copy, then the target copy it reads into
-                    config = tuple(WAITING if position < span.begin
-                                   else OPEN if position < span.end else CLOSED
-                                   for span in spans)
-                    configs += (config, config)
-                    transitions.append((source, ANY, source + 1))
-                trie[node, marker] = source
-                transitions.append((node, marker, source))
-            node = source + 1
-    return NormalForm(variables, len(configs), 0, 1, transitions, configs)
+    classes: list[set[str]] = []
+    for pair in selections:
+        merged = set(pair).union(*(c for c in classes if c & set(pair)))
+        classes = [c for c in classes if not c & merged] + [merged]
+    return sorted(sorted(members) for members in classes)
 
 
 def apply_selections(vsa: VSA, selections, doc: str, *,
                      path_budget: int | None = None) -> VSA:
     """Filter the automaton's tuples on this document by substring equality
-    of each selected variable pair (via a join with the equality automaton)."""
+    of each selected variable pair.
+
+    One forward search over the input's normal form along ``doc``.  A state
+    is (position, form state, the substring id each equality class holds,
+    the end of each open class member).  A marker move of the form is kept
+    when it closes exactly the open members that end here, and each member
+    it opens with length L fixes its class's id to that substring (first
+    begin, length) or matches the id held.  A class forgets its id once all
+    its members are closed.  The result is a trimmed normal form with the
+    input's configurations; creating more than ``path_budget`` states
+    raises :class:`EqualityBudgetError`.
+    """
     selections = [(x, y) for x, y in selections]
     unknown = {var for pair in selections for var in pair} - vsa.variables
     if unknown:
         raise ValueError(f"selection variables not in automaton: {sorted(unknown)}")
     if not selections:
         return trim(vsa)
-    equality = build_equality_automaton(doc, selections, path_budget=path_budget)
-    return join(vsa, equality)
+    form = normal_form(vsa)
+    if form.configs is None:
+        return form
+    classes = [[form.ordered_variables.index(var) for var in members]
+               for members in _equality_classes(selections)]
+    slots = [(k, c) for k, members in enumerate(classes) for c in members]
+    form_configs = form.configs
+    doc_len = len(doc)
+
+    ids_at: dict[tuple[int, int], tuple[int, int]] = {}  # (begin, length) -> id
+
+    def opened(opens: list, ids: tuple, ends: tuple, position: int):
+        """Each admissible (ids, ends) once ``opens`` open here, lazily."""
+        if not opens:
+            yield ids, ends
+            return
+        (m, k, shut), rest = opens[0], opens[1:]
+        lengths = ((ids[k][1],) if ids[k] is not None
+                   else (0,) if shut else range(1, doc_len + 2 - position))
+        for length in lengths:
+            if (length == 0) != shut or position + length > doc_len + 1:
+                continue
+            sid = ids_at.get((position, length))
+            if sid is None:
+                text = doc[position - 1:position - 1 + length]
+                sid = ids_at[position, length] = (doc.find(text) + 1, length)
+            if ids[k] not in (None, sid):
+                continue
+            end = None if shut else position + length
+            yield from opened(rest, ids[:k] + (sid,) + ids[k + 1:],
+                              ends[:m] + (end,) + ends[m + 1:], position)
+
+    # marker moves with members opened (flag: closed too), members closed, classes finished
+    moves: list[list] = [[] for _ in range(form.n_states)]
+    for q, label, dst in form.transitions:
+        if label is None or isinstance(label, frozenset):
+            before, after = form_configs[q], form_configs[dst]
+            opens = [(m, k, after[c] == CLOSED)
+                     for m, (k, c) in enumerate(slots) if before[c] == WAITING != after[c]]
+            closes = [m for m, (_, c) in enumerate(slots)
+                      if before[c] == OPEN and after[c] == CLOSED]
+            done = {k for k, members in enumerate(classes)
+                    if all(after[c] == CLOSED for c in members)}
+            moves[q].append((label, dst, opens, closes, done))
+
+    transitions: list[tuple] = []
+    configs: list[tuple[int, ...]] = []
+
+    def add(states: dict, key: tuple, source: int | None, label) -> None:
+        target = states.get(key)
+        if target is None:
+            configs.append(form_configs[key[0]])
+            if path_budget is not None and len(configs) > path_budget:
+                raise EqualityBudgetError(len(configs), path_budget)
+            target = states[key] = len(configs) - 1
+        if source is not None:
+            transitions.append((source, label, target))
+
+    nothing_held = ((None,) * len(classes), (None,) * len(slots))
+    layer: dict[tuple, int] = {}
+    add(layer, (form.initial, *nothing_held), None, None)
+
+    for position in range(1, doc_len + 2):
+        last = position == doc_len + 1
+        sources: dict[tuple, int] = {}
+        for (q, ids, ends), state in layer.items():
+            due = [m for m, end in enumerate(ends) if end == position]  # kept moves close these
+            kept = tuple(None if end == position else end for end in ends)
+            for label, dst, opens, closes, done in moves[q]:
+                if (dst == form.final) != last or closes != due:
+                    continue
+                for held, open_ends in opened(opens, ids, kept, position):
+                    if done:
+                        held = tuple(None if k in done else sid
+                                     for k, sid in enumerate(held))
+                    add(sources, (dst, held, open_ends), state, label)
+        if last:
+            break
+        symbol = doc[position - 1]
+        layer = {}
+        for (q, ids, ends), state in sources.items():
+            for label, dsts in ((symbol, form.sym_out[q].get(symbol, ())),
+                                (ANY, form.any_out[q])):
+                for dst in dsts:
+                    add(layer, (dst, ids, ends), state, label)
+
+    final = sources.get((form.final, *nothing_held))
+    if final is None:
+        return empty_vsa(form.variables)
+    return trim(NormalForm(form.variables, len(configs), 0, final, transitions,
+                           configs))
+
+
+def build_equality_automaton(doc: str, selections, *,
+                             path_budget: int | None = None) -> NormalForm:
+    """An automaton that accepts, on this document only, exactly the tuples
+    over the selection variables whose equated variables span equal
+    substrings: :func:`apply_selections` on the join of one ``.* v{.*} .*``
+    per variable."""
+    selections = [(x, y) for x, y in selections]
+    if not selections:
+        raise ValueError("no selections; caller should skip the construction")
+    anything = Star(Any())
+    everything = join_many(compile_regex(Cat(anything, Cat(Bind(var, anything), anything)))
+                           for var in sorted({var for pair in selections for var in pair}))
+    return apply_selections(everything, selections, doc, path_budget=path_budget)

@@ -313,24 +313,18 @@ class PlanOptions:
     ``max_join_compile``: largest atom count still compiled into one product
     automaton (the product can reach n^(2k) states, so keep this small).
     ``max_eq_compile``: largest number of equality selections still compiled.
-    ``eq_path_budget``: hard cap on equality-automaton assignment paths; when
-    the estimate exceeds it, evaluation falls back to the canonical route.
-    It is used as given, even above :data:`COMPILED_PATH_CEILING`.
+    ``eq_path_budget``: most states the equality search (``apply_selections``)
+    may create per disjunct; past it, ``auto`` evaluates the disjunct
+    canonically and a forced compiled run raises :class:`EqualityBudgetError`.
     """
 
     max_join_compile: int = 3
     max_eq_compile: int = 2
-    eq_path_budget: int = 20000
+    eq_path_budget: int = 200_000
 
 
 CANONICAL = "canonical"
 COMPILED = "compiled"
-
-# Equality-automaton paths a route without fallback may build (forced
-# compiled evaluation, ``spanex bench``).  The automaton grows about
-# linearly in paths: ``x == y`` on a 50-char unary document needs 45,526
-# paths, 1.78 M states and 0.44 GB (Python 3.11, x86-64).
-COMPILED_PATH_CEILING = 50_000
 
 
 def plan_query(query: UnionQuery, options: PlanOptions | None = None) -> list[str]:
@@ -402,28 +396,26 @@ def compile_cq(cq: ConjunctiveQuery, doc: str, *,
 
 
 def compile_query(query: UnionQuery, doc: str, decisions: list[str] | None = None,
-                  *, path_budget: int | None = None):
+                  *, path_budget: int = PlanOptions.eq_path_budget,
+                  fallback: bool = False):
     """Compile each disjunct planned ``COMPILED`` (all when ``decisions`` is
     None) exactly once.
 
     Returns ``(united, parts)``.  ``parts[i]`` is disjunct i's automaton, or
-    None when it is left to the canonical route: planned so, or its equality
-    automaton would exceed ``path_budget``.  Without a ``path_budget``, an
-    equality automaton over :data:`COMPILED_PATH_CEILING` paths raises
-    :class:`EqualityBudgetError`.  ``united`` is the union of all parts (a
+    None when planned canonical or when, with ``fallback``, its equality
+    selection went past ``path_budget`` states (else that raises
+    :class:`EqualityBudgetError`).  ``united`` is the union of all parts (a
     lone part as is) when none is None, else None.
     """
     parts = []
     for i, cq in enumerate(query.disjuncts):
         automaton = None
         if decisions is None or decisions[i] == COMPILED:
-            if path_budget is None:
-                automaton = compile_cq(cq, doc, path_budget=COMPILED_PATH_CEILING)
-            else:
-                try:
-                    automaton = compile_cq(cq, doc, path_budget=path_budget)
-                except EqualityBudgetError:
-                    pass
+            try:
+                automaton = compile_cq(cq, doc, path_budget=path_budget)
+            except EqualityBudgetError:
+                if not fallback:
+                    raise
         parts.append(automaton)
     if any(part is None for part in parts):
         return None, parts
@@ -442,21 +434,21 @@ def eval_query(query: UnionQuery, doc: str,
 
     ``strategy`` is ``auto`` (plan per disjunct), ``canonical``, or
     ``compiled`` (force one automaton; ignores the plan limits, and raises
-    :class:`EqualityBudgetError` above :data:`COMPILED_PATH_CEILING`).  When every
-    disjunct compiles, the union automaton is enumerated; otherwise the
-    disjuncts stream in order, each through its automaton or the canonical
-    route, with repeats dropped.
+    :class:`EqualityBudgetError` past ``options.eq_path_budget``).  When
+    every disjunct compiles, the union automaton is enumerated; otherwise
+    the disjuncts stream in order, each through its automaton or the
+    canonical route, with repeats dropped.
     """
     options = options or PlanOptions()
     if strategy == "auto":
         decisions = plan_query(query, options)
-        budget = options.eq_path_budget
     elif strategy in (COMPILED, CANONICAL):
         decisions = [strategy] * len(query.disjuncts)
-        budget = None
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    united, parts = compile_query(query, doc, decisions, path_budget=budget)
+    united, parts = compile_query(query, doc, decisions,
+                                  path_budget=options.eq_path_budget,
+                                  fallback=strategy == "auto")
     if united is not None:
         yield from enumerate_spans(united, doc)
         return

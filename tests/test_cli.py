@@ -10,8 +10,6 @@ import pytest
 
 import spanex
 from spanex.cli import main
-from spanex.harness import gen_streq_clique_query
-from spanex.query import query_to_source
 from spanex.vsa import load_vsa
 
 from helpers import relation_of
@@ -184,9 +182,10 @@ def test_eval_into_a_closed_pipe_exits_0_quietly():
     assert err == b""
 
 
-def test_compiled_route_over_the_path_ceiling_exits_2(capsys, tmp_path):
-    query, doc = gen_streq_clique_query((4, [(1, 2), (2, 3), (1, 3), (3, 4)]), 3)
-    source = ["--query-text", query_to_source(query), "--input-text", doc]
+def test_compiled_route_over_the_state_budget_exits_2(capsys, tmp_path):
+    # the equality search passes the default budget in about a second
+    source = ["--query-text", "SELECT x, y FROM /.* x{.*} .* y{.*} .*/ WHERE x == y",
+              "--input-text", "a" * 80]
     for command in (["eval", "--strategy", "compiled"],
                     ["bench", "--report", str(tmp_path / "out.csv")]):
         code, out, err = run_cli(capsys, *command, *source)

@@ -2,6 +2,7 @@
 strict expansion, and string-equality selection."""
 
 import random
+import time
 
 import pytest
 
@@ -374,6 +375,18 @@ def test_path_budget_overflow():
     assert err.value.estimate > 3
     # and a generous budget succeeds
     build_equality_automaton("abab", [("x", "y")], path_budget=10_000)
+
+
+def test_budget_stops_the_search_promptly_on_a_long_document():
+    """Substring ids are made as the search opens spans, so no table of the
+    document's 12.5 M substrings is built before the budget stops it."""
+    rng = random.Random(5000)
+    doc = "".join(rng.choice("ab") for _ in range(5000))
+    start = time.process_time()
+    with pytest.raises(EqualityBudgetError) as err:
+        apply_selections(_universal("xy"), [("x", "y")], doc, path_budget=1000)
+    assert err.value.estimate == 1001
+    assert time.process_time() - start < 0.5
 
 
 def test_equality_automaton_is_functional():

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spanex.model import all_spans, span_text
-from spanex.query import PlanOptions, compile_query, eval_query, parse_query
+from spanex.query import compile_query, eval_query, parse_query
 
 from helpers import assert_canonical_order, span_set
 
@@ -71,9 +71,27 @@ def test_equal_substring_pairs(doc):
     rows = drain(EQUAL_PAIRS, doc)
     assert len(rows) == len(want)
     assert {(row["x"], row["y"]) for row in rows} == want
-    _, parts = compile_query(parse_query(EQUAL_PAIRS), doc,
-                             path_budget=PlanOptions().eq_path_budget)
-    assert (parts == [None]) == (len(doc) == 38)  # only it is over budget
+    _, parts = compile_query(parse_query(EQUAL_PAIRS), doc, fallback=True)
+    assert None not in parts  # within the default budget, unary-38 included
+
+
+# Equality shapes beyond the benchmark's: crossing spans from two atoms, a
+# class of three, two classes, and an empty-span class.
+EQUALITY_QUERIES = (
+    "SELECT x, y FROM /.* x{a .*} .*/, /.* y{.* b} .*/ WHERE x == y",
+    "SELECT x, z FROM /.* x{.+} .* y{.+} .* z{.+} .*/ WHERE x == y AND y == z",
+    "SELECT x, w FROM /.* x{.+} .* y{.+} .*/, /.* z{.} w{.} .*/ "
+    "WHERE x == y AND z == w",
+    "SELECT x, y FROM /.* x{a*} .* y{b*} .*/ WHERE x == y",
+)
+
+
+@settings(PROPERTY, max_examples=8)
+@given(documents("ab", 9, 14), st.sampled_from(EQUALITY_QUERIES))
+def test_equality_queries_agree_with_canonical(doc, text):
+    compiled = drain(text, doc, strategy="compiled")
+    assert_canonical_order(compiled, len(doc), parse_query(text).projection)
+    assert set(compiled) == set(drain(text, doc, strategy="canonical"))
 
 
 # Atom parts whose relations stay small on binary documents, so that the

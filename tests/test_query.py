@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import spanex.query
 from spanex import compiler, vsa
 from spanex.compiler import compile_regex
 from spanex.enumerator import (
@@ -13,13 +14,16 @@ from spanex.enumerator import (
 from spanex.harness import gen_3cnf_query, gen_clique_query, gen_streq_clique_query
 from spanex.model import EMPTY_TUPLE, Span, SpanTuple, all_spans, span_text
 from spanex.query import (
-    CANONICAL, COMPILED, COMPILED_PATH_CEILING, ConjunctiveQuery, PlanOptions,
+    CANONICAL, COMPILED, ConjunctiveQuery, PlanOptions,
     QuerySyntaxError,
     UnionQuery, compile_cq, compile_query, eval_canonical, eval_query,
     parse_query, plan_query, query_to_source,
 )
 
-from helpers import map_to_relational, random_doc, random_functional_formula, relation_of
+from helpers import (
+    assert_canonical_order, map_to_relational, random_doc, random_functional_formula,
+    relation_of,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +220,10 @@ def test_satisfiable_3cnf_query_is_nonempty():
 @pytest.mark.parametrize("text, graph_size, after_first, after_all", [
     ("SELECT x, y FROM /.* x{a .*} .*/, /.* x{.*} y{.*b} .*/",
      (14, 17), (1, 0, 2, 10, 2), (5, 10, 6, 10, 2)),
+    # the equality search fixes x's length when x opens, so x{a} and x{ab}
+    # at position 1 are two nodes
     ("SELECT x, y FROM /.* x{.+} .* y{.+} .*/ WHERE x == y",
-     (13, 14), (1, 0, 3, 8, 1), (3, 9, 7, 8, 1)),
+     (14, 15), (1, 0, 3, 8, 2), (3, 9, 7, 8, 2)),
 ])
 def test_compiled_query_graph_and_stats_are_pinned(text, graph_size, after_first,
                                                    after_all):
@@ -286,21 +292,21 @@ def test_mixed_plan_agrees_with_all_canonical():
     assert set(mixed) == set(eval_query(q, "ab", strategy="canonical"))
 
 
-def _count_equality_builds(monkeypatch):
+def _count_equality_searches(monkeypatch):
     calls = []
-    build = compiler.build_equality_automaton
+    search = spanex.query.apply_selections
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return build(*args, **kwargs)
+        return search(*args, **kwargs)
 
-    monkeypatch.setattr(compiler, "build_equality_automaton", counting)
+    monkeypatch.setattr(spanex.query, "apply_selections", counting)
     return calls
 
 
 def test_budget_fallback_builds_the_equality_automaton_once(monkeypatch):
     q = parse_query("SELECT x, y FROM /.* x{.*} .* y{.*} .*/ WHERE x == y")
-    calls = _count_equality_builds(monkeypatch)
+    calls = _count_equality_searches(monkeypatch)
     rows = list(eval_query(q, "abaab", PlanOptions(eq_path_budget=10)))
     assert len(calls) == 1
     assert rows == eval_canonical(q.disjuncts[0], "abaab")
@@ -311,7 +317,7 @@ def test_union_with_an_over_budget_disjunct_keeps_its_order(monkeypatch):
     over-budget one falls back to canonical (sorted), repeats dropped."""
     q = parse_query("SELECT x FROM /.* x{a .*} .*/ UNION "
                     "SELECT x FROM /.* x{.*} .* y{.*} .*/ WHERE x == y")
-    calls = _count_equality_builds(monkeypatch)
+    calls = _count_equality_searches(monkeypatch)
     rows = list(eval_query(q, "abaab", PlanOptions(eq_path_budget=10)))
     assert len(calls) == 1
     assert [str(row["x"]) for row in rows] == [
@@ -320,16 +326,52 @@ def test_union_with_an_over_budget_disjunct_keeps_its_order(monkeypatch):
     ]
 
 
-def test_forced_compiled_route_stops_at_the_path_ceiling():
-    # 3,092,990,993 estimated paths on a 28-char document
-    query, doc = gen_streq_clique_query((4, [(1, 2), (2, 3), (1, 3), (3, 4)]), 3)
+def test_forced_compiled_route_stops_at_the_state_budget():
+    q = parse_query("SELECT x, y FROM /.* x{.*} .* y{.*} .*/ WHERE x == y")
+    options = PlanOptions(eq_path_budget=100)
     with pytest.raises(compiler.EqualityBudgetError) as err:
-        next(eval_query(query, doc, strategy="compiled"))
-    assert err.value.budget == COMPILED_PATH_CEILING < err.value.estimate
+        next(eval_query(q, "abaab" * 4, options, strategy="compiled"))
+    assert err.value.budget == 100 < err.value.estimate
+    rows = list(eval_query(q, "abaab" * 4, options))  # auto falls back
+    assert rows == eval_canonical(q.disjuncts[0], "abaab" * 4)
+
+
+def test_forced_compiled_route_decides_the_streq_clique_instance():
+    """3,092,990,993 assignments of the equated variables on a 28-char
+    document, and under 2,000 states for the search."""
+    for edges, want in (([(1, 2), (2, 3), (1, 3), (3, 4)], [EMPTY_TUPLE]),
+                        ([(1, 2), (2, 3), (3, 4), (1, 4)], [])):
+        query, doc = gen_streq_clique_query((4, edges), 3)
+        rows = list(eval_query(query, doc, strategy="compiled"))
+        assert rows == list(eval_query(query, doc, strategy="canonical")) == want
+
+
+@pytest.mark.parametrize("text, doc", [
+    # x = 1..3 and y = 2..4 ("aa") are both open at positions 2 and 3
+    pytest.param("SELECT x, y FROM /.* x{.+} .*/, /.* y{.+} .*/ WHERE x == y",
+                 "aaaba", id="overlapping"),
+    pytest.param("SELECT x, y FROM /.* x{a*} .* y{b*} .*/ WHERE x == y",
+                 "abba", id="empty-spans"),
+    pytest.param("SELECT x, y, z FROM /.* x{.+} .* y{.+} .* z{.+} .*/ "
+                 "WHERE x == y AND y == z", "abababa", id="three-members"),
+    pytest.param("SELECT x, y, z, w FROM /.* x{.+} .* y{.+} .*/, /.* z{.} .* w{.} .*/ "
+                 "WHERE x == y AND z == w", "abaab", id="two-classes"),
+    pytest.param("SELECT x, y FROM /.* x{a .*} .*/, /.* y{.* b} .*/ WHERE y == x",
+                 "abaabab", id="two-atoms"),
+    pytest.param("SELECT x, y FROM /.* x{a} .* y{b} .*/ UNION "
+                 "SELECT x, y FROM /.* x{.+} .* y{.+} .*/ WHERE x == y",
+                 "abab", id="union"),
+])
+def test_equality_agrees_with_canonical(text, doc):
+    q = parse_query(text)
+    rows = list(eval_query(q, doc, strategy="compiled"))
+    assert rows
+    assert_canonical_order(rows, len(doc), q.projection)
+    assert set(rows) == set(eval_query(q, doc, strategy="canonical"))
 
 
 def test_forced_compiled_route_fits_the_largest_streq_document():
-    doc = "a" * 38  # 20,540 paths: over the auto budget, under the ceiling
+    doc = "a" * 38  # the benchmark's unary document, far inside the budget
     q = parse_query("SELECT x, y FROM /x{.*} .* y{.*}/ WHERE x == y")
     rows = list(eval_query(q, doc, strategy="compiled"))
     spans = list(all_spans(len(doc)))
