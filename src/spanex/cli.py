@@ -198,8 +198,8 @@ def cmd_bench(args) -> int:
     """Benchmark the streaming enumeration of a query (compiled route).
 
     Report CSV rows: the preprocessing time (compile + match-graph build),
-    the latency of the first result, one row per inter-tuple gap, and
-    summary rows (count, max, median) when at least one gap exists.
+    the latency of the first result (frontier determinization included),
+    one row per inter-tuple gap, the tuple count, and the gaps' max and median.
 
     Delays are CPU time of this process, and timestamps land in
     preallocated fixed-width buffers: wall-clock gaps in a shared machine

@@ -8,7 +8,9 @@ then one marker move), a virtual start node fans into layer 0, and the last
 layer is restricted to the final state and pruned backwards.  Every path
 has the same length, and labelling each node with its state's configuration
 turns paths into exactly the per-position state sequences of the result
-tuples — one path label string per result, no duplicates.
+tuples — one path label string per result, no duplicates.  The graph keeps
+only its layers; both sweeps memoize a step by the layer's content, so a
+repetitive document costs dictionary lookups, not per-state work.
 
 Enumeration walks that string language in ascending order (letters are
 configurations ordered as tuples, WAITING < OPEN < CLOSED, variables in name
@@ -21,17 +23,17 @@ point the earlier its strings: a run's change points are visited latest
 first, each with its next letters in ascending order.
 
 The frontier node sets a run can reach are determinized once, before the
-first result (within a fixed allowance), and a *run index* over them lists
-any run's change points latest first, each in time that does not depend on
-the run's length (a binary search over the runs that merge there, where
-several do).  The walk keeps one frame per run, so
-between two results it does work bounded by the number of variables and
-the automaton, not by the document.
+first result (within a fixed allowance), straight from the automaton's
+step, and a *run index* over them lists any run's change points latest
+first, each in time that does not depend on the run's length (a binary
+search over the runs that merge there, where several do).  The walk keeps
+one frame per run, so between two results it does work bounded by the
+number of variables and the automaton, not by the document.
 
 Representation choices for speed: configurations are interned to integer
 ranks (so letter comparison is int comparison), node sets are interned per
-slab with memoized (set, letter) successors, and each variable's span is
-written when a run that changes it is entered.
+slab, their splits by letter memoized by content across slabs, and each
+variable's span is written when a run that changes it is entered.
 """
 
 from __future__ import annotations
@@ -75,31 +77,37 @@ class EnumerationStats:
 
 
 class MatchGraph:
-    """The layered evaluation graph of one (automaton, document) pair."""
+    """The layered evaluation graph of one (automaton, document) pair.
 
-    __slots__ = ("empty", "doc_len", "variables", "config_by_rank", "final_letter",
-                 "slab_letters", "slab_trans", "node_count", "edge_count")
+    ``alive[i]`` (0 <= i <= doc_len) is layer i: the states of the normal
+    form reachable before reading symbol i+1 that still reach the accepting
+    state after the document, as a frozenset; equal layers are one object.
+    Edges are not stored: a virtual start node fans into layer 0, and a node
+    of layer i-1 steps over ``doc[i-1]`` with ``step`` (the form's memoized
+    step) into its successors in layer i.  ``letter_of`` maps each node's
+    state to the rank of its configuration in ``config_by_rank``.
+    """
 
-    def __init__(self, empty: bool, doc_len: int, variables: tuple[str, ...],
-                 config_by_rank: list[tuple[int, ...]], final_letter: int,
-                 slab_letters, slab_trans, node_count: int, edge_count: int):
+    __slots__ = ("empty", "doc", "doc_len", "variables", "config_by_rank",
+                 "alive", "step", "letter_of", "node_count", "edge_count")
+
+    def __init__(self, empty: bool, doc: str, variables: tuple[str, ...],
+                 config_by_rank: list[tuple[int, ...]], alive: list[frozenset],
+                 step, letter_of: dict[int, int], node_count: int, edge_count: int):
         self.empty = empty
-        self.doc_len = doc_len
+        self.doc = doc
+        self.doc_len = len(doc)
         self.variables = variables
         self.config_by_rank = config_by_rank
-        self.final_letter = final_letter
-        # slab i (0 <= i < doc_len) is where letter i is chosen:
-        #   slab 0 holds the virtual start, slab i holds layer i-1 states.
-        # slab_letters[i]: state -> sorted tuple of available letter ranks
-        # slab_trans[i]:   (state, letter) -> tuple of layer-i states
-        self.slab_letters = slab_letters
-        self.slab_trans = slab_trans
+        self.alive = alive
+        self.step = step
+        self.letter_of = letter_of
         self.node_count = node_count
         self.edge_count = edge_count
 
 
-def _empty_graph(doc_len: int, variables: tuple[str, ...]) -> MatchGraph:
-    return MatchGraph(True, doc_len, variables, [], 0, [], [], 0, 0)
+def _empty_graph(doc: str, variables: tuple[str, ...]) -> MatchGraph:
+    return MatchGraph(True, doc, variables, [], [], None, {}, 0, 0)
 
 
 def build_match_graph(automaton: VSA, doc: str) -> MatchGraph:
@@ -113,88 +121,69 @@ def build_match_graph(automaton: VSA, doc: str) -> MatchGraph:
     variables = form.ordered_variables
     doc_len = len(doc)
     if configs is None:
-        return _empty_graph(doc_len, variables)
+        return _empty_graph(doc, variables)
     step = cached_step(form)
 
-    # forward sweep: layers[i] = states reachable before reading symbol i+1
-    layers: list[set[int]] = [set(marker_moves(form, form.initial))]
-    for i in range(doc_len):
-        nxt: set[int] = set()
-        for state in layers[i]:
-            nxt |= step(state, doc[i])
-        layers.append(nxt)
-    if form.final not in layers[doc_len]:
-        return _empty_graph(doc_len, variables)
+    # forward sweep: layers[i] = states reachable before reading symbol i+1;
+    # a (layer, symbol) pair is stepped once, however often it recurs
+    layer = frozenset(marker_moves(form, form.initial))
+    layers = [layer]
+    moves: dict = {}
+    for symbol in doc:
+        nxt = moves.get((layer, symbol))
+        if nxt is None:
+            nxt = frozenset().union(*[step(state, symbol) for state in layer])
+            nxt = moves.setdefault(nxt, nxt)  # equal layers become one object
+            moves[layer, symbol] = nxt
+        layer = nxt
+        layers.append(layer)
+    moves.clear()
+    if form.final not in layer:
+        return _empty_graph(doc, variables)
 
-    # backward prune to nodes that still reach the accepting node
-    alive: list[set[int]] = [set() for _ in range(doc_len + 1)]
-    alive[doc_len] = {form.final}
+    # backward prune to nodes that reach the accepting node, with the edges
+    # between layers; memoized and interned as in the forward sweep
+    alive: list = [None] * (doc_len + 1)
+    here = alive[doc_len] = frozenset((form.final,))
+    pruned: dict = {}
+    edge_count = 0
     for i in range(doc_len - 1, -1, -1):
-        keep = set()
-        for state in layers[i]:
-            if step(state, doc[i]) & alive[i + 1]:
-                keep.add(state)
-        alive[i] = keep
-    if not alive[0]:
-        return _empty_graph(doc_len, variables)
+        key = (layers[i], doc[i], here)
+        hit = pruned.get(key)
+        if hit is None:
+            reach = {state: len(step(state, doc[i]) & here) for state in layers[i]}
+            kept = frozenset(state for state, edges in reach.items() if edges)
+            hit = pruned[key] = (pruned.setdefault(kept, kept), sum(reach.values()))
+        here, edges = hit
+        alive[i] = here
+        edge_count += edges
+    edge_count += len(here) if doc_len else 0  # the virtual start's edges
 
     # letter universe: configurations of surviving nodes, in canonical order
-    letter_set = {configs[state] for layer in alive for state in layer}
-    config_by_rank = sorted(letter_set)
+    states = frozenset().union(*set(alive))
+    config_by_rank = sorted({configs[state] for state in states})
     rank = {config: i for i, config in enumerate(config_by_rank)}
-    final_letter = rank[configs[form.final]]
-
-    node_count = 1 + sum(len(layer) for layer in alive)
-    edge_count = 0
-
-    slab_letters: list[dict] = []
-    slab_trans: list[dict] = []
-    for slab in range(doc_len):
-        letters: dict[int, tuple[int, ...]] = {}
-        targets: dict[tuple[int, int], tuple[int, ...]] = {}
-        if slab == 0:
-            sources = (_START,)
-        else:
-            sources = tuple(sorted(alive[slab - 1]))
-        for src in sources:
-            if slab == 0:
-                reach = alive[0]
-            else:
-                reach = step(src, doc[slab - 1]) & alive[slab]
-            by_letter: dict[int, list[int]] = {}
-            for state in reach:
-                by_letter.setdefault(rank[configs[state]], []).append(state)
-            if not by_letter:
-                continue
-            letters[src] = tuple(sorted(by_letter))
-            for letter, states in by_letter.items():
-                targets[(src, letter)] = tuple(sorted(states))
-                edge_count += len(states)
-        slab_letters.append(letters)
-        slab_trans.append(targets)
-    # the forced last step (into the accepting node) is not tabulated,
-    # but its edges exist in the graph; count them for reporting
-    if doc_len > 0:
-        for state in alive[doc_len - 1]:
-            edge_count += len(step(state, doc[doc_len - 1]) & alive[doc_len])
-
-    return MatchGraph(False, doc_len, variables, config_by_rank, final_letter,
-                      slab_letters, slab_trans, node_count, edge_count)
+    letter_of = {state: rank[configs[state]] for state in states}
+    node_count = 1 + sum(map(len, alive))
+    return MatchGraph(False, doc, variables, config_by_rank, alive, step, letter_of,
+                      node_count, edge_count)
 
 
 class _Frontiers:
     """The frontier node sets of one enumeration, interned per slab, numbered
     globally, with memoized successors.
 
-    A set at slab j >= 1 holds layer j-1 nodes that share one letter, the
-    letter chosen at slab j-1; the set at slab 0 is the virtual start, with
-    letter -1.  Per set g:
+    Slab i (0 <= i < doc_len) is where the letter of a layer-i node is
+    chosen.  A set at slab j >= 1 holds layer j-1 nodes that share one
+    letter, the letter chosen at slab j-1; the set at slab 0 is the virtual
+    start, with letter -1.  Per set g:
       choices[g]: the letters that end a run at g, ascending: at the last
                   slab every available letter, else every available letter
                   but the set's own (g is a change point when non-empty)
       stay[g]:    the set a run continues with on g's letter; -1 for none,
                   -2 while not yet computed
-    and ``succ`` maps ``g * n_ranks + letter`` to the next slab's set.
+    ``split_of[g]`` is g's split (see ``split``) and ``succ`` maps
+    ``g * n_ranks + letter`` to the next slab's set.  Members are sorted.
     """
 
     def __init__(self, graph: MatchGraph, stats: EnumerationStats | None):
@@ -202,16 +191,38 @@ class _Frontiers:
         self.stats = stats
         self.last = graph.doc_len - 1
         self.n_ranks = len(graph.config_by_rank)
-        self.set_ids: list[dict[frozenset, int]] = [dict() for _ in range(graph.doc_len)]
-        self.members: list[frozenset] = []
+        self.set_ids: list[dict[tuple, int]] = [dict() for _ in range(graph.doc_len)]
+        self.members: list[tuple[int, ...]] = []
         self.slab_of: list[int] = []
         self.letter_of: list[int] = []
         self.choices: list[tuple[int, ...]] = []
         self.stay: list[int] = []
+        self.split_of: list[tuple] = []
         self.succ: dict[int, int] = {}
-        self.start = self.intern(0, frozenset((_START,)), -1)
+        self.splits: dict[tuple, tuple] = {}
+        self.start = self.intern(0, (_START,), -1)
 
-    def intern(self, slab: int, node_set: frozenset, letter: int) -> int:
+    def split(self, slab: int, node_set: tuple[int, ...]) -> tuple:
+        """``(letters, letters but the first, nodes per letter)`` for the
+        layer-``slab`` nodes that ``node_set`` steps into."""
+        graph = self.graph
+        layer = graph.alive[slab]
+        key = (node_set, graph.doc[slab - 1], layer) if slab else layer
+        hit = self.splits.get(key)
+        if hit is None:
+            if slab:
+                layer = layer & frozenset().union(
+                    *[graph.step(state, key[1]) for state in node_set])
+            letter_of = graph.letter_of
+            by_letter: dict[int, list[int]] = {}
+            for state in layer:
+                by_letter.setdefault(letter_of[state], []).append(state)
+            letters = tuple(sorted(by_letter))
+            hit = self.splits[key] = (letters, letters[1:], tuple(
+                tuple(sorted(by_letter[letter])) for letter in letters))
+        return hit
+
+    def intern(self, slab: int, node_set: tuple[int, ...], letter: int) -> int:
         table = self.set_ids[slab]
         g = table.get(node_set)
         if g is None:
@@ -220,19 +231,11 @@ class _Frontiers:
             self.members.append(node_set)
             self.slab_of.append(slab)
             self.letter_of.append(letter)
-            letter_lists = self.graph.slab_letters[slab]
-            available: set[int] = set()
-            for state in node_set:
-                lst = letter_lists.get(state)
-                if lst:
-                    available.update(lst)
-            merged = sorted(available)
-            if slab < self.last and merged[0] == letter:
-                self.choices.append(tuple(merged[1:]))
-                self.stay.append(-2)
-            else:
-                self.choices.append(tuple(merged))
-                self.stay.append(-1)
+            letters, rest, _ = split = self.split(slab, node_set)
+            self.split_of.append(split)
+            stays = slab < self.last and letters[0] == letter
+            self.choices.append(rest if stays else letters)
+            self.stay.append(-2 if stays else -1)
             stats = self.stats
             if stats is not None and len(node_set) > stats.max_node_set:
                 stats.max_node_set = len(node_set)
@@ -244,14 +247,8 @@ class _Frontiers:
         if nxt is None:
             if self.stats is not None:
                 self.stats.cold_transitions += 1
-            slab = self.slab_of[g]
-            targets: set[int] = set()
-            table = self.graph.slab_trans[slab]
-            for state in self.members[g]:
-                hit = table.get((state, letter))
-                if hit:
-                    targets.update(hit)
-            nxt = self.intern(slab + 1, frozenset(targets), letter)
+            letters, _, nodes = self.split_of[g]
+            nxt = self.intern(self.slab_of[g] + 1, nodes[letters.index(letter)], letter)
             self.succ[key] = nxt
             if letter == self.letter_of[g]:
                 self.stay[g] = nxt
@@ -344,7 +341,7 @@ def enumerate_graph(graph: MatchGraph, stats: EnumerationStats | None = None):
         # one-letter language: the accepting configuration alone
         if stats is not None:
             stats.tuples += 1
-            stats.max_node_set = 1
+            stats.max_node_set = max(stats.max_node_set, 1)
         yield SpanTuple({var: Span(1, 1) for var in variables})
         return
     last = doc_len - 1
@@ -352,7 +349,10 @@ def enumerate_graph(graph: MatchGraph, stats: EnumerationStats | None = None):
     sets = _Frontiers(graph, stats)
     indexed = sets.prewarm(_PREWARM_OPS)
     if indexed:
+        # every successor is known: the walk needs no splits or node sets
+        sets.splits = sets.split_of = sets.members = None
         first, top, down, preorder = _index_runs(sets)
+        sets.set_ids = None
     choices, slab_of, succ, stay = sets.choices, sets.slab_of, sets.succ, sets.stay
     step = sets.step
     n_ranks = sets.n_ranks

@@ -18,7 +18,8 @@ from spanex.model import (
     CLOSED, OPEN, WAITING, Span, SpanTuple, all_spans, open_op, close_op,
 )
 from spanex.vsa import (
-    ANY, VSA, NormalForm, check_functional_vsa, compute_state_configs, normal_form,
+    ANY, VSA, NormalForm, cached_step, check_functional_vsa, compute_state_configs,
+    marker_moves, normal_form,
 )
 from spanex.enumerator import enumerate_spans
 
@@ -220,6 +221,36 @@ def brute_force_key(automaton: VSA, var: str, docs) -> bool:
                 return False
             seen[value] = row
     return True
+
+
+def brute_force_graph_size(automaton: VSA, doc: str) -> tuple[int, int]:
+    """The match graph's (node count, edge count) from a plain sweep, state
+    by state: forward over the reachable states, then backward keeping those
+    with a step into the next kept layer.  The virtual start node counts as a
+    node, and its edges into layer 0 count on a non-empty document; (0, 0)
+    when nothing matches."""
+    form = normal_form(automaton)
+    if form.configs is None:
+        return 0, 0
+    step = cached_step(form)
+    layers = [set(marker_moves(form, form.initial))]
+    for symbol in doc:
+        layers.append({nxt for state in layers[-1] for nxt in step(state, symbol)})
+    if form.final not in layers[-1]:
+        return 0, 0
+    kept = [{form.final}]  # the kept layers, last one first
+    edges = 0
+    for layer, symbol in zip(reversed(layers[:-1]), reversed(doc)):
+        here = set()
+        for state in layer:
+            reach = step(state, symbol) & kept[-1]
+            if reach:
+                here.add(state)
+                edges += len(reach)
+        kept.append(here)
+    if doc:
+        edges += len(kept[-1])
+    return 1 + sum(map(len, kept)), edges
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,13 @@ from spanex.compiler import compile_regex, union_vsa
 from spanex.enumerator import (
     EnumerationStats, build_match_graph, enumerate_graph, enumerate_spans,
 )
-from spanex.formula import parse_formula
+from spanex.formula import Any, Cat, Star, parse_formula
 from spanex.model import EMPTY_TUPLE, Span, SpanTuple, open_op
 from spanex.vsa import VSA, NotFunctionalAutomaton
 
 from helpers import (
-    assert_canonical_order, marker_automaton, diamond_automaton, loop_automaton, random_doc,
-    random_functional_formula, relation_of, span_set,
+    assert_canonical_order, brute_force_graph_size, marker_automaton, diamond_automaton,
+    loop_automaton, random_doc, random_functional_formula, relation_of, span_set,
 )
 
 
@@ -63,6 +63,27 @@ def test_graph_prunes_branches_that_cannot_finish():
     a = compile_regex(parse_formula(".* x{aa} .*"))
     graph = build_match_graph(a, "ba")
     assert graph.empty
+
+
+def test_graph_size_matches_a_plain_sweep():
+    """node_count and edge_count come from sweeps memoized by layer; a
+    per-state sweep without that memo counts the same graph.  The periodic
+    documents reuse one memo entry at many positions."""
+    rng = random.Random(4242)
+    cases = [(compile_regex(parse_formula(text)), doc) for text, doc in [
+        (".* x{ab} .*", "abcc" * 50), (".* x{a+} .* y{b+} .*", "aab" * 20),
+        (".* x{.*} .* y{.*} .*", "ab" * 12), ("x{a*} .*", "")]]
+    for i in range(120):
+        formula = random_functional_formula(rng, depth=3 + i % 2)
+        if i % 2:
+            formula = Cat(Star(Any()), Cat(formula, Star(Any())))
+        cases.append((compile_regex(formula), random_doc(rng, 8, alphabet="abc")))
+    matched = 0
+    for automaton, doc in cases:
+        graph = build_match_graph(automaton, doc)
+        assert (graph.node_count, graph.edge_count) == brute_force_graph_size(automaton, doc)
+        matched += not graph.empty
+    assert matched >= 40
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +150,20 @@ def test_empty_document_with_empty_span():
 def test_empty_document_without_match():
     a = compile_regex(parse_formula("a x{ε}"))
     assert list(enumerate_spans(a, "")) == []
+
+
+def test_empty_document_keeps_the_largest_node_set():
+    """``max_node_set`` is a maximum over every run with the same stats,
+    the empty document's one-node run included."""
+    a = compile_regex(parse_formula(".* x{.*} .* | x{a*} .*"))
+    stats = EnumerationStats()
+    list(enumerate_spans(a, "aaab", stats))
+    assert stats.max_node_set == 2
+    assert list(enumerate_spans(a, "", stats)) == [SpanTuple({"x": Span(1, 1)})]
+    assert stats.max_node_set == 2
+    fresh = EnumerationStats()
+    list(enumerate_spans(a, "", fresh))
+    assert fresh.max_node_set == 1
 
 
 def test_variable_free_automaton_yields_empty_tuple():
@@ -226,10 +261,13 @@ def test_two_variable_stream_on_a_longer_document():
     (".* x{.*} .* y{.*} .*", "abab" * 3),
     (".* x{a+} .* y{b+} .*", "bbbabbbaaaaabbaababb"),
     (".* x{a .*} .* | .* x{.* b} .*", "abbab" * 4),
+    pytest.param(".* x{ab} .*", "abcc" * 250, id="periodic-abcc"),
+    pytest.param(".* x{a+} .* y{b+} .*", "aab" * 40, id="periodic-aab"),
 ])
 def test_streams_agree_without_the_run_index(monkeypatch, formula, doc):
     """With no determinization allowance, runs list their change points by
-    walking; rows and order stay the same."""
+    walking; rows and order stay the same.  On the periodic documents one
+    memoized split serves the frontier sets of many positions."""
     a = compile_regex(parse_formula(formula))
     want = list(enumerate_spans(a, doc))
     monkeypatch.setattr(enumerator, "_PREWARM_OPS", 0)
