@@ -24,21 +24,26 @@ first, each with its next letters in ascending order.
 
 The frontier node sets a run can reach are determinized once, before the
 first result (within a fixed allowance), straight from the automaton's
-step, and a *run index* over them lists any run's change points latest
-first, each in time that does not depend on the run's length (a binary
-search over the runs that merge there, where several do).  The walk keeps
-one frame per run, so between two results it does work bounded by the
-number of variables and the automaton, not by the document.
+step, and a *run index* over their change points lists any run's change
+points latest first, each in time that does not depend on the run's length
+(a binary search over the runs that merge there, where several do).  The
+walk keeps one frame per run, so between two results it does work bounded
+by the number of variables and the automaton, not by the document.
 
 Representation choices for speed: configurations are interned to integer
-ranks (so letter comparison is int comparison), node sets are interned per
-slab, their splits by letter memoized by content across slabs, and each
-variable's span is written when a run that changes it is entered.
+ranks (so letter comparison is int comparison); node sets, and each
+position's whole frontier of them, are numbered by content, not by
+position, and their steps memoized by (content, symbol, alive layer), so a
+position whose frontier recurs costs one lookup; only change points get a
+number of their own, and positions where nothing changes are skipped when
+the index is built; each variable's span is written when a run that
+changes it is entered.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import chain
 
 from .model import CLOSED, WAITING, Span, SpanTuple
 from .vsa import VSA, cached_step, marker_moves, normal_form
@@ -46,10 +51,12 @@ from .vsa import VSA, cached_step, marker_moves, normal_form
 _START = -1  # virtual start node's "state" id
 
 # Elementary-operation allowance for determinizing frontier sets before the
-# first result.  Within it, every set the enumeration can reach has its
-# successors computed up front and the run index covers every run; past it
-# (pathological subset growth), sets are computed lazily and each run lists
-# its change points on entry, so delays may spike but stay polynomial.
+# first result: one operation per member of each set stepped, per set of
+# each frontier stepped, and per index entry (change point, or set that
+# turns into another).  Within it, every set the enumeration can reach has
+# its successors computed up front and the run index covers every run; past
+# it (pathological subset growth), sets are computed lazily and each run
+# lists its change points on entry, so delays may spike but stay polynomial.
 _PREWARM_OPS = 1 << 19
 
 
@@ -61,12 +68,15 @@ class EnumerationStats:
     exhausted change point to the next one of its run, or out of the run
     when none is left.  Both grow with the number of results and variables,
     not with the document's length.  ``cold_transitions`` counts the
-    frontier-set transitions computed, ``max_node_set`` the size of the
-    largest frontier set.
+    frontier-set steps computed (each one set over one symbol into one
+    alive layer), ``max_node_set`` the size of the largest frontier set.
+    ``prewarm_ops`` counts the operations charged against the allowance
+    before the first result, and ``indexed`` tells whether the last
+    enumeration of a non-empty document built its run index within it.
     """
 
     __slots__ = ("tuples", "max_node_set", "scan_steps", "fill_steps",
-                 "cold_transitions")
+                 "cold_transitions", "prewarm_ops", "indexed")
 
     def __init__(self):
         self.tuples = 0
@@ -74,6 +84,8 @@ class EnumerationStats:
         self.scan_steps = 0
         self.fill_steps = 0
         self.cold_transitions = 0
+        self.prewarm_ops = 0
+        self.indexed = False
 
 
 class MatchGraph:
@@ -157,7 +169,7 @@ def build_match_graph(automaton: VSA, doc: str) -> MatchGraph:
         here, edges = hit
         alive[i] = here
         edge_count += edges
-    edge_count += len(here) if doc_len else 0  # the virtual start's edges
+    edge_count += len(here)  # the virtual start's edges
 
     # letter universe: configurations of surviving nodes, in canonical order
     states = frozenset().union(*set(alive))
@@ -169,147 +181,223 @@ def build_match_graph(automaton: VSA, doc: str) -> MatchGraph:
                       node_count, edge_count)
 
 
+def _number(ids: dict, items: list, item) -> int:
+    """``item``'s index in ``items``, appended on first sight."""
+    n = ids.setdefault(item, len(items))
+    if n == len(items):
+        items.append(item)
+    return n
+
+
 class _Frontiers:
-    """The frontier node sets of one enumeration, interned per slab, numbered
-    globally, with memoized successors.
+    """The frontier node sets of one enumeration, numbered by content, and
+    the change points among them.
 
     Slab i (0 <= i < doc_len) is where the letter of a layer-i node is
     chosen.  A set at slab j >= 1 holds layer j-1 nodes that share one
     letter, the letter chosen at slab j-1; the set at slab 0 is the virtual
-    start, with letter -1.  Per set g:
-      choices[g]: the letters that end a run at g, ascending: at the last
-                  slab every available letter, else every available letter
-                  but the set's own (g is a change point when non-empty)
-      stay[g]:    the set a run continues with on g's letter; -1 for none,
-                  -2 while not yet computed
-    ``split_of[g]`` is g's split (see ``split``) and ``succ`` maps
-    ``g * n_ranks + letter`` to the next slab's set.  Members are sorted.
+    start, with letter -1.  A set's number depends on its members alone
+    (they fix its letter), not on its slab, and its step at a slab is
+    memoized on (set, symbol read, alive layer): ``split`` gives
+    ``(choices, targets, stay, letters, nexts)``, where ``letters`` are the
+    letters of the layer-slab nodes the set steps into, ascending,
+    ``nexts`` the sets of those nodes per letter, and
+      choices: the letters that end a run at the set, at every slab but the
+               last: every available letter but the set's own (at the last
+               slab every available letter ends one);
+      targets: the sets those choices enter;
+      stay:    the set a run continues with on the set's own letter, or None.
+    A set with choices at its slab is a *change point* there.
+
+    A slab's frontier, the sets the enumeration reaches there, is numbered
+    by content too, and ``prewarm`` steps it once per distinct (frontier,
+    symbol, alive layer), so a slab whose frontier recurs costs one lookup.
+    Only change points get a global number g:
+      slab_of[g]: g's slab
+      choices[g]: g's choices, as above
+      goals[g]:   per choice, the first change point of the run it enters
+                  once the run index is built, else the set it enters
+      stays[g]:   g's stay, kept only when runs list their change points
+                  on entry
     """
 
     def __init__(self, graph: MatchGraph, stats: EnumerationStats | None):
         self.graph = graph
         self.stats = stats
         self.last = graph.doc_len - 1
-        self.n_ranks = len(graph.config_by_rank)
-        self.set_ids: list[dict[tuple, int]] = [dict() for _ in range(graph.doc_len)]
+        self.ops = 0
+        self.set_ids: dict[tuple[int, ...], int] = {}
         self.members: list[tuple[int, ...]] = []
-        self.slab_of: list[int] = []
-        self.letter_of: list[int] = []
-        self.choices: list[tuple[int, ...]] = []
-        self.stay: list[int] = []
-        self.split_of: list[tuple] = []
-        self.succ: dict[int, int] = {}
         self.splits: dict[tuple, tuple] = {}
-        self.start = self.intern(0, (_START,), -1)
+        self.frontier_ids: dict[tuple[int, ...], int] = {}
+        self.frontiers: list[tuple[int, ...]] = []
+        self.slab_of: list[int] = []
+        self.choices: list[tuple[int, ...]] = []
+        self.goals: list[tuple[int, ...]] = []
+        self.stays: list = []
+        self.point_ids: dict[tuple[int, int], int] = {}
+        self.start = _number(self.set_ids, self.members, (_START,))
 
-    def split(self, slab: int, node_set: tuple[int, ...]) -> tuple:
-        """``(letters, letters but the first, nodes per letter)`` for the
-        layer-``slab`` nodes that ``node_set`` steps into."""
-        graph = self.graph
-        layer = graph.alive[slab]
-        key = (node_set, graph.doc[slab - 1], layer) if slab else layer
+    def split(self, c: int, symbol, layer: frozenset) -> tuple:
+        """Set ``c``'s step over ``symbol`` (None at slab 0) into ``layer``,
+        at a cost of one operation per member when not yet memoized."""
+        key = (c, symbol, layer)
         hit = self.splits.get(key)
         if hit is None:
-            if slab:
+            graph = self.graph
+            members = self.members[c]
+            if symbol is not None:
                 layer = layer & frozenset().union(
-                    *[graph.step(state, key[1]) for state in node_set])
+                    *[graph.step(state, symbol) for state in members])
             letter_of = graph.letter_of
             by_letter: dict[int, list[int]] = {}
             for state in layer:
                 by_letter.setdefault(letter_of[state], []).append(state)
             letters = tuple(sorted(by_letter))
-            hit = self.splits[key] = (letters, letters[1:], tuple(
-                tuple(sorted(by_letter[letter])) for letter in letters))
+            nexts = tuple([_number(self.set_ids, self.members, tuple(sorted(nodes)))
+                           for nodes in map(by_letter.get, letters)])
+            if letters[0] == letter_of.get(members[0], -1):
+                hit = (letters[1:], nexts[1:], nexts[0], letters, nexts)
+            else:
+                hit = (letters, nexts, None, letters, nexts)
+            self.splits[key] = hit
+            self.ops += len(members)
+            stats = self.stats
+            if stats is not None:
+                stats.cold_transitions += 1
+                if len(members) > stats.max_node_set:
+                    stats.max_node_set = len(members)
         return hit
 
-    def intern(self, slab: int, node_set: tuple[int, ...], letter: int) -> int:
-        table = self.set_ids[slab]
-        g = table.get(node_set)
-        if g is None:
-            g = len(self.members)
-            table[node_set] = g
-            self.members.append(node_set)
-            self.slab_of.append(slab)
-            self.letter_of.append(letter)
-            letters, rest, _ = split = self.split(slab, node_set)
-            self.split_of.append(split)
-            stays = slab < self.last and letters[0] == letter
-            self.choices.append(rest if stays else letters)
-            self.stay.append(-2 if stays else -1)
-            stats = self.stats
-            if stats is not None and len(node_set) > stats.max_node_set:
-                stats.max_node_set = len(node_set)
+    def step_frontier(self, f: int, symbol, layer: frozenset) -> tuple:
+        """``(next frontier, work)`` for frontier ``f`` at a slab that is not
+        the last, at a cost of one operation per set.  ``work`` is None when
+        the slab is passive (no set has choices and each stays itself), else
+        ``(change points, moves, entries)``: a change point as ``(set,
+        choices, targets, stay)``, a move as ``(set, stay)`` for each other
+        set that turns into another, and ``entries`` the number of both,
+        the run index's work at the slab."""
+        sets = self.frontiers[f]
+        reached: set[int] = set()
+        points = []
+        moves = []
+        for c in sets:
+            choices, targets, stay, _, nexts = self.split(c, symbol, layer)
+            reached.update(nexts)
+            if choices:
+                points.append((c, choices, targets, stay))
+            elif stay != c:
+                moves.append((c, stay))
+        self.ops += len(sets)
+        nxt = _number(self.frontier_ids, self.frontiers, tuple(sorted(reached)))
+        work = len(points) + len(moves)
+        return nxt, (tuple(points), tuple(moves), work) if work else None
+
+    def prewarm(self, budget: int):
+        """Step every slab's frontier, charging the memo misses and each
+        slab's index entries.  Returns the slabs that are not passive, as
+        ``(slab, work)``, and the last slab's sets with their letters; None
+        when the budget ran out."""
+        graph = self.graph
+        steps: dict[tuple, tuple] = {}
+        f = _number(self.frontier_ids, self.frontiers, (self.start,))
+        busy = []
+        symbols = chain((None,), graph.doc)
+        for slab, symbol, layer in zip(range(self.last), symbols, graph.alive):
+            key = (f, symbol, layer)
+            hit = steps.get(key)
+            if hit is None:
+                hit = steps[key] = self.step_frontier(f, symbol, layer)
+            f, work = hit
+            if work is not None:
+                busy.append((slab, work))
+                self.ops += work[2]
+            if self.ops > budget:
+                return None
+        symbol = graph.doc[self.last - 1] if self.last else None
+        ends = [(c, self.split(c, symbol, graph.alive[self.last])[3])
+                for c in self.frontiers[f]]
+        return None if self.ops > budget else (busy, ends)
+
+    def first_point(self, slab: int, c: int) -> int:
+        """The first change point on set ``c``'s stay chain from ``slab`` on,
+        found by walking the chain (the budget ran out before the run index
+        was built) and numbered on first sight; each set walked past
+        remembers it, so merging chains are walked once."""
+        graph, point_ids = self.graph, self.point_ids
+        passed = []
+        while True:
+            g = point_ids.get((slab, c))
+            if g is not None:
+                break
+            choices, targets, stay, letters, _ = self.split(
+                c, graph.doc[slab - 1] if slab else None, graph.alive[slab])
+            if slab == self.last or choices:
+                g = point_ids[slab, c] = len(self.slab_of)
+                self.slab_of.append(slab)
+                if slab == self.last:
+                    choices, targets, stay = letters, (), None
+                self.choices.append(choices)
+                self.goals.append(targets)
+                self.stays.append(stay)
+                break
+            passed.append((slab, c))
+            c = stay
+            slab += 1
+        for key in passed:
+            point_ids[key] = g
         return g
 
-    def step(self, g: int, letter: int) -> int:
-        key = g * self.n_ranks + letter
-        nxt = self.succ.get(key)
-        if nxt is None:
-            if self.stats is not None:
-                self.stats.cold_transitions += 1
-            letters, _, nodes = self.split_of[g]
-            nxt = self.intern(self.slab_of[g] + 1, nodes[letters.index(letter)], letter)
-            self.succ[key] = nxt
-            if letter == self.letter_of[g]:
-                self.stay[g] = nxt
-        return nxt
 
-    def prewarm(self, budget: int) -> bool:
-        """Compute the successors of every reachable set, at a cost of one
-        operation per member per letter; False when the budget ran out."""
-        slab_of, members, letter_of = self.slab_of, self.members, self.letter_of
-        choices, stay, succ, n_ranks = self.choices, self.stay, self.succ, self.n_ranks
-        pending = [self.start]
-        while pending and budget > 0:
-            g = pending.pop()
-            if slab_of[g] >= self.last:  # no transitions out of the last slab
-                continue
-            size = len(members[g])
-            for letter in (letter_of[g], *choices[g]) if stay[g] != -1 else choices[g]:
-                budget -= size
-                if succ.get(g * n_ranks + letter) is None:
-                    before = len(members)
-                    nxt = self.step(g, letter)
-                    if len(members) > before:
-                        pending.append(nxt)
-        return not pending
+def _index_runs(sets: _Frontiers, busy: list, ends: list):
+    """Number the change points and build the run index over them.
 
+    The change points of a run entered at a set are the change points on its
+    stay chain, latest first.  Stay chains merge but never split, so
+    linking each change point to the next one on its chain gives a forest
+    whose roots end their chains, and a run's change points are the forest
+    path from ``top`` of its first change point down to that one.  Where
+    chains merge, a change point has several children; preorder numbers
+    pick the one on that path.  A backward sweep over the slabs that are
+    not passive finds each set's first change point; a passive slab's sets
+    have the same ones as the next slab's.
 
-def _index_runs(sets: _Frontiers):
-    """The run index over fully computed frontier sets.
-
-    The change points of a run entered at set y are the sets with choices on
-    y's stay chain, latest first.  Stay chains merge but never split, so
-    linking each such set to the next one on its chain gives a forest whose
-    roots end their chains, and a run's change points are the forest path
-    from ``top[first[y]]`` down to ``first[y]``.  Where chains merge, a set
-    has several children; preorder numbers pick the one on that path.
-
-    Returns ``(first, top, down, preorder)``: ``down[g]`` is g's only child,
-    or its children with their preorder numbers, ascending.
+    Returns ``(start, top, down, preorder)``: ``start`` is the virtual
+    start's number, ``down[g]`` g's only child, or its children with their
+    preorder numbers, ascending.  Fills ``sets.goals`` with first change
+    points.
     """
-    choices, stay = sets.choices, sets.stay
-    n_sets = len(choices)
-    first = [0] * n_sets
-    top = [0] * n_sets
-    down: list = [None] * n_sets
+    slab_of, choices, goals = sets.slab_of, sets.choices, sets.goals
+    top: list[int] = []
     kids: dict[int, list[int]] = {}
     roots: list[int] = []
-    for slab in range(sets.last, -1, -1):  # a set's stay successor first
-        for g in sets.set_ids[slab].values():
-            nxt = stay[g]
-            if not choices[g]:
-                first[g] = first[nxt]
-                continue
-            first[g] = g
-            if nxt < 0:
-                top[g] = g
+    ahead = {}  # set -> its first change point, at the slab after the current
+    for c, letters in ends:
+        g = ahead[c] = len(slab_of)
+        slab_of.append(sets.last)
+        choices.append(letters)
+        goals.append(())
+        top.append(g)
+        roots.append(g)
+    for slab, (points, moves, _) in reversed(busy):
+        # a set that stays itself keeps its entry; the other entries are
+        # all read before any is replaced
+        moved = [(c, ahead[stay]) for c, stay in moves]
+        for c, options, targets, stay in points:
+            g = len(slab_of)
+            slab_of.append(slab)
+            choices.append(options)
+            goals.append(tuple([ahead[t] for t in targets]))
+            if stay is None:
+                top.append(g)
                 roots.append(g)
             else:
-                up = first[nxt]
-                top[g] = top[up]
+                up = ahead[stay]
+                top.append(top[up])
                 kids.setdefault(up, []).append(g)
-    preorder = [0] * n_sets
+            moved.append((c, g))
+        ahead.update(moved)
+    preorder = [0] * len(slab_of)
     counter = 0
     walk = roots
     while walk:
@@ -319,9 +407,10 @@ def _index_runs(sets: _Frontiers):
         below = kids.get(g)
         if below:
             walk.extend(reversed(below))
+    down: list = [None] * len(slab_of)
     for g, below in kids.items():
         down[g] = below[0] if len(below) == 1 else (below, [preorder[k] for k in below])
-    return first, top, down, preorder
+    return ahead[sets.start], top, down, preorder
 
 
 def enumerate_graph(graph: MatchGraph, stats: EnumerationStats | None = None):
@@ -347,26 +436,27 @@ def enumerate_graph(graph: MatchGraph, stats: EnumerationStats | None = None):
     last = doc_len - 1
 
     sets = _Frontiers(graph, stats)
-    indexed = sets.prewarm(_PREWARM_OPS)
+    warm = sets.prewarm(_PREWARM_OPS)
+    indexed = warm is not None
+    if stats is not None:
+        stats.prewarm_ops += sets.ops
+        stats.indexed = indexed
+    choices, slab_of, goals = sets.choices, sets.slab_of, sets.goals
     if indexed:
-        # every successor is known: the walk needs no splits or node sets
-        sets.splits = sets.split_of = sets.members = None
-        first, top, down, preorder = _index_runs(sets)
-        sets.set_ids = None
-    choices, slab_of, succ, stay = sets.choices, sets.slab_of, sets.succ, sets.stay
-    step = sets.step
-    n_ranks = sets.n_ranks
+        # every change point is known: the walk needs no sets or splits
+        sets.splits = sets.members = sets.set_ids = None
+        start, top, down, preorder = _index_runs(sets, *warm)
+        sets = warm = None
 
-    def enter_unindexed(letter: int, y: int) -> list:
-        """A frame for the run entered at set ``y``, its change points listed
-        by walking the run (the budget ran out before the index was built)."""
-        path = []
-        g = y
-        while g >= 0:
-            if choices[g]:
-                path.append(g)
-            nxt = stay[g]
-            g = step(g, letter) if nxt == -2 else nxt
+    def enter_unindexed(letter: int, slab: int, c: int) -> list:
+        """A frame for the run entered at set ``c`` of ``slab``, its change
+        points listed on entry (the budget ran out before the index was
+        built)."""
+        first_point, stays = sets.first_point, sets.stays
+        path = [first_point(slab, c)]
+        while stays[path[-1]] is not None:
+            g = path[-1]
+            path.append(first_point(slab_of[g] + 1, stays[g]))
         return [letter, path[0], path.pop(), 0, path]
 
     # begin[v] / end[v]: the 1-based positions where variable v leaves
@@ -385,7 +475,10 @@ def enumerate_graph(graph: MatchGraph, stats: EnumerationStats | None = None):
 
     # a frame: [run letter, first change point, current change point,
     #           next choice there, unindexed change points still to visit]
-    frame = [-1, sets.start, sets.start, 0, None if indexed else []]
+    if indexed:
+        frame = [-1, start, start, 0, None]
+    else:
+        frame = enter_unindexed(-1, 0, sets.start)
     frames = [frame]
     while True:
         at = frame[2]
@@ -426,14 +519,11 @@ def enumerate_graph(graph: MatchGraph, stats: EnumerationStats | None = None):
                         if now == CLOSED:
                             end[v] = position
                 fill_total += 1
-                y = succ.get(at * n_ranks + letter)
-                if y is None:
-                    y = step(at, letter)
                 if indexed:
-                    goal = first[y]
+                    goal = goals[at][i]
                     frame = [letter, goal, top[goal], 0, None]
                 else:
-                    frame = enter_unindexed(letter, y)
+                    frame = enter_unindexed(letter, position, goals[at][i])
                 frames.append(frame)
                 continue
         # this change point is done: go to the run's next one, or leave it

@@ -227,8 +227,7 @@ def brute_force_graph_size(automaton: VSA, doc: str) -> tuple[int, int]:
     """The match graph's (node count, edge count) from a plain sweep, state
     by state: forward over the reachable states, then backward keeping those
     with a step into the next kept layer.  The virtual start node counts as a
-    node, and its edges into layer 0 count on a non-empty document; (0, 0)
-    when nothing matches."""
+    node, with its edges into layer 0; (0, 0) when nothing matches."""
     form = normal_form(automaton)
     if form.configs is None:
         return 0, 0
@@ -248,8 +247,7 @@ def brute_force_graph_size(automaton: VSA, doc: str) -> tuple[int, int]:
                 here.add(state)
                 edges += len(reach)
         kept.append(here)
-    if doc:
-        edges += len(kept[-1])
+    edges += len(kept[-1])
     return 1 + sum(map(len, kept)), edges
 
 

@@ -40,6 +40,13 @@ def test_graph_size_for_marker_automaton_on_aa():
     assert graph.edge_count == 12
 
 
+def test_empty_document_graph_counts_the_start_edge():
+    """On the empty document the virtual start node still has its edge into
+    layer 0, which holds the accepting state alone."""
+    graph = build_match_graph(compile_regex(parse_formula("x{a*} .*")), "")
+    assert (graph.node_count, graph.edge_count) == (2, 1)
+
+
 def test_graph_flags_empty_when_no_match():
     graph = build_match_graph(marker_automaton(), "ab")
     assert graph.empty
@@ -203,11 +210,13 @@ STATS_FIELDS = ("tuples", "scan_steps", "fill_steps", "cold_transitions",
 
 
 @pytest.mark.parametrize("formula, after_first, after_all", [
-    (".* x{.*} .* y{.*} .*", (1, 0, 1, 35, 1), (70, 50, 35, 35, 1)),
-    (".* x{a .*} .* | .* x{.* b} .*", (1, 0, 1, 13, 3), (9, 13, 7, 13, 3)),
+    (".* x{.*} .* y{.*} .*", (1, 0, 1, 11, 1), (70, 50, 35, 11, 1)),
+    (".* x{a .*} .* | .* x{.* b} .*", (1, 0, 1, 14, 3), (9, 13, 7, 14, 3)),
 ])
 def test_stats_are_pinned(formula, after_first, after_all):
-    """Exact work counters on "abab", after the first tuple and at the end."""
+    """Exact work counters on "abab", after the first tuple and at the end.
+    ``cold_transitions`` counts the frontier-set steps computed, one per set
+    and (symbol, alive layer), whichever slabs share it."""
     stats = EnumerationStats()
     gen = enumerate_spans(compile_regex(parse_formula(formula)), "abab", stats)
     next(gen)
@@ -228,6 +237,79 @@ def test_steps_per_tuple_do_not_grow_with_the_document():
         per_tuple.append((stats.scan_steps + stats.fill_steps) / stats.tuples)
     short, long = per_tuple
     assert long <= short < 6
+
+
+def work_between_results(formula, doc):
+    """The largest scan + fill steps between two consecutive results, the
+    number of results, and whether the run index was built."""
+    stats = EnumerationStats()
+    largest = 0
+    before = None
+    for _ in enumerate_spans(compile_regex(parse_formula(formula)), doc, stats):
+        now = stats.scan_steps + stats.fill_steps
+        if before is not None:
+            largest = max(largest, now - before)
+        before = now
+    return largest, stats.tuples, stats.indexed
+
+
+@pytest.mark.parametrize("allowance", [enumerator._PREWARM_OPS, 0],
+                         ids=["indexed", "unindexed"])
+@pytest.mark.parametrize("formula, alphabet, lengths, most", [
+    pytest.param(".* x{ab} .*", "abc", (2000, 20000), 5, id="sparse"),
+    pytest.param(".* x{.*} .*", "ab", (100, 300), 3, id="dense"),
+])
+def test_work_between_results_does_not_grow_with_the_document(
+        monkeypatch, allowance, formula, alphabet, lengths, most):
+    """The delay claim without timing: the most walk steps between two
+    results is the same on a short and a ten times longer document, with
+    the run index and with runs listing their change points on entry, and
+    within 3 per run of a result (at most 2·|variables| + 1 runs)."""
+    monkeypatch.setattr(enumerator, "_PREWARM_OPS", allowance)
+    rng = random.Random(11)
+    seen = []
+    for length in lengths:
+        doc = "".join(rng.choice(alphabet) for _ in range(length))
+        largest, tuples, indexed = work_between_results(formula, doc)
+        assert tuples > 10
+        assert indexed == (allowance > 0)
+        seen.append(largest)
+    assert seen == [most, most]
+    n_vars = len(compile_regex(parse_formula(formula)).variables)
+    assert most <= 3 * (2 * n_vars + 1)
+
+
+def test_allowance_covers_a_long_sparse_document():
+    """A 300k-char random text fits in the allowance, because each distinct
+    frontier is stepped once and only change points are indexed: the run
+    index is built, and the rows are the occurrences of "ab", latest
+    first."""
+    rng = random.Random(2024)
+    doc = "".join(rng.choice("abc") for _ in range(300_000))
+    stats = EnumerationStats()
+    rows = list(enumerate_spans(compile_regex(parse_formula(".* x{ab} .*")), doc, stats))
+    assert stats.indexed
+    assert stats.prewarm_ops <= enumerator._PREWARM_OPS
+    found = []
+    at = doc.find("ab")
+    while at >= 0:
+        found.append(SpanTuple({"x": Span(at + 1, at + 3)}))
+        at = doc.find("ab", at + 1)
+    assert rows == found[::-1]
+
+
+def test_prewarm_charges_nothing_for_repeated_frontiers():
+    """A slab whose frontier recurs, no set with a choice there, costs a
+    lookup and no operations: one match in a long run of c's costs the
+    same at any length."""
+    a = compile_regex(parse_formula(".* x{ab} .*"))
+    charged = []
+    for pad in (1000, 10000):
+        stats = EnumerationStats()
+        rows = list(enumerate_spans(a, "c" * pad + "ab" + "c" * pad, stats))
+        assert rows == [SpanTuple({"x": Span(pad + 1, pad + 3)})]
+        charged.append((stats.prewarm_ops, stats.cold_transitions))
+    assert charged[0] == charged[1]
 
 
 def test_no_cold_transitions_after_first_result():
@@ -269,11 +351,14 @@ def test_streams_agree_without_the_run_index(monkeypatch, formula, doc):
     walking; rows and order stay the same.  On the periodic documents one
     memoized split serves the frontier sets of many positions."""
     a = compile_regex(parse_formula(formula))
-    want = list(enumerate_spans(a, doc))
+    stats = EnumerationStats()
+    want = list(enumerate_spans(a, doc, stats))
+    assert stats.indexed
     monkeypatch.setattr(enumerator, "_PREWARM_OPS", 0)
     stats = EnumerationStats()
     assert list(enumerate_spans(a, doc, stats)) == want
     assert stats.cold_transitions > 0
+    assert not stats.indexed
 
 
 # ---------------------------------------------------------------------------

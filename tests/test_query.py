@@ -223,7 +223,7 @@ def test_satisfiable_3cnf_query_is_nonempty():
     # the equality search fixes x's length when x opens, so x{a} and x{ab}
     # at position 1 are two nodes
     ("SELECT x, y FROM /.* x{.+} .* y{.+} .*/ WHERE x == y",
-     (14, 15), (1, 0, 3, 8, 2), (3, 9, 7, 8, 2)),
+     (14, 15), (1, 0, 3, 9, 2), (3, 9, 7, 9, 2)),
 ])
 def test_compiled_query_graph_and_stats_are_pinned(text, graph_size, after_first,
                                                    after_all):
