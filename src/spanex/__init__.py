@@ -32,22 +32,20 @@ from .formula import (
     Epsilon,
     Formula,
     FormulaSyntaxError,
-    FunctionalityReport,
-    NotFunctionalError,
     Star,
     Sym,
-    check_functional,
     formula_to_source,
     formula_variables,
     parse_formula,
 )
 from .vsa import (
     ANY,
+    FunctionalityReport,
     KeyReport,
     NotFunctionalAutomaton,
+    NotFunctionalError,
     VSA,
     VsaFormatError,
-    check_functional_vsa,
     dump_vsa,
     is_key_attribute,
     load_vsa,
@@ -57,6 +55,7 @@ from .compiler import (
     EqualityBudgetError,
     apply_selections,
     build_equality_automaton,
+    check_functional,
     compile_regex,
     join,
     join_many,
@@ -127,7 +126,6 @@ __all__ = [
     "build_equality_automaton",
     "build_match_graph",
     "check_functional",
-    "check_functional_vsa",
     "compile_regex",
     "dump_vsa",
     "enumerate_graph",

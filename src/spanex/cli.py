@@ -23,27 +23,20 @@ import statistics
 import sys
 import time
 
-from .compiler import compile_regex
+from .compiler import EqualityBudgetError, check_functional, compile_regex
 from .enumerator import build_match_graph, enumerate_graph
-from .formula import (
-    FormulaSyntaxError,
-    NotFunctionalError,
-    check_functional,
-    parse_formula,
-)
+from .formula import parse_formula
 from .harness import gen_3cnf_query, gen_clique_query, gen_streq_clique_query
 from .model import Span
 from .query import (
     PlanOptions,
-    QuerySyntaxError,
     UnionQuery,
     compile_query,
     eval_query,
     parse_query,
     query_to_source,
 )
-from .compiler import EqualityBudgetError
-from .vsa import NotFunctionalAutomaton, dump_vsa, is_key_attribute
+from .vsa import dump_vsa, is_key_attribute
 
 
 class CliError(Exception):
@@ -152,7 +145,7 @@ def cmd_check(args) -> int:
         print("functional")
         return 0
     violation = report.violation
-    print(f"not functional: {violation.kind} (variable {violation.variable})")
+    print(f"not functional: {violation.reason} (variable {violation.variable})")
     return 2
 
 
@@ -398,8 +391,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, QuerySyntaxError, FormulaSyntaxError, NotFunctionalError,
-            NotFunctionalAutomaton, EqualityBudgetError, ValueError) as err:
+    except (CliError, ValueError, EqualityBudgetError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -1,15 +1,19 @@
-"""Compilation of capture formulas into marking automata, and the automaton
-algebra: projection, union, natural join, and string-equality selection.
+"""Compilation of capture formulas into marking automata, the functionality
+check, and the automaton algebra: projection, union, natural join, and
+string-equality selection.
 
-Every construction takes and returns functional automata, so the enumerator
-can run directly on any output.  The join is a product of the two inputs'
-ε-free normal forms, which alternate one marker move and one letter, so it
-synchronises letters and pairs marker moves that agree on shared variables.
-String equality is one forward search over a normal form along the
-document, keeping a marker move only when the spans it opens and closes fit
-the equated substrings.  The join, projection and equality selection return
-a :class:`~spanex.vsa.NormalForm`, so no later stage rebuilds one; compiled
-formulas and unions stay plain automata.
+A formula compiles to the ε-free normal form of its construction
+(:func:`~spanex.vsa.normal_form`), which is also the one functionality
+check, for formulas and automata alike.  Every construction takes and
+returns functional automata, so the enumerator can run directly on any
+output.  The join is a product of the two inputs' normal forms, which
+alternate one marker move and one letter, so it synchronises letters and
+pairs marker moves that agree on shared variables.  String equality is one
+forward search over a normal form along the document, keeping a marker move
+only when the spans it opens and closes fit the equated substrings.
+Compiled formulas, the join, projection and equality selection return a
+:class:`~spanex.vsa.NormalForm`, so no later stage rebuilds one; unions stay
+plain automata.
 """
 
 from __future__ import annotations
@@ -25,10 +29,18 @@ from .formula import (
     Star,
     Sym,
     formula_variables,
-    require_functional,
 )
 from .model import CLOSED, OPEN, WAITING, close_op, open_op
-from .vsa import ANY, VSA, NormalForm, empty_vsa, normal_form, trim
+from .vsa import (
+    ANY,
+    VSA,
+    FunctionalityReport,
+    NormalForm,
+    NotFunctionalError,
+    empty_vsa,
+    normal_form,
+    trim,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -42,63 +54,79 @@ def compile_regex(formula: Formula, *, check: bool = True) -> VSA:
     Bindings become open/close marker edges around the compiled body; the
     rest is the usual one-start-one-end construction with at most two fresh
     states per syntax node, so the result is linear in the formula size.
-    The output is trimmed (an unsatisfiable formula compiles to the canonical
-    empty automaton).
+    The result is the construction's normal form, which raises
+    :class:`~spanex.vsa.NotFunctionalError` on a formula that is not
+    functional; with ``check=False`` it is the trimmed construction itself,
+    functional or not.  An unsatisfiable formula compiles to the canonical
+    empty automaton.
     """
-    if check:
-        require_functional(formula)
-    variables = formula_variables(formula)
     transitions: list[tuple] = []
     n_states = 0
-
-    def fresh() -> int:
-        nonlocal n_states
-        n_states += 1
-        return n_states - 1
-
-    def build(node: Formula) -> tuple[int, int]:
-        if isinstance(node, Empty):
-            return fresh(), fresh()
-        if isinstance(node, Epsilon):
-            s, e = fresh(), fresh()
-            transitions.append((s, None, e))
-            return s, e
-        if isinstance(node, Sym):
-            s, e = fresh(), fresh()
-            transitions.append((s, node.char, e))
-            return s, e
-        if isinstance(node, Any):
-            s, e = fresh(), fresh()
-            transitions.append((s, ANY, e))
-            return s, e
-        if isinstance(node, Alt):
-            s, e = fresh(), fresh()
-            ls, le = build(node.left)
-            rs, re = build(node.right)
-            transitions.extend(((s, None, ls), (s, None, rs),
-                               (le, None, e), (re, None, e)))
-            return s, e
+    built: list[tuple[int, int]] = []  # (start, end) of each finished node
+    # (node, None) is still to build; otherwise its children are built and it
+    # wires them, between its own states (s, e) unless it is a Cat
+    stack: list[tuple] = [(formula, None)]
+    while stack:
+        node, ends = stack.pop()
+        if ends is not None:
+            bs, be = built.pop()
+            if isinstance(node, Cat):
+                ls, le = built.pop()
+                transitions.append((le, None, bs))
+                built.append((ls, be))
+                continue
+            s, e = ends
+            if isinstance(node, Alt):
+                ls, le = built.pop()
+                transitions.extend(((s, None, ls), (s, None, bs),
+                                   (le, None, e), (be, None, e)))
+            elif isinstance(node, Star):
+                transitions.extend(((s, None, e), (s, None, bs),
+                                   (be, None, e), (be, None, bs)))
+            else:  # Bind
+                transitions.append((s, frozenset((open_op(node.var),)), bs))
+                transitions.append((be, frozenset((close_op(node.var),)), e))
+            built.append((s, e))
+            continue
         if isinstance(node, Cat):
-            ls, le = build(node.left)
-            rs, re = build(node.right)
-            transitions.append((le, None, rs))
-            return ls, re
-        if isinstance(node, Star):
-            s, e = fresh(), fresh()
-            bs, be = build(node.inner)
-            transitions.extend(((s, None, e), (s, None, bs),
-                               (be, None, e), (be, None, bs)))
-            return s, e
-        if isinstance(node, Bind):
-            s, e = fresh(), fresh()
-            bs, be = build(node.inner)
-            transitions.append((s, frozenset((open_op(node.var),)), bs))
-            transitions.append((be, frozenset((close_op(node.var),)), e))
-            return s, e
-        raise TypeError(f"not a formula node: {node!r}")  # pragma: no cover
+            stack.extend(((node, ()), (node.right, None), (node.left, None)))
+            continue
+        s, e = n_states, n_states + 1
+        n_states += 2
+        if isinstance(node, Alt):
+            stack.extend(((node, (s, e)), (node.right, None), (node.left, None)))
+        elif isinstance(node, (Star, Bind)):
+            stack.extend(((node, (s, e)), (node.inner, None)))
+        else:
+            if isinstance(node, Epsilon):
+                transitions.append((s, None, e))
+            elif isinstance(node, Sym):
+                transitions.append((s, node.char, e))
+            elif isinstance(node, Any):
+                transitions.append((s, ANY, e))
+            elif not isinstance(node, Empty):  # pragma: no cover
+                raise TypeError(f"not a formula node: {node!r}")
+            built.append((s, e))
+    (start, end), = built
+    automaton = VSA(formula_variables(formula), n_states, start, end, transitions)
+    return normal_form(automaton) if check else trim(automaton)
 
-    start, end = build(formula)
-    return trim(VSA(variables, n_states, start, end, transitions))
+
+def check_functional(subject: Formula | VSA) -> FunctionalityReport:
+    """Whether a formula, or an automaton, is functional: the verdict of
+    :func:`~spanex.vsa.normal_form`, with the reason and variable it names.
+
+    An empty ref-word language is vacuously functional, so ``(x{a})* ∅`` is,
+    while a variable bound only on a dead branch (``x{a} | y{∅}``) is not.
+    """
+    try:
+        if isinstance(subject, Formula):
+            compile_regex(subject)
+        else:
+            normal_form(subject)
+    except NotFunctionalError as err:
+        return FunctionalityReport(False, err.violation)
+    return FunctionalityReport(True)
 
 
 # ---------------------------------------------------------------------------

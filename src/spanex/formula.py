@@ -10,7 +10,9 @@ marker-free projection equals the document.
 
 A formula is *functional* when every ref-word it generates opens and closes
 every variable of the formula exactly once — only those formulas denote
-total span tuples, and only those are accepted by the compiler.
+total span tuples.  This module is syntax only: the compiler decides
+functionality on the automaton a formula compiles to
+(:func:`spanex.compiler.check_functional`).
 
 Concrete syntax (used by ``parse_formula`` and the ``.spq`` query files):
 
@@ -291,104 +293,3 @@ def formula_to_source(formula: Formula) -> str:
         return text
 
     return render(formula, 0)
-
-
-# ---------------------------------------------------------------------------
-# Functionality
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Violation:
-    kind: str  # "rebound" | "branch-mismatch" | "under-star" | "unbound"
-    variable: str | None
-
-
-@dataclass(frozen=True)
-class FunctionalityReport:
-    ok: bool
-    violation: Violation | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-class NotFunctionalError(ValueError):
-    def __init__(self, violation: Violation):
-        super().__init__(f"formula is not functional: {violation.kind}"
-                         + (f" ({violation.variable})" if violation.variable else ""))
-        self.violation = violation
-
-
-# Internal summary of a subformula's ref-word language:
-#   None                      -> the language is empty
-#   frozenset of variables B  -> nonempty, and every ref-word binds exactly B
-# A Violation is raised as soon as some generated ref-word must be invalid.
-
-_EMPTY_LANG = None
-
-
-def _bound_vars(node: Formula) -> frozenset[str] | None:
-    if isinstance(node, Empty):
-        return _EMPTY_LANG
-    if isinstance(node, (Epsilon, Sym, Any)):
-        return frozenset()
-    if isinstance(node, Alt):
-        left = _bound_vars(node.left)
-        right = _bound_vars(node.right)
-        if left is _EMPTY_LANG:
-            return right
-        if right is _EMPTY_LANG:
-            return left
-        if left != right:
-            diff = sorted(left.symmetric_difference(right))
-            raise NotFunctionalError(Violation("branch-mismatch", diff[0]))
-        return left
-    if isinstance(node, Cat):
-        left = _bound_vars(node.left)
-        right = _bound_vars(node.right)
-        if left is _EMPTY_LANG or right is _EMPTY_LANG:
-            return _EMPTY_LANG
-        overlap = left & right
-        if overlap:
-            raise NotFunctionalError(Violation("rebound", min(overlap)))
-        return left | right
-    if isinstance(node, Star):
-        inner = _bound_vars(node.inner)
-        if inner is _EMPTY_LANG or not inner:
-            return frozenset()
-        raise NotFunctionalError(Violation("under-star", min(inner)))
-    if isinstance(node, Bind):
-        inner = _bound_vars(node.inner)
-        if inner is _EMPTY_LANG:
-            return _EMPTY_LANG
-        if node.var in inner:
-            raise NotFunctionalError(Violation("rebound", node.var))
-        return inner | {node.var}
-    raise TypeError(f"not a formula node: {node!r}")  # pragma: no cover
-
-
-def check_functional(formula: Formula) -> FunctionalityReport:
-    """Decide whether every ref-word of the formula is valid for its variables.
-
-    Runs in one bottom-up pass (linear in the tree size, up to set handling on
-    the variables).  Subtrees with an empty language are neutral: they cannot
-    contribute invalid ref-words, so e.g. ``x{a} | ∅`` is functional, while a
-    variable that survives only in dead branches (``x{a} | y{∅}``) is not.
-    """
-    try:
-        bound = _bound_vars(formula)
-    except NotFunctionalError as err:
-        return FunctionalityReport(False, err.violation)
-    if bound is _EMPTY_LANG:
-        return FunctionalityReport(True)
-    missing = formula_variables(formula) - bound
-    if missing:
-        return FunctionalityReport(False, Violation("unbound", min(missing)))
-    return FunctionalityReport(True)
-
-
-def require_functional(formula: Formula) -> None:
-    report = check_functional(formula)
-    if not report.ok:
-        raise NotFunctionalError(report.violation)

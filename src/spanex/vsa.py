@@ -19,9 +19,11 @@ then fixed by their configurations, which gives every functional automaton
 an ε-free *normal form* of at most ``2n + 2`` states in which a run
 alternates one marker move and one letter.  A :class:`NormalForm` carries
 its configurations; :func:`normal_form`, the one functionality check, builds
-one once.  The join, the match graph and the key test all read that form
-through one memoized step, and the enumerator's output alphabet is its
-configurations.
+one once.  Formulas are checked by the same test, on the automaton they
+compile to, and every non-functional input raises
+:class:`NotFunctionalError`.  The join, the match graph and the key test
+all read that form through one memoized step, and the enumerator's output
+alphabet is its configurations.
 """
 
 from __future__ import annotations
@@ -218,14 +220,40 @@ def trim(vsa: VSA) -> VSA:
 # ---------------------------------------------------------------------------
 
 
-class NotFunctionalAutomaton(ValueError):
+@dataclass(frozen=True)
+class Violation:
+    """Why an automaton is not functional, and the variable at fault."""
+
+    reason: str
+    variable: str | None = None
+
+
+@dataclass(frozen=True)
+class FunctionalityReport:
+    ok: bool
+    violation: Violation | None = None
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
+class NotFunctionalError(ValueError):
+    """Raised on a formula or automaton that is not functional."""
+
+    def __init__(self, violation: Violation):
+        detail = violation.reason
+        if violation.variable is not None:
+            detail += f" (variable {violation.variable!r})"
+        super().__init__("not functional: " + detail)
+        self.violation = violation
+
+
+class NotFunctionalAutomaton(NotFunctionalError):
+    """The check's own error, which also names the state at fault."""
+
     def __init__(self, reason: str, state: int | None = None,
                  variable: str | None = None):
-        detail = reason
-        if variable is not None:
-            detail += f" (variable {variable!r}"
-            detail += f", state {state})" if state is not None else ")"
-        super().__init__(detail)
+        super().__init__(Violation(reason, variable))
         self.reason = reason
         self.state = state
         self.variable = variable
@@ -285,29 +313,6 @@ def compute_state_configs(vsa: VSA) -> list[tuple[int, ...]]:
     if missing:
         raise ValueError(f"automaton not trimmed; unreachable states {missing}")
     return configs  # type: ignore[return-value]
-
-
-@dataclass(frozen=True)
-class VsaReport:
-    ok: bool
-    reason: str | None = None
-    state: int | None = None
-    variable: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def check_functional_vsa(vsa: VSA) -> VsaReport:
-    """Functionality test (see :func:`normal_form`) as a report.
-
-    An automaton with an empty ref-word language is vacuously functional.
-    """
-    try:
-        normal_form(vsa)
-    except NotFunctionalAutomaton as err:
-        return VsaReport(False, err.reason, err.state, err.variable)
-    return VsaReport(True)
 
 
 # ---------------------------------------------------------------------------

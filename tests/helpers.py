@@ -10,16 +10,16 @@ import itertools
 import random
 from dataclasses import dataclass
 
+from spanex.compiler import check_functional
 from spanex.formula import (
-    Alt, Any, Bind, Cat, Empty, Epsilon, Formula, Star, Sym,
-    check_functional, formula_variables,
+    Alt, Any, Bind, Cat, Empty, Epsilon, Formula, Star, Sym, formula_variables,
 )
 from spanex.model import (
     CLOSED, OPEN, WAITING, Span, SpanTuple, all_spans, open_op, close_op,
 )
 from spanex.vsa import (
-    ANY, VSA, NormalForm, cached_step, check_functional_vsa, compute_state_configs,
-    marker_moves, normal_form,
+    ANY, VSA, NormalForm, cached_step, compute_state_configs, marker_moves,
+    normal_form,
 )
 from spanex.enumerator import enumerate_spans
 
@@ -318,7 +318,7 @@ def is_functional(automaton: VSA) -> bool:
     configurations a :class:`NormalForm` carries are not taken on trust."""
     plain = VSA(automaton.variables, automaton.n_states, automaton.initial,
                 automaton.final, automaton.transitions)
-    return check_functional_vsa(plain).ok
+    return check_functional(plain).ok
 
 
 def span_set(rows, var: str = "x") -> set[tuple[int, int]]:

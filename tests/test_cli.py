@@ -212,11 +212,34 @@ def test_check_non_functional_formula(capsys):
 
 
 def test_check_recursion_limit_exits_2(capsys):
-    """A 3,000-symbol literal overflows the recursive parser: one error line
+    """2,000 nested parentheses overflow the recursive parser: one error line
     and exit code 2, not a traceback and not the negative verdict 1."""
-    code, out, err = run_cli(capsys, "check", "--formula", "a" * 3000)
+    code, out, err = run_cli(capsys, "check", "--formula", "(" * 2000 + "a" + ")" * 2000)
     assert code == 2 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_check_long_literal_is_functional(capsys):
+    code, out, err = run_cli(capsys, "check", "--formula", "a" * 3000)
+    assert (code, out, err) == (0, "functional\n", "")
+
+
+def test_eval_atom_with_a_long_literal(capsys):
+    text = "ab" * 1500
+    code, out, err = run_cli(capsys, "eval", "--query-text", f"SELECT x FROM /x{{{text}}}/",
+                             "--input-text", text)
+    assert (code, out, err) == (0, "# x\n1..3001\n", "")
+
+
+def test_check_empty_language_formula_is_functional(capsys):
+    code, out, _ = run_cli(capsys, "check", "--formula", "(x{a})* ∅")
+    assert (code, out) == (0, "functional\n")
+
+
+def test_eval_empty_language_atom_has_no_rows(capsys):
+    code, out, err = run_cli(capsys, "eval", "--query-text", "SELECT x FROM /(x{a})* ∅/",
+                             "--input-text", "a")
+    assert (code, out, err) == (0, "# x\n", "")
 
 
 def test_check_parse_error(capsys):

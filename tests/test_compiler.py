@@ -8,13 +8,13 @@ import pytest
 
 from spanex.compiler import (
     EqualityBudgetError, apply_selections, build_equality_automaton,
-    compile_regex, join, join_many, project, union_vsa,
+    check_functional, compile_regex, join, join_many, project, union_vsa,
 )
 from spanex.enumerator import enumerate_spans
-from spanex.formula import NotFunctionalError, parse_formula
+from spanex.formula import parse_formula
 from spanex.harness import gen_3cnf_query
 from spanex.model import EMPTY_TUPLE, Span, SpanTuple, all_spans, close_op, open_op
-from spanex.vsa import check_functional_vsa, normal_form
+from spanex.vsa import NotFunctionalError, normal_form
 
 from helpers import (
     assert_normal_form, filter_rows, is_functional, join_rows, project_rows, random_doc,
@@ -45,14 +45,24 @@ def test_compile_rejects_non_functional():
         compile_regex(parse_formula("x{a}x{a}"))
     # the raw construction is still available for analysis work
     raw = compile_regex(parse_formula("x{a}x{a}"), check=False)
-    assert not check_functional_vsa(raw).ok
+    assert not check_functional(raw).ok
+
+
+def test_compiled_formula_is_the_normal_form_of_its_construction():
+    rng = random.Random(3141)
+    for _ in range(40):
+        formula = random_functional_formula(rng, variables=("x", "y", "z"))
+        form = compile_regex(formula)
+        raw = normal_form(compile_regex(formula, check=False))
+        assert (form.n_states, form.transitions, form.configs) == (
+            raw.n_states, raw.transitions, raw.configs), formula
 
 
 def test_compiled_outputs_are_functional():
     rng = random.Random(5150)
     for _ in range(40):
         formula = random_functional_formula(rng)
-        assert check_functional_vsa(compile_regex(formula)).ok, formula
+        assert is_functional(compile_regex(formula)), formula
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +251,10 @@ def test_join_output_is_in_normal_form():
 
 def test_join_of_3cnf_atoms_stays_small():
     """The product of one 3-clause, 6-variable instance's atoms (110, 46 and
-    46 states) stays linear in them; pairing raw automata gave 4,855 states
-    and 321,615 transitions."""
+    46 states before the normal form) stays linear in them; pairing raw
+    automata gave 4,855 states and 321,615 transitions."""
     query, _ = gen_3cnf_query([(2, -5, 1), (3, -3, 5), (6, 5, -6)])
-    atoms = [compile_regex(atom) for atom in query.disjuncts[0].atoms]
+    atoms = [compile_regex(atom, check=False) for atom in query.disjuncts[0].atoms]
     assert [atom.n_states for atom in atoms] == [110, 46, 46]
     joined = join_many(atoms)
     assert joined.n_states <= 100

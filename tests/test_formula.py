@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spanex.compiler import check_functional
 from spanex.formula import (
     Alt, Any, Bind, Cat, Empty, Epsilon, Star, Sym,
-    FormulaSyntaxError, NotFunctionalError,
-    check_functional, formula_to_source, formula_variables,
-    parse_formula, require_functional,
+    FormulaSyntaxError, formula_to_source, formula_variables, parse_formula,
 )
 from spanex.model import close_op, open_op
 
@@ -141,24 +140,28 @@ def test_empty_language_is_vacuously_functional():
     assert not check_functional(parse_formula("x{a} | (∅ y{b})")).ok
 
 
-def test_require_functional_raises():
-    require_functional(parse_formula("x{a}"))
-    with pytest.raises(NotFunctionalError):
-        require_functional(parse_formula("x{a}x{a}"))
+def test_empty_language_hides_a_binding_under_star():
+    # the starred binding is dead: no ref-word of the formula reaches it
+    assert check_functional(parse_formula("(x{a})* ∅")).ok
+    assert check_functional(parse_formula("(x{b})* ∅ b .")).ok
+    report = check_functional(parse_formula("x{a}* ∅ | y{b}"))
+    assert not report.ok
+    assert report.violation.variable == "x"
 
 
 def test_functional_verdict_matches_brute_force():
-    """The structural check agrees with unrolling the ref-word language."""
-    rng = random.Random(4021)
-    checked = 0
-    while checked < 150:
-        formula = random_formula(rng, depth=3)
-        try:
-            expected = brute_force_functional(formula)
-        except AssertionError:
-            continue  # unrolled language too large; skip this sample
-        assert check_functional(formula).ok == expected, formula
-        checked += 1
+    """The check agrees with unrolling the ref-word language."""
+    for variables, depth, samples in ((("x", "y"), 3, 150), (("x", "y", "z"), 4, 400)):
+        rng = random.Random(4021)
+        checked = 0
+        while checked < samples:
+            formula = random_formula(rng, depth=depth, variables=variables)
+            try:
+                expected = brute_force_functional(formula)
+            except AssertionError:
+                continue  # unrolled language too large; skip this sample
+            assert check_functional(formula).ok == expected, formula
+            checked += 1
 
 
 # ---------------------------------------------------------------------------

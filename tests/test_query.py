@@ -253,9 +253,9 @@ def test_equality_query_normalizes_only_its_atom(monkeypatch):
         calls.append(automaton.n_states)
         return search(automaton)
 
-    monkeypatch.setattr(vsa, "compute_state_configs", counting)
     q = parse_query("SELECT x, y FROM /.* x{.*} .* y{.*} .*/ WHERE x == y")
-    atom = compile_regex(q.disjuncts[0].atoms[0])
+    atom = compile_regex(q.disjuncts[0].atoms[0], check=False)
+    monkeypatch.setattr(vsa, "compute_state_configs", counting)
     united, _ = compile_query(q, "abab")
     rows = list(enumerate_spans(united, "abab"))
     assert calls == [atom.n_states]

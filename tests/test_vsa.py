@@ -5,20 +5,20 @@ import random
 
 import pytest
 
-from spanex.compiler import compile_regex, join, project, union_vsa
+from spanex.compiler import check_functional, compile_regex, join, project, union_vsa
 from spanex.enumerator import enumerate_spans
 from spanex.formula import parse_formula
 from spanex.model import CLOSED, OPEN, WAITING, close_op, open_op
 from spanex.vsa import (
     ANY, VSA, NotFunctionalAutomaton, VsaFormatError,
-    check_functional_vsa, compute_state_configs, cached_step, dump_vsa,
+    compute_state_configs, cached_step, dump_vsa,
     is_key_attribute, load_vsa, marker_moves, normal_form, trim,
 )
 
 from helpers import (
     config_to_str, marker_automaton, diamond_automaton, loop_automaton,
     brute_force_key, all_docs, random_functional_formula, relation_of,
-    assert_normal_form,
+    assert_normal_form, is_functional,
 )
 from oracle import accepts_ref_word, eps_closure
 
@@ -97,14 +97,14 @@ def test_config_to_str():
 
 
 def test_fixture_is_functional():
-    assert check_functional_vsa(marker_automaton()).ok
+    assert check_functional(marker_automaton()).ok
     # initial, final, source copies of states 0-2, target copies of states 0-2
     w, o, c = (WAITING,), (OPEN,), (CLOSED,)
     assert normal_form(marker_automaton()).configs == [w, c, w, o, c, w, o, c]
 
 
 def test_loop_is_not_functional():
-    report = check_functional_vsa(loop_automaton())
+    report = check_functional(loop_automaton())
     assert not report.ok
     with pytest.raises(NotFunctionalAutomaton):
         normal_form(loop_automaton())
@@ -112,14 +112,14 @@ def test_loop_is_not_functional():
 
 def test_open_variable_at_final_is_not_functional():
     a = VSA({"x"}, 2, 0, 1, [(0, frozenset([open_op("x")]), 1)])
-    report = check_functional_vsa(a)
+    report = check_functional(a)
     assert not report.ok
-    assert report.variable == "x"
+    assert report.violation.variable == "x"
 
 
 def test_empty_language_is_functional():
     a = VSA({"x"}, 2, 0, 1, [])  # final unreachable
-    assert check_functional_vsa(a).ok
+    assert check_functional(a).ok
     assert normal_form(a).configs is None
 
 
@@ -127,7 +127,7 @@ def test_compiled_formulas_are_functional():
     rng = random.Random(71)
     for _ in range(60):
         formula = random_functional_formula(rng)
-        assert check_functional_vsa(compile_regex(formula)).ok, formula
+        assert is_functional(compile_regex(formula)), formula
 
 
 # ---------------------------------------------------------------------------
