@@ -10,7 +10,8 @@ output.  The join is a product of the two inputs' normal forms, which
 alternate one marker move and one letter, so it synchronises letters and
 pairs marker moves that agree on shared variables.  String equality is one
 forward search over a normal form along the document, keeping a marker move
-only when the spans it opens and closes fit the equated substrings.
+only when the spans it opens and closes fit the equated substrings, and
+leaving out states that two liveness rules show cannot reach the end.
 Compiled formulas, the join, projection and equality selection return a
 :class:`~spanex.vsa.NormalForm`, so no later stage rebuilds one; unions stay
 plain automata.
@@ -139,13 +140,16 @@ def project(vsa: VSA, keep) -> NormalForm:
 
     On the input's normal form, marker operations of dropped variables are
     erased in place (an emptied set becomes a plain ε-edge) and their
-    columns leave the configurations; the state graph is unchanged.
+    columns leave the configurations; the state graph is unchanged.  Keeping
+    every variable returns the normal form as it is.
     """
     keep = frozenset(keep)
     extra = keep - vsa.variables
     if extra:
         raise ValueError(f"projection variables not in automaton: {sorted(extra)}")
     form = normal_form(vsa)
+    if keep == form.variables:
+        return form
     if form.configs is None:
         return empty_vsa(keep)
     transitions = []
@@ -290,6 +294,62 @@ def _equality_classes(selections) -> list[list[str]]:
     return sorted(sorted(members) for members in classes)
 
 
+def _closing_lengths(form: NormalForm, column: int, limit: int) -> list[int]:
+    """For each state of the form, the lengths L in ``1..limit``, as the bits
+    of an int, such that L letters from it lead to a marker move that closes
+    the variable in ``column``.
+
+    Level L, the source copies that can close after L letters, is read off
+    the target copies that can close after L - 1, and those off level
+    L - 1.  So once a set of target copies repeats, the levels repeat with
+    it: the walk stops there and the bits are extended with that period,
+    which keeps the cost within the form's size times ``limit``.
+    """
+    configs = form.configs
+    letters_into: list[list[int]] = [[] for _ in range(form.n_states)]
+    keeps_into: list[list[int]] = [[] for _ in range(form.n_states)]
+    closers = set()
+    for src, label, dst in form.transitions:
+        if label is ANY or isinstance(label, str):
+            letters_into[dst].append(src)
+        elif configs[src][column] == OPEN:
+            if configs[dst][column] == OPEN:
+                keeps_into[dst].append(src)
+            else:
+                closers.add(src)
+    bits = [0] * form.n_states
+    targets = frozenset(closers)  # those that close after 0 letters
+    seen: dict[frozenset, int] = {}
+    length = 0
+    while targets and targets not in seen and length < limit:
+        seen[targets] = length
+        length += 1
+        level = {src for dst in targets for src in letters_into[dst]}
+        for state in level:
+            bits[state] |= 1 << length
+        targets = frozenset(src for dst in level for src in keeps_into[dst])
+    if targets and targets in seen and length < limit:
+        start = seen[targets] + 1  # level start + i is level start + period + i
+        period = length + 1 - start
+        for state, known in enumerate(bits):
+            block = known >> start
+            if block:
+                width = period
+                while width <= limit - start:
+                    block |= block << width
+                    width *= 2
+                bits[state] = known | ((block << start) & ((2 << limit) - 1))
+    return bits
+
+
+def _set_bits(bits: int):
+    """The indices of the set bits of ``bits``, in increasing order."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
 def apply_selections(vsa: VSA, selections, doc: str, *,
                      path_budget: int | None = None) -> VSA:
     """Filter the automaton's tuples on this document by substring equality
@@ -301,9 +361,17 @@ def apply_selections(vsa: VSA, selections, doc: str, *,
     when it closes exactly the open members that end here, and each member
     it opens with length L fixes its class's id to that substring (first
     begin, length) or matches the id held.  A class forgets its id once all
-    its members are closed.  The result is a trimmed normal form with the
-    input's configurations; creating more than ``path_budget`` states
-    raises :class:`EqualityBudgetError`.
+    its members are closed.
+
+    Two rules keep the search from creating states that cannot reach the
+    final state; each drops dead states alone, so the output is the same as
+    without them.  Occurrence: a state is dropped once its position has
+    passed the last begin in ``doc`` of a substring that a class holds while
+    one of its members still waits to open.  Closing length: a member opens
+    with length L only if the form can close it exactly L letters after the
+    state the opening move enters (:func:`_closing_lengths`).  The result is
+    a trimmed normal form with the input's configurations; creating more
+    than ``path_budget`` states raises :class:`EqualityBudgetError`.
     """
     selections = [(x, y) for x, y in selections]
     unknown = {var for pair in selections for var in pair} - vsa.variables
@@ -319,42 +387,64 @@ def apply_selections(vsa: VSA, selections, doc: str, *,
     slots = [(k, c) for k, members in enumerate(classes) for c in members]
     form_configs = form.configs
     doc_len = len(doc)
+    closable = [_closing_lengths(form, c, doc_len) for _, c in slots]
+    # per form state, the classes with a member still waiting to open
+    waiting = [[k for k, members in enumerate(classes)
+                if any(config[c] == WAITING for c in members)]
+               for config in form_configs]
 
     ids_at: dict[tuple[int, int], tuple[int, int]] = {}  # (begin, length) -> id
+    last_begins: dict[tuple[int, int], int] = {}  # id -> its last begin in doc
 
-    def opened(opens: list, ids: tuple, ends: tuple, position: int):
-        """Each admissible (ids, ends) once ``opens`` open here, lazily."""
+    def last_begin(sid: tuple[int, int]) -> int:
+        """The last place in ``doc`` where the substring ``sid`` begins."""
+        last = last_begins.get(sid)
+        if last is None:
+            begin, length = sid
+            text = doc[begin - 1:begin - 1 + length]
+            last = last_begins[sid] = doc.rfind(text) + 1
+        return last
+
+    def opened(opens: list, ids: tuple, ends: tuple, position: int, room: int):
+        """Each admissible (ids, ends) once ``opens`` open here, lazily;
+        ``room`` has the bits of the lengths that fit before the end."""
         if not opens:
             yield ids, ends
             return
-        (m, k, shut), rest = opens[0], opens[1:]
-        lengths = ((ids[k][1],) if ids[k] is not None
-                   else (0,) if shut else range(1, doc_len + 2 - position))
+        (m, k, shut, bits, waits), rest = opens[0], opens[1:]
+        if shut:
+            lengths = (0,)
+        elif ids[k] is not None:
+            lengths = (ids[k][1],) if (room & bits) >> ids[k][1] & 1 else ()
+        else:
+            lengths = _set_bits(room & bits)
         for length in lengths:
-            if (length == 0) != shut or position + length > doc_len + 1:
-                continue
             sid = ids_at.get((position, length))
             if sid is None:
                 text = doc[position - 1:position - 1 + length]
                 sid = ids_at[position, length] = (doc.find(text) + 1, length)
             if ids[k] not in (None, sid):
                 continue
+            if waits and last_begin(sid) <= position:
+                break  # a longer substring from here begins last no later
             end = None if shut else position + length
             yield from opened(rest, ids[:k] + (sid,) + ids[k + 1:],
-                              ends[:m] + (end,) + ends[m + 1:], position)
+                              ends[:m] + (end,) + ends[m + 1:], position, room)
 
-    # marker moves with members opened (flag: closed too), members closed, classes finished
+    # marker moves with members opened (closed too?, the lengths the form
+    # can close them after, class still waiting?), members closed, classes
+    # finished, classes still waiting
     moves: list[list] = [[] for _ in range(form.n_states)]
     for q, label, dst in form.transitions:
         if label is None or isinstance(label, frozenset):
             before, after = form_configs[q], form_configs[dst]
-            opens = [(m, k, after[c] == CLOSED)
+            opens = [(m, k, after[c] == CLOSED, closable[m][dst], k in waiting[dst])
                      for m, (k, c) in enumerate(slots) if before[c] == WAITING != after[c]]
             closes = [m for m, (_, c) in enumerate(slots)
                       if before[c] == OPEN and after[c] == CLOSED]
             done = {k for k, members in enumerate(classes)
                     if all(after[c] == CLOSED for c in members)}
-            moves[q].append((label, dst, opens, closes, done))
+            moves[q].append((label, dst, opens, closes, done, waiting[dst]))
 
     transitions: list[tuple] = []
     configs: list[tuple[int, ...]] = []
@@ -375,17 +465,21 @@ def apply_selections(vsa: VSA, selections, doc: str, *,
 
     for position in range(1, doc_len + 2):
         last = position == doc_len + 1
+        room = (2 << doc_len + 1 - position) - 1  # lengths that fit from here
         sources: dict[tuple, int] = {}
         for (q, ids, ends), state in layer.items():
             due = [m for m, end in enumerate(ends) if end == position]  # kept moves close these
             kept = tuple(None if end == position else end for end in ends)
-            for label, dst, opens, closes, done in moves[q]:
+            for label, dst, opens, closes, done, wait in moves[q]:
                 if (dst == form.final) != last or closes != due:
                     continue
-                for held, open_ends in opened(opens, ids, kept, position):
+                for held, open_ends in opened(opens, ids, kept, position, room):
                     if done:
                         held = tuple(None if k in done else sid
                                      for k, sid in enumerate(held))
+                    if any(held[k] is not None and last_begin(held[k]) <= position
+                           for k in wait):
+                        continue
                     add(sources, (dst, held, open_ends), state, label)
         if last:
             break

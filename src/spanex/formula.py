@@ -261,35 +261,43 @@ def formula_to_source(formula: Formula) -> str:
             i += 1
         return 0 < i < len(right) and right[i] == "{"
 
-    def render(node: Formula, min_prec: int) -> str:
-        # precedence: alternation 0, concatenation 1, postfix 2, atoms 3
-        if isinstance(node, Alt):
-            text = render(node.left, 0) + "|" + render(node.right, 1)
-            prec = 0
-        elif isinstance(node, Cat):
-            left = render(node.left, 1)
-            right = render(node.right, 2)
-            text = left + (" " if fuses(left, right) else "") + right
-            prec = 1
-        elif isinstance(node, Star):
-            text = render(node.inner, 3) + "*"
-            prec = 2
-        elif isinstance(node, Bind):
-            text = node.var + "{" + render(node.inner, 0) + "}"
-            prec = 3
-        elif isinstance(node, Sym):
-            text = escape(node.char)
-            prec = 3
-        elif isinstance(node, Any):
-            text, prec = ".", 3
-        elif isinstance(node, Epsilon):
-            text, prec = "ε", 3
-        elif isinstance(node, Empty):
-            text, prec = "∅", 3
-        else:  # pragma: no cover
-            raise TypeError(f"not a formula node: {node!r}")
-        if prec < min_prec:
-            return "(" + text + ")"
-        return text
-
-    return render(formula, 0)
+    # precedence: alternation 0, concatenation 1, postfix 2, atoms 3; an
+    # atom never needs parentheses.  An inner node is popped twice: first to
+    # push itself again and then its children, each with the precedence it
+    # needs; then, once they are rendered, to join them.
+    atoms = {Any: ".", Epsilon: "ε", Empty: "∅"}
+    done: list[str] = []  # rendered nodes, a parent's children on top
+    stack: list[tuple[Formula, int, bool]] = [(formula, 0, False)]
+    while stack:
+        node, min_prec, ready = stack.pop()
+        kind = type(node)
+        if kind is Sym:
+            done.append(escape(node.char))
+        elif kind in atoms:
+            done.append(atoms[kind])
+        elif not ready:
+            stack.append((node, min_prec, True))
+            if kind is Cat:
+                stack += ((node.right, 2, False), (node.left, 1, False))
+            elif kind is Alt:
+                stack += ((node.right, 1, False), (node.left, 0, False))
+            elif kind is Star:
+                stack.append((node.inner, 3, False))
+            elif kind is Bind:
+                stack.append((node.inner, 0, False))
+            else:  # pragma: no cover
+                raise TypeError(f"not a formula node: {node!r}")
+        elif kind is Bind:
+            done.append(node.var + "{" + done.pop() + "}")
+        else:
+            if kind is Cat:
+                right = done.pop()
+                left = done.pop()
+                text, prec = left + (" " if fuses(left, right) else "") + right, 1
+            elif kind is Alt:
+                right = done.pop()
+                text, prec = done.pop() + "|" + right, 0
+            else:  # Star
+                text, prec = done.pop() + "*", 2
+            done.append("(" + text + ")" if prec < min_prec else text)
+    return done.pop()

@@ -7,13 +7,14 @@ import time
 import pytest
 
 from spanex.compiler import (
-    EqualityBudgetError, apply_selections, build_equality_automaton,
+    EqualityBudgetError, _closing_lengths, apply_selections, build_equality_automaton,
     check_functional, compile_regex, join, join_many, project, union_vsa,
 )
 from spanex.enumerator import enumerate_spans
 from spanex.formula import parse_formula
 from spanex.harness import gen_3cnf_query
 from spanex.model import EMPTY_TUPLE, Span, SpanTuple, all_spans, close_op, open_op
+from spanex.query import PlanOptions, eval_canonical, parse_query
 from spanex.vsa import NotFunctionalError, normal_form
 
 from helpers import (
@@ -82,6 +83,12 @@ def test_project_identity_and_boolean():
     boolean = project(a, set())
     assert relation_of(boolean, "ab") == {EMPTY_TUPLE}
     assert relation_of(boolean, "b") == set()
+
+
+def test_project_onto_every_variable_is_the_normal_form_itself():
+    a = compile_regex(parse_formula(".* x{a} .* y{.*} .*"))
+    assert project(a, a.variables) is normal_form(a)
+    assert project(a, {"x", "y"}) is a
 
 
 def test_project_unknown_variable():
@@ -397,6 +404,58 @@ def test_budget_stops_the_search_promptly_on_a_long_document():
         apply_selections(_universal("xy"), [("x", "y")], doc, path_budget=1000)
     assert err.value.estimate == 1001
     assert time.process_time() - start < 0.5
+
+
+def test_closing_lengths_repeat_with_the_form():
+    """x{a (b c d)*} closes 1, 4, 7, … letters after x opens: the walk stops
+    when its levels repeat, and the bits past it repeat with period 3 up to
+    the limit."""
+    form = compile_regex(parse_formula("x{a (b c d)*} .*"))
+    (_, entered), = form.ops_out[form.initial]
+    for limit in (0, 1, 5, 30, 1000):
+        bits = _closing_lengths(form, 0, limit)[entered]
+        assert bits == sum(1 << n for n in range(1, limit + 1) if n % 3 == 1), limit
+
+
+def _unary_pairs(atom: str, length: int):
+    """The joined atom and selections of ``SELECT x, y FROM /atom/ WHERE
+    x == y`` on ``length`` a's, with the document."""
+    query = parse_query(f"SELECT x, y FROM /{atom}/ WHERE x == y")
+    cq = query.disjuncts[0]
+    return join_many(compile_regex(a) for a in cq.atoms), cq, "a" * length
+
+
+def test_fixed_length_members_open_only_with_lengths_the_form_closes():
+    """x{a} closes after one letter only, so the search opens x and y with
+    length 1 alone: on 700 a's it creates 6,990 states and keeps 6,986,
+    where opening every length passed the default budget of 200,000."""
+    joined, cq, doc = _unary_pairs(".* x{a} .* y{a} .*", 700)
+    budget = PlanOptions().eq_path_budget
+    assert apply_selections(joined, cq.equalities, doc, path_budget=6990).n_states == 6986
+    with pytest.raises(EqualityBudgetError):
+        apply_selections(joined, cq.equalities, doc, path_budget=6989)
+    assert apply_selections(joined, cq.equalities, doc, path_budget=budget).n_states == 6986
+
+
+def test_fixed_length_members_keep_the_rows_on_a_unary_document():
+    joined, cq, doc = _unary_pairs(".* x{a} .* y{a} .*", 120)
+    rows = list(enumerate_spans(apply_selections(joined, cq.equalities, doc), doc))
+    want = eval_canonical(cq, doc)
+    assert len(rows) == len(want) == 120 * 119 // 2
+    assert set(rows) == set(want)
+
+
+def test_search_on_the_unary_benchmark_document_is_pinned():
+    """On 38 a's every pair of spans with equal length qualifies, so the
+    kept automaton is large; a substring held by x is dropped once its last
+    occurrence is behind the search, which leaves 15,354 states created
+    (26,336 when nothing was pruned).  A larger count means a pruning rule
+    stopped working."""
+    joined, cq, doc = _unary_pairs(".* x{.*} .* y{.*} .*", 38)
+    assert apply_selections(joined, cq.equalities, doc, path_budget=15_354).n_states == 10_794
+    with pytest.raises(EqualityBudgetError) as err:
+        apply_selections(joined, cq.equalities, doc, path_budget=15_353)
+    assert err.value.estimate == 15_354
 
 
 def test_equality_automaton_is_functional():

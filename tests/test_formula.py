@@ -108,6 +108,15 @@ def test_render_separates_symbol_from_bind_name():
     assert parse_formula(formula_to_source(deeper)) == deeper
 
 
+def test_render_a_long_literal():
+    """A 3,000-symbol literal nests 3,000 concatenations deep; rendering
+    walks it with its own stack and gives the text back."""
+    text = "a" * 3000
+    assert formula_to_source(parse_formula(text)) == text
+    mixed = "(a|b)*" * 1000
+    assert formula_to_source(parse_formula(mixed)) == mixed
+
+
 # ---------------------------------------------------------------------------
 # Functionality check
 # ---------------------------------------------------------------------------

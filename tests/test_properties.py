@@ -76,13 +76,15 @@ def test_equal_substring_pairs(doc):
 
 
 # Equality shapes beyond the benchmark's: crossing spans from two atoms, a
-# class of three, two classes, and an empty-span class.
+# class of three, two classes, an empty-span class, and a member that only
+# closes after an odd number of letters.
 EQUALITY_QUERIES = (
     "SELECT x, y FROM /.* x{a .*} .*/, /.* y{.* b} .*/ WHERE x == y",
     "SELECT x, z FROM /.* x{.+} .* y{.+} .* z{.+} .*/ WHERE x == y AND y == z",
     "SELECT x, w FROM /.* x{.+} .* y{.+} .*/, /.* z{.} w{.} .*/ "
     "WHERE x == y AND z == w",
     "SELECT x, y FROM /.* x{a*} .* y{b*} .*/ WHERE x == y",
+    "SELECT x, y FROM /.* x{a (. .)*} .* y{.*} .*/ WHERE x == y",
 )
 
 

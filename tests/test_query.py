@@ -114,6 +114,11 @@ def test_query_to_source_round_trips():
         assert parse_query(query_to_source(q)) == q
 
 
+def test_query_with_a_long_literal_renders():
+    text = "SELECT x FROM /x{" + "ab" * 1500 + "}/"
+    assert query_to_source(parse_query(text)) == text
+
+
 # ---------------------------------------------------------------------------
 # Relational skeleton
 # ---------------------------------------------------------------------------
