@@ -494,8 +494,18 @@ def apply_selections(vsa: VSA, selections, doc: str, *,
     final = sources.get((form.final, *nothing_held))
     if final is None:
         return empty_vsa(form.variables)
-    return trim(NormalForm(form.variables, len(configs), 0, final, transitions,
-                           configs))
+    # each state was created from the initial one, after the sources of its
+    # in-edges: so a reverse sweep finds those that reach the final one
+    live = [False] * len(configs)
+    live[final] = True
+    for src, _, dst in reversed(transitions):
+        live[src] = live[src] or live[dst]
+    kept = [state for state, alive in enumerate(live) if alive]
+    remap = {state: i for i, state in enumerate(kept)}
+    return NormalForm(form.variables, len(kept), 0, remap[final],
+                      [(remap[src], label, remap[dst])
+                       for src, label, dst in transitions if live[dst]],
+                      [configs[state] for state in kept])
 
 
 def build_equality_automaton(doc: str, selections, *,

@@ -149,14 +149,16 @@ def _tokenize(text: str) -> list[tuple]:
         elif ch == "{":
             raise FormulaSyntaxError("'{' must follow a variable name (or be escaped)")
         elif ch in _IDENT_CHARS:
-            j = i
+            j = i + 1
             while j < n and text[j] in _IDENT_CHARS:
                 j += 1
             if j < n and text[j] == "{":
                 tokens.append(("bind", text[i:j]))
                 i = j + 1
-                continue
-            tokens.append(("sym", ch))
+            else:
+                tokens.extend(("sym", letter) for letter in text[i:j])
+                i = j
+            continue
         else:
             tokens.append(("sym", ch))
         i += 1

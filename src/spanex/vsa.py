@@ -177,15 +177,6 @@ def _reach(start: int, succ) -> set[int]:
     return seen
 
 
-def _successors(vsa: VSA, backward: bool = False) -> list[list[int]]:
-    succ = [[] for _ in range(vsa.n_states)]
-    for src, _, dst in vsa.transitions:
-        if backward:
-            src, dst = dst, src
-        succ[src].append(dst)
-    return succ
-
-
 # ---------------------------------------------------------------------------
 # Trimming
 # ---------------------------------------------------------------------------
@@ -198,8 +189,12 @@ def trim(vsa: VSA) -> VSA:
     canonical empty automaton (over the same variables) is returned.  A
     :class:`NormalForm` stays one, with the configurations of its kept states.
     """
-    alive = (_reach(vsa.initial, _successors(vsa))
-             & _reach(vsa.final, _successors(vsa, backward=True)))
+    forward = [[] for _ in range(vsa.n_states)]
+    backward = [[] for _ in range(vsa.n_states)]
+    for src, _, dst in vsa.transitions:
+        forward[src].append(dst)
+        backward[dst].append(src)
+    alive = _reach(vsa.initial, forward) & _reach(vsa.final, backward)
     if vsa.initial not in alive or vsa.final not in alive:
         return empty_vsa(vsa.variables)
     if len(alive) == vsa.n_states:
@@ -279,25 +274,22 @@ def apply_ops(config: tuple[int, ...], ops: Ops, var_index: dict[str, int],
     return tuple(out)
 
 
-def compute_state_configs(vsa: VSA) -> list[tuple[int, ...]]:
-    """Unique per-state variable configuration, by search from the initial state.
-
-    Requires a trimmed automaton (every state reachable).  Raises
-    :class:`NotFunctionalAutomaton` if two paths disagree on some state's
-    configuration, or an operation is applied out of order.
-    """
+def _search_configs(vsa: VSA, out_edges: list[list], live) -> list:
+    """The configuration of each state reached from the initial one along
+    ``out_edges`` (each state's ``(label, dst)`` pairs in transition order)
+    through ``live`` states, None elsewhere.  Raises as
+    :func:`compute_state_configs` does."""
     ordered = vsa.ordered_variables
     var_index = {var: i for i, var in enumerate(ordered)}
     configs: list[tuple[int, ...] | None] = [None] * vsa.n_states
     configs[vsa.initial] = (WAITING,) * len(ordered)
     queue = deque([vsa.initial])
-    out_edges = [[] for _ in range(vsa.n_states)]
-    for src, label, dst in vsa.transitions:
-        out_edges[src].append((label, dst))
     while queue:
         state = queue.popleft()
         config = configs[state]
         for label, dst in out_edges[state]:
+            if dst not in live:
+                continue
             if isinstance(label, frozenset):
                 target = apply_ops(config, label, var_index, state)
             else:
@@ -309,7 +301,19 @@ def compute_state_configs(vsa: VSA) -> list[tuple[int, ...]]:
                 bad = next(ordered[i] for i in range(len(ordered))
                            if configs[dst][i] != target[i])
                 raise NotFunctionalAutomaton("conflicting configurations", dst, bad)
-    missing = [s for s in range(vsa.n_states) if configs[s] is None]
+    return configs
+
+
+def compute_state_configs(vsa: VSA) -> list[tuple[int, ...]]:
+    """Unique per-state variable configuration of a trimmed automaton, by
+    search from the initial state.  Raises :class:`NotFunctionalAutomaton`
+    if two paths disagree on some state's configuration, or an operation is
+    applied out of order."""
+    out_edges = [[] for _ in range(vsa.n_states)]
+    for src, label, dst in vsa.transitions:
+        out_edges[src].append((label, dst))
+    configs = _search_configs(vsa, out_edges, range(vsa.n_states))
+    missing = [s for s, config in enumerate(configs) if config is None]
     if missing:
         raise ValueError(f"automaton not trimmed; unreachable states {missing}")
     return configs  # type: ignore[return-value]
@@ -344,7 +348,8 @@ def normal_form(vsa: VSA) -> NormalForm:
     operations between the two configurations (ε when there are none).  So
     a run alternates one marker move and one letter, and the form has at
     most ``2n + 2`` states.  The canonical empty automaton stands for an
-    empty language.
+    empty language.  Only states on an initial→final path count: one search
+    through them finds the configurations, and no trimmed copy is built.
 
     This is the one functionality check: it raises
     :class:`NotFunctionalAutomaton` on conflicting configurations or on a
@@ -352,36 +357,49 @@ def normal_form(vsa: VSA) -> NormalForm:
     """
     if isinstance(vsa, NormalForm):
         return vsa
-    trimmed = trim(vsa)
-    if isinstance(trimmed, NormalForm):  # only an empty language trims to one
-        return trimmed
-    configs = compute_state_configs(trimmed)
-    for var, state in zip(trimmed.ordered_variables, configs[trimmed.final]):
+    out_edges: list[list] = [[] for _ in range(vsa.n_states)]
+    into: list[list[int]] = [[] for _ in range(vsa.n_states)]
+    markers: list[list[int]] = [[] for _ in range(vsa.n_states)]
+    letters = []
+    for edge in vsa.transitions:
+        src, label, dst = edge
+        out_edges[src].append((label, dst))
+        into[dst].append(src)
+        if label is ANY or isinstance(label, str):
+            letters.append(edge)
+        else:
+            markers[src].append(dst)  # a dead state it enters ends no move
+    live = _reach(vsa.final, into)
+    if vsa.initial not in live:
+        return empty_vsa(vsa.variables)
+    configs = _search_configs(vsa, out_edges, live)
+    ordered = vsa.ordered_variables
+    for var, state in zip(ordered, configs[vsa.final]):
         if state != CLOSED:
             raise NotFunctionalAutomaton("variable not closed at the final state",
-                                         trimmed.final, var)
-    letters = [(src, label, dst) for src, label, dst in trimmed.transitions
-               if label is ANY or isinstance(label, str)]
+                                         vsa.final, var)
+    letters = [(src, label, dst) for src, label, dst in letters
+               if configs[src] is not None and dst in live]
     sources = sorted({src for src, _, _ in letters})
     targets = sorted({dst for _, _, dst in letters})
     source_id = {state: 2 + i for i, state in enumerate(sources)}
     target_id = {state: 2 + len(sources) + i for i, state in enumerate(targets)}
     transitions = [(source_id[src], label, target_id[dst])
                    for src, label, dst in letters]
-    markers = [list(eps) for eps in trimmed.eps_out]
-    for state, edges in enumerate(trimmed.ops_out):
-        markers[state].extend(dst for _, dst in edges)
-    ordered = trimmed.ordered_variables
-    for here, start in [(0, trimmed.initial)] + [(target_id[t], t) for t in targets]:
+    labels: dict[tuple, Ops | None] = {}  # per pair of configurations
+    for here, start in [(0, vsa.initial)] + [(target_id[t], t) for t in targets]:
         for state in _reach(start, markers):
             ends = [source_id[state]] if state in source_id else []
-            if state == trimmed.final:
+            if state == vsa.final:
                 ends.append(1)
-            ops = _marker_set(configs[start], configs[state], ordered)
-            transitions.extend((here, ops or None, end) for end in ends)
-    form_configs = ([configs[trimmed.initial], configs[trimmed.final]]
+            if ends:
+                pair = (configs[start], configs[state])
+                if pair not in labels:
+                    labels[pair] = _marker_set(*pair, ordered) or None
+                transitions.extend((here, labels[pair], end) for end in ends)
+    form_configs = ([configs[vsa.initial], configs[vsa.final]]
                     + [configs[state] for state in sources + targets])
-    return NormalForm(trimmed.variables, len(form_configs), 0, 1, transitions,
+    return NormalForm(vsa.variables, len(form_configs), 0, 1, transitions,
                       form_configs)
 
 

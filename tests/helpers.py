@@ -15,11 +15,12 @@ from spanex.formula import (
     Alt, Any, Bind, Cat, Empty, Epsilon, Formula, Star, Sym, formula_variables,
 )
 from spanex.model import (
-    CLOSED, OPEN, WAITING, Span, SpanTuple, all_spans, open_op, close_op,
+    CLOSED, OP_CLOSE, OP_OPEN, OPEN, WAITING, Span, SpanTuple, all_spans,
+    open_op, close_op,
 )
 from spanex.vsa import (
-    ANY, VSA, NormalForm, cached_step, compute_state_configs, marker_moves,
-    normal_form,
+    ANY, VSA, NormalForm, NotFunctionalAutomaton, cached_step,
+    compute_state_configs, marker_moves, normal_form, trim,
 )
 from spanex.enumerator import enumerate_spans
 
@@ -311,6 +312,53 @@ def assert_normal_form(form: VSA) -> None:
         if src not in sources:
             assert src == form.initial or src in targets
             assert dst in sources or dst == form.final
+
+
+def two_pass_normal_form(automaton: VSA) -> NormalForm:
+    """The normal form built the long way, as a reference for
+    :func:`normal_form`: trim the automaton into a copy, search the copy for
+    its configurations, then walk the marker closure of the initial state
+    and of each letter target and label the move to every state reached.
+    Raises :class:`NotFunctionalAutomaton` as the one check does."""
+    trimmed = trim(automaton)
+    if isinstance(trimmed, NormalForm):  # only an empty language trims to one
+        return trimmed
+    configs = compute_state_configs(trimmed)
+    ordered = trimmed.ordered_variables
+    for var, state in zip(ordered, configs[trimmed.final]):
+        if state != CLOSED:
+            raise NotFunctionalAutomaton("variable not closed at the final state",
+                                         trimmed.final, var)
+    letters = [(src, label, dst) for src, label, dst in trimmed.transitions
+               if label is ANY or isinstance(label, str)]
+    sources = sorted({src for src, _, _ in letters})
+    targets = sorted({dst for _, _, dst in letters})
+    source_id = {state: 2 + i for i, state in enumerate(sources)}
+    target_id = {state: 2 + len(sources) + i for i, state in enumerate(targets)}
+    transitions = [(source_id[src], label, target_id[dst])
+                   for src, label, dst in letters]
+    markers = [list(eps) for eps in trimmed.eps_out]
+    for state, edges in enumerate(trimmed.ops_out):
+        markers[state].extend(dst for _, dst in edges)
+    for here, start in [(0, trimmed.initial)] + [(target_id[t], t) for t in targets]:
+        reached, stack = {start}, [start]
+        while stack:
+            for nxt in markers[stack.pop()]:
+                if nxt not in reached:
+                    reached.add(nxt)
+                    stack.append(nxt)
+        for state in reached:
+            ends = [source_id[state]] if state in source_id else []
+            if state == trimmed.final:
+                ends.append(1)
+            moves = list(zip(ordered, configs[start], configs[state]))
+            ops = frozenset([(OP_OPEN, var) for var, was, now in moves if was == WAITING != now]
+                            + [(OP_CLOSE, var) for var, was, now in moves if was != CLOSED == now])
+            transitions.extend((here, ops or None, end) for end in ends)
+    form_configs = ([configs[trimmed.initial], configs[trimmed.final]]
+                    + [configs[state] for state in sources + targets])
+    return NormalForm(trimmed.variables, len(form_configs), 0, 1, transitions,
+                      form_configs)
 
 
 def is_functional(automaton: VSA) -> bool:

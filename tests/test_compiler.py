@@ -1,8 +1,11 @@
 """Tests for compilation and the spanner algebra: projection, union, join,
 strict expansion, and string-equality selection."""
 
+import importlib.util
 import random
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -11,15 +14,15 @@ from spanex.compiler import (
     check_functional, compile_regex, join, join_many, project, union_vsa,
 )
 from spanex.enumerator import enumerate_spans
-from spanex.formula import parse_formula
+from spanex.formula import Any, Bind, Cat, Star, parse_formula
 from spanex.harness import gen_3cnf_query
 from spanex.model import EMPTY_TUPLE, Span, SpanTuple, all_spans, close_op, open_op
 from spanex.query import PlanOptions, eval_canonical, parse_query
-from spanex.vsa import NotFunctionalError, normal_form
+from spanex.vsa import NotFunctionalError, normal_form, trim
 
 from helpers import (
     assert_normal_form, filter_rows, is_functional, join_rows, project_rows, random_doc,
-    random_functional_formula, relation_of, span_set,
+    random_formula, random_functional_formula, relation_of, span_set,
 )
 from oracle import expand_strict
 
@@ -456,6 +459,44 @@ def test_search_on_the_unary_benchmark_document_is_pinned():
     with pytest.raises(EqualityBudgetError) as err:
         apply_selections(joined, cq.equalities, doc, path_budget=15_353)
     assert err.value.estimate == 15_354
+
+
+def _benchmark_documents(workload: str, seed: int) -> list[str]:
+    """The documents that ``perfbench/run.py --workload <workload> --seed
+    <seed>`` runs its query on."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [case.doc for cases in workloads.generate(workload, seed) for case in cases]
+
+
+def test_equality_search_output_needs_no_trim():
+    """The search keeps only the states that reach its final one, found by
+    one reverse sweep over its own transitions, so trimming its output
+    changes nothing: on the streq benchmark documents of seeds 1 and 2, and
+    on random instances with one or two equalities over x, y, z."""
+    joined, cq, _ = _unary_pairs(".* x{.*} .* y{.*} .*", 0)
+    docs = sorted({doc for seed in (1, 2) for doc in _benchmark_documents("streq", seed)})
+    assert len(docs) > 20
+    for doc in docs:
+        out = apply_selections(joined, cq.equalities, doc)
+        assert trim(out) is out, doc
+    rng = random.Random(2_718)
+    anything = Star(Any())
+    kept = 0
+    for _ in range(120):
+        names = ("x", "y", "z")[:rng.randint(2, 3)]
+        members = [Bind(var, random_formula(rng, 2, variables=())) for var in names]
+        formula = anything
+        for member in reversed(members):
+            formula = Cat(anything, Cat(member, formula))
+        pairs = list(zip(names, names[1:]))
+        out = apply_selections(compile_regex(formula), pairs, random_doc(rng, 10))
+        if out.configs is not None:  # the canonical empty automaton trims to a copy
+            assert trim(out) is out, (formula, pairs)
+            kept += 1
+    assert kept >= 30
 
 
 def test_equality_automaton_is_functional():

@@ -58,6 +58,24 @@ def test_parse_plus_sugar():
     assert parse_formula("a+") == Cat(Sym("a"), Star(Sym("a")))
 
 
+def test_parse_runs_of_identifier_characters():
+    """A run of letters, digits and underscores is one bind name when ``{``
+    follows it, and one symbol per character otherwise.  Each run is scanned
+    once, so a 20,000-character run parses in linear time (rescanning it
+    from each character was quadratic)."""
+    word = Cat(Cat(Cat(Sym("a"), Sym("b")), Sym("_")), Sym("1"))
+    assert parse_formula("ab_1") == word
+    assert parse_formula("ab_1{c}") == Bind("ab_1", Sym("c"))
+    assert parse_formula("ab x1{c} d") == Cat(Cat(Cat(Sym("a"), Sym("b")),
+                                                  Bind("x1", Sym("c"))), Sym("d"))
+    assert parse_formula(r"a1\{") == Cat(Cat(Sym("a"), Sym("1")), Sym("{"))
+    with pytest.raises(FormulaSyntaxError):
+        parse_formula("ab_1 {c}")
+    run = "a" * 20_000
+    assert formula_variables(parse_formula(run + "{b}")) == {run}
+    assert formula_to_source(parse_formula(run + "|b")) == run + "|b"
+
+
 def test_parse_escapes():
     assert parse_formula(r"\*") == Sym("*")
     assert parse_formula(r"\{") == Sym("{")

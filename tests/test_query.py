@@ -252,15 +252,15 @@ def test_equality_query_normalizes_only_its_atom(monkeypatch):
     are built in normal form, so only the atom's configurations are
     searched for."""
     calls = []
-    search = vsa.compute_state_configs
+    search = vsa._search_configs
 
-    def counting(automaton):
+    def counting(automaton, *args):
         calls.append(automaton.n_states)
-        return search(automaton)
+        return search(automaton, *args)
 
     q = parse_query("SELECT x, y FROM /.* x{.*} .* y{.*} .*/ WHERE x == y")
     atom = compile_regex(q.disjuncts[0].atoms[0], check=False)
-    monkeypatch.setattr(vsa, "compute_state_configs", counting)
+    monkeypatch.setattr(vsa, "_search_configs", counting)
     united, _ = compile_query(q, "abab")
     rows = list(enumerate_spans(united, "abab"))
     assert calls == [atom.n_states]

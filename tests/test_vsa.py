@@ -2,6 +2,7 @@
 functionality, key attributes, and the dump format."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -17,8 +18,8 @@ from spanex.vsa import (
 
 from helpers import (
     config_to_str, marker_automaton, diamond_automaton, loop_automaton,
-    brute_force_key, all_docs, random_functional_formula, relation_of,
-    assert_normal_form, is_functional,
+    brute_force_key, all_docs, random_formula, random_functional_formula,
+    relation_of, assert_normal_form, is_functional, two_pass_normal_form,
 )
 from oracle import accepts_ref_word, eps_closure
 
@@ -121,6 +122,38 @@ def test_empty_language_is_functional():
     a = VSA({"x"}, 2, 0, 1, [])  # final unreachable
     assert check_functional(a).ok
     assert normal_form(a).configs is None
+
+
+def test_normal_form_matches_the_two_pass_reference():
+    """One search over the construction, through the states that reach the
+    final one, gives what trimming it first and searching the copy gave:
+    the same states and configurations in the same order and the same
+    transitions, or the same error and variable.  Random formulas over
+    x, y, z, with ∅ leaves and non-functional ones, and hand automata with
+    a dead branch and an unreachable island."""
+    rng = random.Random(1_414)
+    kinds = Counter()
+    x_open, x_close = frozenset([open_op("x")]), frozenset([close_op("x")])
+    hand = [marker_automaton(), diamond_automaton(), loop_automaton(),
+            VSA({"x"}, 5, 0, 2, [(0, x_open, 1), (1, x_close, 2), (1, "a", 3),
+                                 (3, x_open, 3), (4, "b", 2)])]
+    formulas = [random_formula(rng, variables=("x", "y", "z")) for _ in range(600)]
+    for subject in hand + formulas:
+        try:
+            expected = two_pass_normal_form(
+                subject if isinstance(subject, VSA) else compile_regex(subject, check=False))
+        except NotFunctionalAutomaton as err:
+            with pytest.raises(NotFunctionalAutomaton) as got:
+                normal_form(subject) if isinstance(subject, VSA) else compile_regex(subject)
+            assert (got.value.reason, got.value.variable) == (err.reason, err.variable)
+            kinds[err.reason] += 1
+            continue
+        form = normal_form(subject) if isinstance(subject, VSA) else compile_regex(subject)
+        assert (form.n_states, form.initial, form.final, form.configs) == \
+            (expected.n_states, expected.initial, expected.final, expected.configs), subject
+        assert Counter(form.transitions) == Counter(expected.transitions), subject
+        kinds["empty" if form.configs is None else "functional"] += 1
+    assert min(kinds.values()) >= 10 and len(kinds) == 5, kinds
 
 
 def test_compiled_formulas_are_functional():
