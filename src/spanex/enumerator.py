@@ -37,12 +37,15 @@ position, and their steps memoized by (content, symbol, alive layer), so a
 position whose frontier recurs costs one lookup; only change points get a
 number of their own, and positions where nothing changes are skipped when
 the index is built; each variable's span is written when a run that
-changes it is entered.
+changes it is entered; a result is the stream's one tuple of variable
+names, already in order, and a tuple of its spans, each made by a C-level
+call, with no sort and its hash left to its first use.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import partial
 from itertools import chain
 
 from .model import CLOSED, WAITING, Span, SpanTuple
@@ -431,7 +434,7 @@ def enumerate_graph(graph: MatchGraph, stats: EnumerationStats | None = None):
         if stats is not None:
             stats.tuples += 1
             stats.max_node_set = max(stats.max_node_set, 1)
-        yield SpanTuple({var: Span(1, 1) for var in variables})
+        yield SpanTuple._ordered(variables, (Span(1, 1),) * n_vars)
         return
     last = doc_len - 1
 
@@ -472,6 +475,9 @@ def enumerate_graph(graph: MatchGraph, stats: EnumerationStats | None = None):
     fill_total = 0
     base_scan = stats.scan_steps if stats is not None else 0
     base_fill = stats.fill_steps if stats is not None else 0
+    # one C-level call per span, not namedtuple's __new__
+    make_span = partial(tuple.__new__, Span)
+    make_row = SpanTuple._ordered
 
     # a frame: [run letter, first change point, current change point,
     #           next choice there, unindexed change points still to visit]
@@ -500,7 +506,7 @@ def enumerate_graph(graph: MatchGraph, stats: EnumerationStats | None = None):
                     stats.tuples += 1
                     stats.scan_steps = base_scan + scan_total
                     stats.fill_steps = base_fill + fill_total
-                yield SpanTuple(zip(variables, map(Span, begin, end)))
+                yield make_row(variables, tuple(map(make_span, zip(begin, end))))
         else:
             i = frame[3]
             if i < len(options):

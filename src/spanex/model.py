@@ -15,6 +15,7 @@ this module turn back into span tuples.
 
 from __future__ import annotations
 
+from functools import total_ordering
 from typing import Iterable, Iterator, NamedTuple
 
 # ---------------------------------------------------------------------------
@@ -75,48 +76,67 @@ def all_spans(doc_len: int) -> Iterator[Span]:
 # ---------------------------------------------------------------------------
 
 
+@total_ordering
 class SpanTuple:
     """An immutable assignment from variable names to spans.
 
-    The values must be :class:`Span` objects; they are kept as given.
-    Hashable and comparable so result sets behave like relations; ordering is
-    by the (variable, span) items sorted by variable name.
+    The values must be :class:`Span` objects; they are kept as given.  A
+    tuple is stored as two tuples: the variable names in order and their
+    spans in the same order.  The enumerator hands every tuple of one stream
+    the same names tuple.  Hashable, with the hash computed from the spans on
+    first use (equal tuples have equal spans), and comparable, so result sets
+    behave like relations; ordering is by the (variable, span) items sorted
+    by variable name, compared pairwise, also across variable sets.
     """
 
-    __slots__ = ("_items", "_hash")
+    __slots__ = ("_names", "_spans", "_hash")
 
     def __init__(self, assignment: dict[str, Span] | Iterable[tuple[str, Span]]):
         if isinstance(assignment, dict):
             assignment = assignment.items()
-        self._items: tuple[tuple[str, Span], ...] = tuple(sorted(assignment))
-        self._hash = hash(self._items)
+        items = sorted(assignment)
+        self._names: tuple[str, ...] = tuple([var for var, _ in items])
+        self._spans: tuple[Span, ...] = tuple([span for _, span in items])
+        self._hash: int | None = None
+
+    @classmethod
+    def _ordered(cls, names: tuple[str, ...], spans: tuple[Span, ...]) -> "SpanTuple":
+        """The tuple of ``names``, already in order, and their ``spans``;
+        both are kept as given."""
+        self = object.__new__(cls)
+        self._names = names
+        self._spans = spans
+        self._hash = None
+        return self
 
     @property
     def variables(self) -> tuple[str, ...]:
-        return tuple(var for var, _ in self._items)
+        return self._names
 
     def items(self) -> tuple[tuple[str, Span], ...]:
-        return self._items
+        return tuple(zip(self._names, self._spans))
 
     def as_dict(self) -> dict[str, Span]:
-        return dict(self._items)
+        return dict(zip(self._names, self._spans))
 
     def __getitem__(self, var: str) -> Span:
-        for name, span in self._items:
-            if name == var:
-                return span
-        raise KeyError(var)
+        try:
+            return self._spans[self._names.index(var)]
+        except ValueError:
+            raise KeyError(var) from None
 
     def __contains__(self, var: str) -> bool:
-        return any(name == var for name, _ in self._items)
+        return var in self._names
 
     def restrict(self, variables: Iterable[str]) -> "SpanTuple":
         keep = set(variables)
-        return SpanTuple([(v, s) for v, s in self._items if v in keep])
+        kept = [i for i, var in enumerate(self._names) if var in keep]
+        return SpanTuple._ordered(tuple([self._names[i] for i in kept]),
+                                  tuple([self._spans[i] for i in kept]))
 
     def merge(self, other: "SpanTuple") -> "SpanTuple":
         """Union of two tuples; overlapping variables must agree."""
-        combined = dict(self._items)
+        combined = self.as_dict()
         for var, span in other.items():
             if var in combined and combined[var] != span:
                 raise ValueError(f"conflicting span for variable {var!r}")
@@ -124,20 +144,28 @@ class SpanTuple:
         return SpanTuple(combined)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, SpanTuple) and self._items == other._items
+        if not isinstance(other, SpanTuple):
+            return NotImplemented
+        return self._spans == other._spans and self._names == other._names
 
-    def __lt__(self, other: "SpanTuple") -> bool:
-        return self._items < other._items
+    def __lt__(self, other: object) -> bool:
+        if not isinstance(other, SpanTuple):
+            return NotImplemented
+        if self._names == other._names:
+            return self._spans < other._spans
+        return self.items() < other.items()
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(self._spans)
         return self._hash
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{v}={s}" for v, s in self._items)
+        inner = ", ".join(f"{v}={s}" for v, s in zip(self._names, self._spans))
         return f"SpanTuple({inner})"
 
 
-EMPTY_TUPLE = SpanTuple({})
+EMPTY_TUPLE = SpanTuple._ordered((), ())
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +188,8 @@ def state_sequence_to_tuple(
     begins at the first position where it is no longer WAITING and ends at
     the first position where it is CLOSED.
     """
-    ordered = sorted(variables)
-    assignment = {}
+    ordered = tuple(sorted(variables))
+    spans = []
     for idx, var in enumerate(ordered):
         begin = end = None
         for pos0, entry in enumerate(seq):
@@ -173,5 +201,5 @@ def state_sequence_to_tuple(
                 break
         if begin is None or end is None:
             raise ValueError(f"state sequence never closes variable {var!r}")
-        assignment[var] = Span(begin, end)
-    return SpanTuple(assignment)
+        spans.append(Span(begin, end))
+    return SpanTuple._ordered(ordered, tuple(spans))

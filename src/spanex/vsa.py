@@ -277,8 +277,9 @@ def apply_ops(config: tuple[int, ...], ops: Ops, var_index: dict[str, int],
 def _search_configs(vsa: VSA, out_edges: list[list], live) -> list:
     """The configuration of each state reached from the initial one along
     ``out_edges`` (each state's ``(label, dst)`` pairs in transition order)
-    through ``live`` states, None elsewhere.  Raises as
-    :func:`compute_state_configs` does."""
+    through ``live`` states, None elsewhere.  Raises
+    :class:`NotFunctionalAutomaton` if two paths disagree on some state's
+    configuration, or an operation is applied out of order."""
     ordered = vsa.ordered_variables
     var_index = {var: i for i, var in enumerate(ordered)}
     configs: list[tuple[int, ...] | None] = [None] * vsa.n_states
@@ -302,21 +303,6 @@ def _search_configs(vsa: VSA, out_edges: list[list], live) -> list:
                            if configs[dst][i] != target[i])
                 raise NotFunctionalAutomaton("conflicting configurations", dst, bad)
     return configs
-
-
-def compute_state_configs(vsa: VSA) -> list[tuple[int, ...]]:
-    """Unique per-state variable configuration of a trimmed automaton, by
-    search from the initial state.  Raises :class:`NotFunctionalAutomaton`
-    if two paths disagree on some state's configuration, or an operation is
-    applied out of order."""
-    out_edges = [[] for _ in range(vsa.n_states)]
-    for src, label, dst in vsa.transitions:
-        out_edges[src].append((label, dst))
-    configs = _search_configs(vsa, out_edges, range(vsa.n_states))
-    missing = [s for s, config in enumerate(configs) if config is None]
-    if missing:
-        raise ValueError(f"automaton not trimmed; unreachable states {missing}")
-    return configs  # type: ignore[return-value]
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from spanex.model import (
     open_op, close_op,
 )
 from spanex.vsa import (
-    ANY, VSA, NormalForm, NotFunctionalAutomaton, cached_step,
-    compute_state_configs, marker_moves, normal_form, trim,
+    ANY, VSA, NormalForm, NotFunctionalAutomaton, cached_step, marker_moves,
+    normal_form, trim,
 )
 from spanex.enumerator import enumerate_spans
 
@@ -289,6 +289,48 @@ def loop_automaton() -> VSA:
         (0, frozenset([close_op("x")]), 0),
         (0, "a", 0),
     ])
+
+
+def compute_state_configs(vsa: VSA) -> list[tuple[int, ...]]:
+    """Unique per-state variable configuration of a trimmed automaton, by a
+    breadth-first search of its own from the initial state, out-edges in
+    transition order: the reference for the configurations ``normal_form``
+    finds.  Within a marker set opens act before closes, each kind in the
+    set's order.  Raises :class:`NotFunctionalAutomaton` as the engine's
+    check does if two paths disagree on some state's configuration, or an
+    operation comes out of order; ValueError if a state is unreachable."""
+    ordered = sorted(vsa.variables)
+    out_edges = [[] for _ in range(vsa.n_states)]
+    for src, label, dst in vsa.transitions:
+        out_edges[src].append((label, dst))
+    configs = [None] * vsa.n_states
+    configs[vsa.initial] = (WAITING,) * len(ordered)
+    queue = [vsa.initial]
+    for state in queue:  # the queue grows while it is read
+        for label, dst in out_edges[state]:
+            config = list(configs[state])
+            if isinstance(label, frozenset):
+                for kind, before, after, reason in (
+                        (OP_OPEN, WAITING, OPEN, "variable opened twice"),
+                        (OP_CLOSE, OPEN, CLOSED, "variable closed while not open")):
+                    for op, var in label:
+                        if op == kind:
+                            i = ordered.index(var)
+                            if config[i] != before:
+                                raise NotFunctionalAutomaton(reason, state, var)
+                            config[i] = after
+            config = tuple(config)
+            if configs[dst] is None:
+                configs[dst] = config
+                queue.append(dst)
+            elif configs[dst] != config:
+                bad = next(var for var, was, now in zip(ordered, configs[dst], config)
+                           if was != now)
+                raise NotFunctionalAutomaton("conflicting configurations", dst, bad)
+    missing = [state for state, config in enumerate(configs) if config is None]
+    if missing:
+        raise ValueError(f"automaton not trimmed; unreachable states {missing}")
+    return configs
 
 
 def assert_normal_form(form: VSA) -> None:

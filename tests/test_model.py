@@ -1,17 +1,25 @@
 """Tests for spans, span tuples, ref-words, and per-position state sequences."""
 
 import itertools
+import operator
 
 import pytest
 
+from spanex.compiler import compile_regex
+from spanex.enumerator import enumerate_spans
+from spanex.formula import parse_formula
 from spanex.model import (
     CLOSED, EMPTY_TUPLE, OPEN, WAITING,
     Span, SpanTuple,
     all_spans, close_op, open_op, span_text, state_sequence_to_tuple,
 )
+from spanex.query import eval_canonical, eval_query, parse_query
 
-from helpers import is_valid_span, is_valid_state_sequence, tuple_to_state_sequence
-from oracle import is_valid_ref_word, ref_word_span_tuple, tuple_ref_words
+from helpers import (
+    assert_canonical_order, is_valid_span, is_valid_state_sequence,
+    tuple_to_state_sequence,
+)
+from oracle import is_valid_ref_word, oracle_enumerate, ref_word_span_tuple, tuple_ref_words
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +97,74 @@ def test_tuple_ordering_is_deterministic():
     a = SpanTuple({"x": Span(1, 1)})
     b = SpanTuple({"x": Span(1, 2)})
     assert (a < b) != (b < a)
+
+
+def test_tuple_comparisons_with_other_types():
+    t = SpanTuple({"x": Span(1, 2)})
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            compare(t, 1)
+        with pytest.raises(TypeError):
+            compare(None, t)
+    assert t != (("x", Span(1, 2)),) and not t == 1
+
+
+def test_tuple_contract_across_construction_paths():
+    """Tuples the enumerator builds and tuples built from a dict (by the
+    oracle) agree on equality, hash, order and every accessor, over streams
+    with different variable sets, the variable-free one among them; order
+    is the items compared pairwise, also across variable sets."""
+    doc = "ab"
+    built, given = [], []
+    for text in (".* x{.} .*", ".* x{.} .* y{.*} .*", "y{a*} .*", "a*b"):
+        formula = parse_formula(text)
+        rows = list(enumerate_spans(compile_regex(formula), doc))
+        want = oracle_enumerate(formula, doc)
+        assert len(rows) == len(want) and set(rows) == set(want), text
+        twin_of = {twin: twin for twin in want}
+        for row in rows:
+            twin = twin_of[row]
+            assert hash(row) == hash(twin)
+            assert repr(row) == repr(twin)
+            assert row.items() == twin.items()
+            assert row.variables == twin.variables == tuple(sorted(row.variables))
+            assert row.as_dict() == twin.as_dict()
+            for var in row.variables:
+                assert var in row and type(row[var]) is Span and row[var] == twin[var]
+                assert row.restrict([var]) == twin.restrict([var])
+                assert hash(row.restrict([var])) == hash(twin.restrict([var]))
+            assert "z" not in row
+            with pytest.raises(KeyError):
+                row["z"]
+            assert row.restrict([]) == EMPTY_TUPLE
+        built += rows
+        given += want
+    assert [row.items() for row in sorted(built)] == sorted(row.items() for row in given)
+    assert sorted(built) == sorted(given)
+    for a, b in itertools.product(built, given):
+        for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+            assert compare(a, b) == compare(a.items(), b.items())
+            assert compare(b, a) == compare(b.items(), a.items())
+    x_row = next(row for row in built if row.variables == ("x",))
+    y_row = next(row for row in built if row.variables == ("y",))
+    assert x_row.merge(y_row) == SpanTuple({**x_row.as_dict(), **y_row.as_dict()})
+    with pytest.raises(ValueError, match="conflicting span for variable 'x'"):
+        x_row.merge(SpanTuple({"x": Span(x_row["x"].begin, x_row["x"].end + 1)}))
+
+
+def test_stream_with_numbered_variable_names():
+    """x10 sorts before x2 as a string, though x2 comes first in the
+    formula and in the document: the compiled stream names them in string
+    order, is in canonical order, and sorts into eval_canonical's rows."""
+    query = parse_query("SELECT x2, x10 FROM /.* x2{.} .* x10{.*} .*/")
+    doc = "abab"
+    rows = list(eval_query(query, doc, strategy="compiled"))
+    want = eval_canonical(query.disjuncts[0], doc)
+    assert {row.variables for row in rows} == {("x10", "x2")}
+    assert_canonical_order(rows, len(doc), ["x2", "x10"])
+    assert sorted(rows) == want and len(rows) == len(want)
+    assert [repr(row) for row in sorted(rows)] == [repr(row) for row in want]
+    assert list(eval_query(query, doc, strategy="canonical")) == want
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,13 @@ from spanex.enumerator import enumerate_spans
 from spanex.formula import parse_formula
 from spanex.model import CLOSED, OPEN, WAITING, close_op, open_op
 from spanex.vsa import (
-    ANY, VSA, NotFunctionalAutomaton, VsaFormatError,
-    compute_state_configs, cached_step, dump_vsa,
+    ANY, VSA, NotFunctionalAutomaton, VsaFormatError, cached_step, dump_vsa,
     is_key_attribute, load_vsa, marker_moves, normal_form, trim,
 )
 
 from helpers import (
-    config_to_str, marker_automaton, diamond_automaton, loop_automaton,
-    brute_force_key, all_docs, random_formula, random_functional_formula,
+    compute_state_configs, config_to_str, marker_automaton, diamond_automaton,
+    loop_automaton, brute_force_key, all_docs, random_formula, random_functional_formula,
     relation_of, assert_normal_form, is_functional, two_pass_normal_form,
 )
 from oracle import accepts_ref_word, eps_closure
