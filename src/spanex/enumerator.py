@@ -20,7 +20,11 @@ along a path, so a string is a sequence of at most 2·|variables| + 1 *runs*
 its prefix by where its current run ends and which letter comes next.
 Staying on a letter sorts before changing it, so the later a run's change
 point the earlier its strings: a run's change points are visited latest
-first, each with its next letters in ascending order.
+first, each with its next letters in ascending order.  The same order can
+be read off a row alone (:func:`enumeration_key`): the span of the variable
+with index ``i`` (of ``v``, in name order) is the two events ``begin·v + i``
+and ``end·v + i``, and the stream is the descending order of the rows'
+sorted event lists.
 
 The frontier node sets a run can reach are determinized once, before the
 first result (within a fixed allowance), straight from the automaton's
@@ -553,6 +557,21 @@ def enumerate_graph(graph: MatchGraph, stats: EnumerationStats | None = None):
         else:
             frame[2] = path.pop()
         frame[3] = 0
+
+
+def enumeration_key(row: SpanTuple) -> list[int]:
+    """The row's sorted events, ``begin·v + i`` and ``end·v + i`` for the
+    span of its ``i``-th variable of ``v``.  A smaller first difference is
+    a configuration that grows sooner, or at the same position in a variable
+    earlier in name order, so a larger string: the enumerator streams rows
+    in descending order of this key, and equal keys mean equal rows."""
+    spans = row._spans
+    v = len(spans)
+    events = []
+    for i, (begin, end) in enumerate(spans):
+        events += (begin * v + i, end * v + i)
+    events.sort()
+    return events
 
 
 def enumerate_spans(automaton: VSA, doc: str,

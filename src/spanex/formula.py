@@ -165,84 +165,59 @@ def _tokenize(text: str) -> list[tuple]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[tuple]):
-        self.tokens = tokens
-        self.pos = 0
+_ATOMS = {"any": Any(), "eps": Epsilon(), "empty": Empty()}
 
-    def peek(self) -> tuple | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def take(self) -> tuple:
-        tok = self.peek()
-        if tok is None:
-            raise FormulaSyntaxError("unexpected end of formula")
-        self.pos += 1
-        return tok
-
-    def parse_alternation(self) -> Formula:
-        node = self.parse_concatenation()
-        while self.peek() == ("alt",):
-            self.take()
-            node = Alt(node, self.parse_concatenation())
-        return node
-
-    def parse_concatenation(self) -> Formula:
-        parts = []
-        while True:
-            tok = self.peek()
-            if tok is None or tok[0] in ("alt", "rparen", "rbrace"):
-                break
-            parts.append(self.parse_postfix())
-        if not parts:
-            raise FormulaSyntaxError("empty (sub)formula; write ε for the empty string")
-        node = parts[0]
-        for part in parts[1:]:
-            node = Cat(node, part)
-        return node
-
-    def parse_postfix(self) -> Formula:
-        node = self.parse_atom()
-        while True:
-            tok = self.peek()
-            if tok == ("star",):
-                self.take()
-                node = Star(node)
-            elif tok == ("plus",):
-                self.take()
-                node = Cat(node, Star(node))
-            else:
-                return node
-
-    def parse_atom(self) -> Formula:
-        tok = self.take()
-        kind = tok[0]
-        if kind == "sym":
-            return Sym(tok[1])
-        if kind == "any":
-            return Any()
-        if kind == "eps":
-            return Epsilon()
-        if kind == "empty":
-            return Empty()
-        if kind == "lparen":
-            node = self.parse_alternation()
-            if self.take() != ("rparen",):
-                raise FormulaSyntaxError("expected ')'")
-            return node
-        if kind == "bind":
-            inner = self.parse_alternation()
-            if self.take() != ("rbrace",):
-                raise FormulaSyntaxError("expected '}' closing binding of " + tok[1])
-            return Bind(tok[1], inner)
-        raise FormulaSyntaxError(f"unexpected token {tok}")
+def _group(left: Formula | None, parts: list[Formula]) -> Formula:
+    """The concatenation of ``parts``, after the alternation ``left`` when
+    there is one; both associate to the left."""
+    if not parts:
+        raise FormulaSyntaxError("empty (sub)formula; write ε for the empty string")
+    node = parts[0]
+    for part in parts[1:]:
+        node = Cat(node, part)
+    return node if left is None else Alt(left, node)
 
 
 def parse_formula(text: str) -> Formula:
-    parser = _Parser(_tokenize(text))
-    node = parser.parse_alternation()
-    if parser.peek() is not None:
-        raise FormulaSyntaxError(f"trailing input at token {parser.peek()}")
+    # one loop over the tokens; each open group, ``(`` or ``x{``, waits on
+    # the stack with its opening token, the alternation of its finished
+    # alternatives (None before the first ``|``) and the parts of the
+    # alternative it is in
+    opener, left, parts = None, None, []
+    stack: list[tuple] = []
+    for tok in _tokenize(text):
+        kind = tok[0]
+        if kind == "sym":
+            parts.append(Sym(tok[1]))
+        elif kind in _ATOMS:
+            parts.append(_ATOMS[kind])
+        elif kind in ("star", "plus") and parts:
+            node = Star(parts[-1])
+            parts[-1] = node if kind == "star" else Cat(parts[-1], node)
+        elif kind in ("lparen", "bind"):
+            stack.append((opener, left, parts))
+            opener, left, parts = tok, None, []
+        elif kind == "alt":
+            left, parts = _group(left, parts), []
+        elif kind in ("rparen", "rbrace"):
+            node = _group(left, parts)
+            if opener is None:
+                raise FormulaSyntaxError(f"trailing input at token {tok}")
+            if opener[0] == "lparen" and kind != "rparen":
+                raise FormulaSyntaxError("expected ')'")
+            if opener[0] == "bind":
+                if kind != "rbrace":
+                    raise FormulaSyntaxError(
+                        "expected '}' closing binding of " + opener[1])
+                node = Bind(opener[1], node)
+            opener, left, parts = stack.pop()
+            parts.append(node)
+        else:
+            raise FormulaSyntaxError(f"unexpected token {tok}")
+    node = _group(left, parts)
+    if opener is not None:
+        raise FormulaSyntaxError("unexpected end of formula")
     return node
 
 

@@ -20,11 +20,13 @@ Two evaluation routes exist.  The canonical one materialises every atom and
 runs hash joins plus filters; the compiled one builds one automaton for the
 whole query and streams its enumeration (duplicate-free, ordered, polynomial
 delay).  ``eval_query`` picks per-branch routes based on plan options, since
-compiling a join of many atoms can blow up the automaton product.
+compiling a join of many atoms can blow up the automaton product; the rows
+and their order do not depend on the routes it picks.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 
@@ -36,7 +38,7 @@ from .compiler import (
     project,
     union_vsa,
 )
-from .enumerator import enumerate_spans
+from .enumerator import enumerate_spans, enumeration_key
 from .formula import (
     Formula,
     FormulaSyntaxError,
@@ -363,7 +365,8 @@ def _hash_join(left_vars, left_rows, right_vars, right_rows):
 def eval_canonical(cq: ConjunctiveQuery, doc: str) -> list[SpanTuple]:
     """Materialise every atom, hash-join them smallest-first, filter the
     equalities by substring comparison, project, dedup.  Returns the answer
-    sorted (so output is deterministic across plans)."""
+    in the order the compiled route streams it (descending
+    :func:`~spanex.enumerator.enumeration_key`)."""
     relations = []
     for atom in cq.atoms:
         rows = list(enumerate_spans(compile_regex(atom), doc))
@@ -376,7 +379,8 @@ def eval_canonical(cq: ConjunctiveQuery, doc: str) -> list[SpanTuple]:
         rows = [row for row in rows
                 if span_text(doc, row[x]) == span_text(doc, row[y])]
     projected = cq.projected_set
-    return sorted({row.restrict(projected) for row in rows})
+    return sorted({row.restrict(projected) for row in rows},
+                  key=enumeration_key, reverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -434,10 +438,11 @@ def eval_query(query: UnionQuery, doc: str,
 
     ``strategy`` is ``auto`` (plan per disjunct), ``canonical``, or
     ``compiled`` (force one automaton; ignores the plan limits, and raises
-    :class:`EqualityBudgetError` past ``options.eq_path_budget``).  When
-    every disjunct compiles, the union automaton is enumerated; otherwise
-    the disjuncts stream in order, each through its automaton or the
-    canonical route, with repeats dropped.
+    :class:`EqualityBudgetError` past ``options.eq_path_budget``).  Every
+    route yields the same list, in the enumerator's order: when every
+    disjunct compiles, the union automaton is enumerated; otherwise each
+    disjunct's rows, through its automaton or the canonical route, are
+    merged on :func:`~spanex.enumerator.enumeration_key` and repeats dropped.
     """
     options = options or PlanOptions()
     if strategy == "auto":
@@ -452,11 +457,9 @@ def eval_query(query: UnionQuery, doc: str,
     if united is not None:
         yield from enumerate_spans(united, doc)
         return
-    seen: set[SpanTuple] = set()
-    for cq, automaton in zip(query.disjuncts, parts):
-        rows = (eval_canonical(cq, doc) if automaton is None
-                else enumerate_spans(automaton, doc))
-        for row in rows:
-            if row not in seen:
-                seen.add(row)
-                yield row
+    streams = [eval_canonical(cq, doc) if automaton is None
+               else enumerate_spans(automaton, doc)
+               for cq, automaton in zip(query.disjuncts, parts)]
+    merged = heapq.merge(*streams, key=enumeration_key, reverse=True)
+    for row, _ in itertools.groupby(merged):
+        yield row

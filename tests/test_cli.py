@@ -212,12 +212,11 @@ def test_check_non_functional_formula(capsys):
     assert "x" in out
 
 
-def test_check_recursion_limit_exits_2(capsys):
-    """2,000 nested parentheses overflow the recursive parser: one error line
-    and exit code 2, not a traceback and not the negative verdict 1."""
+def test_check_deeply_nested_formula_is_functional(capsys):
+    """The parser keeps its open groups on a list, not on the call stack, so
+    2,000 nested parentheses parse."""
     code, out, err = run_cli(capsys, "check", "--formula", "(" * 2000 + "a" + ")" * 2000)
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert (code, out, err) == (0, "functional\n", "")
 
 
 def test_check_long_literal_is_functional(capsys):

@@ -3,17 +3,19 @@
 Each reference builds no automaton: a closed form, ``str.find``, a
 brute-force comparison of substrings, or the canonical route checked
 against the compiled one.  Streams from one automaton are also checked to
-come in the canonical order, against a sort by ``canonical_key``.  Examples
-are derandomized, so a run is reproducible.
+come in the canonical order, against a sort by ``canonical_key``, and so is
+the order ``enumeration_key`` gives a set of rows.  Examples are
+derandomized, so a run is reproducible.
 """
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spanex.model import all_spans, span_text
+from spanex.enumerator import enumeration_key
+from spanex.model import Span, SpanTuple, all_spans, span_text
 from spanex.query import compile_query, eval_query, parse_query
 
-from helpers import assert_canonical_order, span_set
+from helpers import assert_canonical_order, canonical_key, span_set
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=6)
 
@@ -55,6 +57,33 @@ def test_word_occurrences_match_str_find(doc, word):
     assert_canonical_order(rows, len(doc), ("x",))
 
 
+@st.composite
+def row_sets(draw):
+    """A document length, 0 to 4 variable names and a set of rows over
+    them, with many empty spans and spans that end after the last symbol."""
+    length = draw(st.integers(9, 30))
+    names = ("w", "x", "y", "z")[:draw(st.integers(0, 4))]
+    rows = set()
+    for _ in range(draw(st.integers(1, 30))):
+        spans = []
+        for _ in names:
+            begin = draw(st.integers(1, length + 1))
+            end = draw(st.one_of(st.just(begin), st.just(length + 1),
+                                 st.integers(begin, length + 1)))
+            spans.append(Span(begin, end))
+        rows.add(SpanTuple(zip(names, spans)))
+    return length, names, rows
+
+
+@settings(PROPERTY, max_examples=30)
+@given(row_sets())
+def test_enumeration_key_is_the_canonical_order(case):
+    length, names, rows = case
+    assert (sorted(rows, key=enumeration_key, reverse=True)
+            == sorted(rows, key=lambda row: canonical_key(row, length, names)))
+    assert len({tuple(enumeration_key(row)) for row in rows}) == len(rows)
+
+
 # The query of the benchmark's streq workload: x ends before y starts.
 EQUAL_PAIRS = "SELECT x, y FROM /.* x{.*} .* y{.*} .*/ WHERE x == y"
 
@@ -93,7 +122,7 @@ EQUALITY_QUERIES = (
 def test_equality_queries_agree_with_canonical(doc, text):
     compiled = drain(text, doc, strategy="compiled")
     assert_canonical_order(compiled, len(doc), parse_query(text).projection)
-    assert set(compiled) == set(drain(text, doc, strategy="canonical"))
+    assert compiled == drain(text, doc, strategy="canonical")
 
 
 # Atom parts whose relations stay small on binary documents, so that the
@@ -122,4 +151,4 @@ def conjunctive_queries(draw):
 def test_canonical_and_compiled_agree(text, doc):
     compiled = drain(text, doc, strategy="compiled")
     assert_canonical_order(compiled, len(doc), parse_query(text).disjuncts[0].projection)
-    assert set(compiled) == set(drain(text, doc, strategy="canonical"))
+    assert compiled == drain(text, doc, strategy="canonical")

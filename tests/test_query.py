@@ -191,9 +191,10 @@ def test_single_atom_query_equals_enumeration():
     q = parse_query("SELECT x FROM /a* x{a*} a*/")
     from spanex.formula import parse_formula
     want = relation_of(compile_regex(parse_formula("a* x{a*} a*")), "aaa")
-    assert set(eval_canonical(q.disjuncts[0], "aaa")) == want
-    assert set(enumerate_spans(compile_cq(q.disjuncts[0], "aaa"), "aaa")) == want
-    assert set(eval_query(q, "aaa")) == want
+    rows = eval_canonical(q.disjuncts[0], "aaa")
+    assert set(rows) == want
+    assert list(enumerate_spans(compile_cq(q.disjuncts[0], "aaa"), "aaa")) == rows
+    assert list(eval_query(q, "aaa")) == rows
 
 
 def test_boolean_query_yields_one_empty_tuple():
@@ -206,8 +207,8 @@ def test_boolean_query_yields_one_empty_tuple():
 def test_equality_query_filters_substrings():
     q = parse_query("SELECT x, y FROM /.* x{.*} .* y{.*} .*/ WHERE x == y")
     doc = "abab"
-    got_canonical = set(eval_canonical(q.disjuncts[0], doc))
-    got_compiled = set(enumerate_spans(compile_cq(q.disjuncts[0], doc), doc))
+    got_canonical = eval_canonical(q.disjuncts[0], doc)
+    got_compiled = list(enumerate_spans(compile_cq(q.disjuncts[0], doc), doc))
     assert got_canonical == got_compiled
     for row in got_canonical:
         x, y = row["x"], row["y"]
@@ -264,7 +265,7 @@ def test_equality_query_normalizes_only_its_atom(monkeypatch):
     united, _ = compile_query(q, "abab")
     rows = list(enumerate_spans(united, "abab"))
     assert calls == [atom.n_states]
-    assert set(rows) == set(eval_canonical(q.disjuncts[0], "abab"))
+    assert rows == eval_canonical(q.disjuncts[0], "abab")
 
 
 # ---------------------------------------------------------------------------
@@ -277,14 +278,13 @@ def test_union_of_overlapping_disjuncts_is_duplicate_free():
     rows = list(eval_query(q, "ab"))
     assert len(rows) == len(set(rows))
     assert {row["x"] for row in rows} == {Span(1, 2), Span(2, 3)}
-    assert set(eval_query(q, "ab", strategy="canonical")) == set(rows)
-    assert set(eval_query(q, "ab", strategy="compiled")) == set(rows)
+    assert list(eval_query(q, "ab", strategy="canonical")) == rows
+    assert list(eval_query(q, "ab", strategy="compiled")) == rows
 
 
 def test_single_disjunct_matches_its_own_evaluation():
     q = parse_query("SELECT x FROM /.* x{ab} .*/")
-    assert set(eval_query(q, "abab")) == set(eval_canonical(q.disjuncts[0],
-                                                            "abab"))
+    assert list(eval_query(q, "abab")) == eval_canonical(q.disjuncts[0], "abab")
 
 
 def test_mixed_plan_agrees_with_all_canonical():
@@ -294,7 +294,8 @@ def test_mixed_plan_agrees_with_all_canonical():
     assert plan_query(q, options) == [COMPILED, CANONICAL]
     mixed = list(eval_query(q, "ab", options=options))
     assert len(mixed) == len(set(mixed))
-    assert set(mixed) == set(eval_query(q, "ab", strategy="canonical"))
+    assert mixed == list(eval_query(q, "ab", strategy="canonical"))
+    assert mixed == list(eval_query(q, "ab", strategy="compiled"))
 
 
 def _count_equality_searches(monkeypatch):
@@ -318,17 +319,30 @@ def test_budget_fallback_builds_the_equality_automaton_once(monkeypatch):
 
 
 def test_union_with_an_over_budget_disjunct_keeps_its_order(monkeypatch):
-    """The compiled disjunct streams first in enumeration order, then the
-    over-budget one falls back to canonical (sorted), repeats dropped."""
+    """The compiled disjunct's stream and the over-budget one's canonical
+    rows merge, repeats dropped, into the compiled union's order."""
     q = parse_query("SELECT x FROM /.* x{a .*} .*/ UNION "
                     "SELECT x FROM /.* x{.*} .* y{.*} .*/ WHERE x == y")
     calls = _count_equality_searches(monkeypatch)
     rows = list(eval_query(q, "abaab", PlanOptions(eq_path_budget=10)))
     assert len(calls) == 1
     assert [str(row["x"]) for row in rows] == [
-        "4..6", "4..5", "3..6", "3..5", "3..4", "1..6", "1..5", "1..4",
-        "1..3", "1..2", "1..1", "2..2", "2..3", "3..3", "4..4", "5..5", "6..6",
+        "6..6", "5..5", "4..6", "4..5", "4..4", "3..6", "3..5", "3..4", "3..3",
+        "2..3", "2..2", "1..6", "1..5", "1..4", "1..3", "1..2", "1..1",
     ]
+    assert rows == list(eval_query(q, "abaab", strategy="compiled"))
+
+
+def test_unary_fallback_returns_the_compiled_list():
+    """200 a's pass an equality budget of 100 states, so ``auto`` falls
+    back to canonical, and its rows come in the compiled order."""
+    q = parse_query("SELECT x, y FROM /.* x{a} .* y{a} .*/ WHERE x == y")
+    doc = "a" * 200
+    _, parts = compile_query(q, doc, path_budget=100, fallback=True)
+    assert parts == [None]
+    rows = list(eval_query(q, doc, PlanOptions(eq_path_budget=100)))
+    assert len(rows) == 200 * 199 // 2
+    assert rows == list(eval_query(q, doc, strategy="compiled"))
 
 
 def test_forced_compiled_route_stops_at_the_state_budget():
@@ -372,7 +386,7 @@ def test_equality_agrees_with_canonical(text, doc):
     rows = list(eval_query(q, doc, strategy="compiled"))
     assert rows
     assert_canonical_order(rows, len(doc), q.projection)
-    assert set(rows) == set(eval_query(q, doc, strategy="canonical"))
+    assert rows == list(eval_query(q, doc, strategy="canonical"))
 
 
 def test_forced_compiled_route_fits_the_largest_streq_document():
@@ -417,6 +431,6 @@ def test_strategies_agree_on_random_queries():
         cq = _random_query(rng)
         cq.validate()
         doc = random_doc(rng, 5)
-        want = set(eval_canonical(cq, doc))
-        got = set(enumerate_spans(compile_cq(cq, doc), doc))
+        want = eval_canonical(cq, doc)
+        got = list(enumerate_spans(compile_cq(cq, doc), doc))
         assert got == want, (query_to_source(UnionQuery((cq,))), doc)
