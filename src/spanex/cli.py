@@ -29,7 +29,6 @@ from .formula import parse_formula
 from .harness import gen_3cnf_query, gen_clique_query, gen_streq_clique_query
 from .model import Span
 from .query import (
-    PlanOptions,
     UnionQuery,
     compile_query,
     eval_query,
@@ -77,11 +76,6 @@ def _read_query(args) -> UnionQuery:
     return parse_query(source)
 
 
-def _plan_options(args) -> PlanOptions:
-    limit = getattr(args, "max_join_compile", None)
-    return PlanOptions() if limit is None else PlanOptions(max_join_compile=limit)
-
-
 def _span_json(span: Span) -> list[int]:
     return [span.begin, span.end]
 
@@ -96,9 +90,8 @@ def cmd_eval(args) -> int:
         raise CliError(f"--limit must be non-negative, got {args.limit}")
     query = _read_query(args)
     doc = _read_document(args)
-    options = _plan_options(args)
     columns = list(query.projection)
-    stream = itertools.islice(eval_query(query, doc, options, strategy=args.strategy),
+    stream = itertools.islice(eval_query(query, doc, strategy=args.strategy),
                               args.limit)
 
     out = sys.stdout
@@ -229,12 +222,7 @@ def cmd_bench(args) -> int:
         if was_enabled:
             gc.enable()
 
-    stamps = []
-    remaining = count
-    for chunk in chunks:
-        take = min(remaining, _BENCH_CHUNK)
-        stamps.extend(chunk[:take])
-        remaining -= take
+    stamps = list(itertools.islice(itertools.chain.from_iterable(chunks), count))
     lines = ["metric,index,nanoseconds", f"preprocess,,{preprocess}"]
     if count:
         lines.append(f"first_result,,{stamps[0] - start}")
@@ -343,9 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default="tsv")
     p_eval.add_argument("--strategy", choices=("auto", "canonical", "compiled"),
                         default="auto")
-    p_eval.add_argument("--max-join-compile", type=int, default=None,
-                        help="largest atom count compiled into one automaton "
-                             "(default 3)")
     p_eval.add_argument("--limit", type=int, default=None,
                         help="stop after this many tuples")
     p_eval.set_defaults(func=cmd_eval)
@@ -396,6 +381,9 @@ def main(argv=None) -> int:
         return 2
     except RecursionError:
         print("error: input too long or too deeply nested to process", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # the reader is gone: send what is still buffered to /dev/null so

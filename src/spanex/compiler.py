@@ -12,9 +12,8 @@ pairs marker moves that agree on shared variables.  String equality is one
 forward search over a normal form along the document, keeping a marker move
 only when the spans it opens and closes fit the equated substrings, and
 leaving out states that two liveness rules show cannot reach the end.
-Compiled formulas, the join, projection and equality selection return a
-:class:`~spanex.vsa.NormalForm`, so no later stage rebuilds one; unions stay
-plain automata.
+Compiled formulas, the join, projection, union and equality selection return
+a :class:`~spanex.vsa.NormalForm`, so no later stage rebuilds one.
 """
 
 from __future__ import annotations
@@ -164,9 +163,15 @@ def project(vsa: VSA, keep) -> NormalForm:
                       configs)
 
 
-def union_vsa(*automata: VSA) -> VSA:
+def union_vsa(*automata: VSA) -> NormalForm:
     """Combine automata over one variable set; the result's tuples on any
-    document are the union of the inputs' tuples."""
+    document are the union of the inputs' tuples.
+
+    The union of the inputs' normal forms is one: empty parts are dropped,
+    every initial state becomes state 0 and every final state state 1, the
+    other states are numbered part after part, and an edge two parts share
+    is kept once.
+    """
     if not automata:
         raise ValueError("union of no automata")
     variables = automata[0].variables
@@ -174,19 +179,20 @@ def union_vsa(*automata: VSA) -> VSA:
         if vsa.variables != variables:
             raise ValueError("union requires identical variable sets: "
                              f"{sorted(variables)} vs {sorted(vsa.variables)}")
-    transitions: list[tuple] = []
-    offset = 1
-    branch_bounds = []
-    for vsa in automata:
-        for src, label, dst in vsa.transitions:
-            transitions.append((src + offset, label, dst + offset))
-        branch_bounds.append((vsa.initial + offset, vsa.final + offset))
-        offset += vsa.n_states
-    final = offset
-    for init, fin in branch_bounds:
-        transitions.append((0, None, init))
-        transitions.append((fin, None, final))
-    return trim(VSA(variables, offset + 1, 0, final, transitions))
+    forms = [form for form in map(normal_form, automata) if form.configs is not None]
+    if not forms:
+        return empty_vsa(variables)
+    configs = [forms[0].configs[forms[0].initial], forms[0].configs[forms[0].final]]
+    transitions: dict[tuple, None] = {}  # in first-seen order, without repeats
+    for form in forms:
+        ids = {form.initial: 0, form.final: 1}
+        for state, config in enumerate(form.configs):
+            if state not in ids:
+                ids[state] = len(configs)
+                configs.append(config)
+        for src, label, dst in form.transitions:
+            transitions[ids[src], label, ids[dst]] = None
+    return NormalForm(variables, len(configs), 0, 1, transitions, configs)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ Concrete syntax (used by ``parse_formula`` and the ``.spq`` query files):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 
 # ---------------------------------------------------------------------------
@@ -84,21 +85,23 @@ class Bind(Formula):
     inner: Formula
 
 
-def formula_variables(formula: Formula) -> frozenset[str]:
-    """All variable names occurring syntactically in the formula."""
-    acc: set[str] = set()
+def formula_nodes(formula: Formula) -> Iterator[Formula]:
+    """Every node of the formula, each before its children, without
+    recursion."""
     stack = [formula]
     while stack:
         node = stack.pop()
-        if isinstance(node, Bind):
-            acc.add(node.var)
+        yield node
+        if isinstance(node, (Alt, Cat)):
+            stack += node.right, node.left
+        elif isinstance(node, (Star, Bind)):
             stack.append(node.inner)
-        elif isinstance(node, (Alt, Cat)):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, Star):
-            stack.append(node.inner)
-    return frozenset(acc)
+
+
+def formula_variables(formula: Formula) -> frozenset[str]:
+    """All variable names occurring syntactically in the formula."""
+    return frozenset(node.var for node in formula_nodes(formula)
+                     if isinstance(node, Bind))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ to end.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -32,19 +33,11 @@ from .formula import (
 
 
 def _cat_all(parts: list[Formula]) -> Formula:
-    if not parts:
-        return Epsilon()
-    out = parts[0]
-    for part in parts[1:]:
-        out = Cat(out, part)
-    return out
+    return functools.reduce(Cat, parts) if parts else Epsilon()
 
 
 def _alt_all(parts: list[Formula]) -> Formula:
-    out = parts[0]
-    for part in parts[1:]:
-        out = Alt(out, part)
-    return out
+    return functools.reduce(Alt, parts)
 
 
 def _literal(text: str) -> Formula:

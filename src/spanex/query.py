@@ -19,9 +19,9 @@ is the Boolean form: the answer is either empty or the single empty tuple.
 Two evaluation routes exist.  The canonical one materialises every atom and
 runs hash joins plus filters; the compiled one builds one automaton for the
 whole query and streams its enumeration (duplicate-free, ordered, polynomial
-delay).  ``eval_query`` picks per-branch routes based on plan options, since
-compiling a join of many atoms can blow up the automaton product; the rows
-and their order do not depend on the routes it picks.
+delay).  ``eval_query`` picks a route per branch with :func:`plan_query`,
+since a join of many atoms can blow up the automaton product; the rows and
+their order do not depend on the routes it picks.
 """
 
 from __future__ import annotations
@@ -40,8 +40,11 @@ from .compiler import (
 )
 from .enumerator import enumerate_spans, enumeration_key
 from .formula import (
+    Any,
     Formula,
     FormulaSyntaxError,
+    Sym,
+    formula_nodes,
     formula_to_source,
     formula_variables,
     parse_formula,
@@ -72,10 +75,7 @@ class ConjunctiveQuery:
 
     @property
     def variables(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
-        for atom in self.atoms:
-            out |= formula_variables(atom)
-        return out
+        return frozenset().union(*map(formula_variables, self.atoms))
 
     @property
     def projected_set(self) -> frozenset[str]:
@@ -133,6 +133,7 @@ class UnionQuery:
 _KEYWORDS = {"SELECT", "FROM", "WHERE", "AND", "UNION"}
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _IDENT_CHARS = _IDENT_START | set("0123456789")
+_PUNCTUATION = {",": "comma", "(": "lparen", ")": "rparen", "==": "eq"}
 
 
 def _tokenize_query(text: str) -> list[tuple[str, str, int]]:
@@ -163,21 +164,10 @@ def _tokenize_query(text: str) -> list[tuple[str, str, int]]:
             tokens.append(("regex", "".join(buf), start))
             i += 1
             continue
-        if ch == ",":
-            tokens.append(("comma", ",", i))
-            i += 1
-            continue
-        if ch == "(":
-            tokens.append(("lparen", "(", i))
-            i += 1
-            continue
-        if ch == ")":
-            tokens.append(("rparen", ")", i))
-            i += 1
-            continue
-        if ch == "=" and i + 1 < n and text[i + 1] == "=":
-            tokens.append(("eq", "==", i))
-            i += 2
+        mark = next((mark for mark in _PUNCTUATION if text.startswith(mark, i)), None)
+        if mark is not None:
+            tokens.append((_PUNCTUATION[mark], mark, i))
+            i += len(mark)
             continue
         if ch in _IDENT_START:
             start = i
@@ -310,33 +300,49 @@ def query_to_source(query: UnionQuery) -> str:
 
 @dataclass(frozen=True)
 class PlanOptions:
-    """Knobs for the automatic strategy choice.
+    """The one budget of the automatic strategy choice.
 
-    ``max_join_compile``: largest atom count still compiled into one product
-    automaton (the product can reach n^(2k) states, so keep this small).
-    ``max_eq_compile``: largest number of equality selections still compiled.
     ``eq_path_budget``: most states the equality search (``apply_selections``)
     may create per disjunct; past it, ``auto`` evaluates the disjunct
     canonically and a forced compiled run raises :class:`EqualityBudgetError`.
+    A join of more than :data:`MAX_SMALL_JOIN` atoms is planned compiled only
+    when its state bound fits it too.
     """
 
-    max_join_compile: int = 3
-    max_eq_compile: int = 2
     eq_path_budget: int = 200_000
 
 
 CANONICAL = "canonical"
 COMPILED = "compiled"
+MAX_SMALL_JOIN = 3  # a join of at most this many atoms compiles whatever its bound
+MAX_EQ_COMPILE = 2  # more equalities than this are evaluated canonically
+
+
+def _join_fits(atoms, budget: int) -> bool:
+    """Whether the join of the atoms provably has at most ``budget`` states:
+    an atom with L letters compiles to at most 2 + 2·L states (initial,
+    final, and a source and a target copy per letter edge), and a join has
+    at most the product of its inputs' states."""
+    bound = 1
+    for atom in atoms:
+        letters = sum(isinstance(node, (Sym, Any)) for node in formula_nodes(atom))
+        bound *= 2 + 2 * letters
+        if bound > budget:
+            return False
+    return True
 
 
 def plan_query(query: UnionQuery, options: PlanOptions | None = None) -> list[str]:
-    """Per-disjunct strategy decisions under the given options."""
-    options = options or PlanOptions()
+    """Per-disjunct strategy decisions: compiled when the disjunct has at
+    most :data:`MAX_EQ_COMPILE` equalities and either at most
+    :data:`MAX_SMALL_JOIN` atoms or a join whose state bound fits
+    ``options.eq_path_budget``; no atom is compiled to decide."""
+    budget = (options or PlanOptions()).eq_path_budget
     decisions = []
     for cq in query.disjuncts:
-        small_join = len(cq.atoms) <= options.max_join_compile
-        small_eq = len(cq.equalities) <= options.max_eq_compile
-        decisions.append(COMPILED if small_join and small_eq else CANONICAL)
+        compiles = len(cq.equalities) <= MAX_EQ_COMPILE and (
+            len(cq.atoms) <= MAX_SMALL_JOIN or _join_fits(cq.atoms, budget))
+        decisions.append(COMPILED if compiles else CANONICAL)
     return decisions
 
 
@@ -436,9 +442,10 @@ def eval_query(query: UnionQuery, doc: str,
                strategy: str = "auto"):
     """Evaluate a union query: a stream of distinct projected span tuples.
 
-    ``strategy`` is ``auto`` (plan per disjunct), ``canonical``, or
-    ``compiled`` (force one automaton; ignores the plan limits, and raises
-    :class:`EqualityBudgetError` past ``options.eq_path_budget``).  Every
+    ``strategy`` is ``auto`` (:func:`plan_query` per disjunct, and canonical
+    for a disjunct whose equality search passes ``options.eq_path_budget``),
+    ``canonical``, or ``compiled`` (force one automaton, whatever its size;
+    raises :class:`EqualityBudgetError` past ``options.eq_path_budget``).  Every
     route yields the same list, in the enumerator's order: when every
     disjunct compiles, the union automaton is enumerated; otherwise each
     disjunct's rows, through its automaton or the canonical route, are

@@ -21,9 +21,10 @@ alternates one marker move and one letter.  A :class:`NormalForm` carries
 its configurations; :func:`normal_form`, the one functionality check, builds
 one once.  Formulas are checked by the same test, on the automaton they
 compile to, and every non-functional input raises
-:class:`NotFunctionalError`.  The join, the match graph and the key test
-all read that form through one memoized step, and the enumerator's output
-alphabet is its configurations.
+:class:`NotFunctionalError`.  The join reads that form's adjacency lists,
+the match graph and the key test step it through one memoized step
+(:func:`cached_step`), and the enumerator's output alphabet is its
+configurations.
 """
 
 from __future__ import annotations

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 from spanex.compiler import check_functional
 from spanex.formula import (
-    Alt, Any, Bind, Cat, Empty, Epsilon, Formula, Star, Sym, formula_variables,
+    Alt, Any, Bind, Cat, Empty, Epsilon, Formula, Star, Sym, formula_nodes,
+    formula_variables,
 )
 from spanex.model import (
     CLOSED, OP_CLOSE, OP_OPEN, OPEN, WAITING, Span, SpanTuple, all_spans,
@@ -422,17 +423,7 @@ def span_set(rows, var: str = "x") -> set[tuple[int, int]]:
 
 def formula_size(formula: Formula) -> int:
     """Number of syntax-tree nodes."""
-    count = 0
-    stack = [formula]
-    while stack:
-        node = stack.pop()
-        count += 1
-        if isinstance(node, (Alt, Cat)):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, (Star, Bind)):
-            stack.append(node.inner)
-    return count
+    return sum(1 for _ in formula_nodes(formula))
 
 
 def is_valid_span(span: Span, doc_len: int) -> bool:

@@ -212,6 +212,19 @@ def test_check_non_functional_formula(capsys):
     assert "x" in out
 
 
+def test_eval_out_of_memory_exits_2(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+        yield
+
+    monkeypatch.setattr("spanex.cli.eval_query", exhausted)
+    code, out, err = run_cli(capsys, "eval", "--query-text", SUBSTRINGS,
+                             "--input-text", "aa")
+    assert code == 2
+    assert out == ""
+    assert_one_error_line(err)
+
+
 def test_check_deeply_nested_formula_is_functional(capsys):
     """The parser keeps its open groups on a list, not on the call stack, so
     2,000 nested parentheses parse."""

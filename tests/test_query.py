@@ -1,6 +1,7 @@
 """Tests for query parsing, the relational skeleton, planning, and the two
 evaluation strategies."""
 
+import math
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from spanex.compiler import compile_regex
 from spanex.enumerator import (
     EnumerationStats, build_match_graph, enumerate_graph, enumerate_spans,
 )
+from spanex.formula import Any, Sym, formula_nodes
 from spanex.harness import gen_3cnf_query, gen_clique_query, gen_streq_clique_query
 from spanex.model import EMPTY_TUPLE, Span, SpanTuple, all_spans, span_text
 from spanex.query import (
@@ -154,10 +156,60 @@ def test_plan_uses_compiled_for_small_queries():
     assert plan_query(q) == [COMPILED]
 
 
+ACYCLIC_CQ = ("SELECT x, y, z FROM /.* x{.*} .* y{.*} .* z{.*} .*/, "
+              "/.* x{ab} .*/, /.* y{ba} .*/, /.* z{c} .*/")
+
+
+def _join_bound(cq: ConjunctiveQuery) -> int:
+    """2 + 2·L states per atom of L letters, multiplied over the atoms."""
+    letters = [sum(isinstance(node, (Sym, Any)) for node in formula_nodes(atom))
+               for atom in cq.atoms]
+    return math.prod(2 + 2 * count for count in letters)
+
+
 def test_plan_falls_back_on_wide_joins():
+    """Past three atoms, a join compiles only when its state bound fits the
+    budget: 16 * 10 * 10 * 8 for the acyclic CQ, at least 56 * 226**3 for
+    the 3-clique on 8 nodes."""
+    budget = PlanOptions().eq_path_budget
+    acyclic = parse_query(ACYCLIC_CQ)
+    assert _join_bound(acyclic.disjuncts[0]) == 12_800
+    assert plan_query(acyclic) == [COMPILED]
+    assert plan_query(acyclic, PlanOptions(eq_path_budget=12_799)) == [CANONICAL]
+    cycle = (8, [(i, i % 8 + 1) for i in range(1, 9)])
+    clique, _ = gen_clique_query(cycle, 3)
+    assert len(clique.disjuncts[0].atoms) == 4
+    assert _join_bound(clique.disjuncts[0]) > budget
+    assert plan_query(clique) == [CANONICAL]
+
+
+def test_plan_compiles_every_join_of_three_atoms():
+    """Three atoms compile whatever their bound, which can be far above the
+    states the join builds."""
+    word, pattern = "ab" * 50, "a(a|b)" * 50
+    q = parse_query(f"SELECT x FROM /.* x{{{word}}} .*/, /.* x{{{pattern}}} .*/, "
+                    f"/.* x{{.*}} a .*/")
+    assert _join_bound(q.disjuncts[0]) > PlanOptions().eq_path_budget
+    assert plan_query(q) == [COMPILED]
+    doc = "ab" * 52
+    rows = list(eval_query(q, doc))
+    assert [str(row["x"]) for row in rows] == ["3..103", "1..101"]
+    assert rows == list(eval_query(q, doc, strategy="canonical"))
+
+
+def test_plan_compiles_a_fourth_match_all_atom():
     q = parse_query("SELECT x FROM /x{a}/, /.*/, /.*/, /.*/")
-    assert plan_query(q) == [CANONICAL]
-    assert plan_query(q, PlanOptions(max_join_compile=4)) == [COMPILED]
+    assert plan_query(q) == [COMPILED]
+    q = parse_query(ACYCLIC_CQ.replace("/.* z{c} .*/", "/.* z{c} .*/, /.*/"))
+    assert plan_query(q) == [COMPILED]
+
+
+def test_acyclic_cq_agrees_across_strategies():
+    q = parse_query(ACYCLIC_CQ)
+    rows = list(eval_query(q, "abbacbac", strategy="canonical"))
+    assert len(rows) == 3
+    assert rows == list(eval_query(q, "abbacbac", strategy="compiled"))
+    assert rows == list(eval_query(q, "abbacbac"))
 
 
 def test_plan_falls_back_on_many_equalities():
@@ -165,14 +217,19 @@ def test_plan_falls_back_on_many_equalities():
         "SELECT w FROM /.* w{.} x{.} y{.} z{.} .*/ "
         "WHERE w == x AND x == y AND y == z")
     assert plan_query(q) == [CANONICAL]
-    assert plan_query(q, PlanOptions(max_eq_compile=3)) == [COMPILED]
+    q = parse_query(
+        "SELECT w FROM /.* w{.} x{.} y{.} z{.} .*/ WHERE w == x AND x == y")
+    assert plan_query(q) == [COMPILED]
+
+
+# three equalities send a disjunct to canonical
+THREE_EQUALITIES = ("SELECT x FROM /.* w{.} x{.} y{.} z{.} .*/ "
+                    "WHERE w == x AND x == y AND y == z")
 
 
 def test_plan_is_per_disjunct():
-    q = parse_query(
-        "SELECT x FROM /x{a}/ UNION SELECT x FROM /x{a}/, /.*/")
-    assert plan_query(q, PlanOptions(max_join_compile=1)) == \
-        [COMPILED, CANONICAL]
+    q = parse_query(f"SELECT x FROM /x{{a}}/ UNION {THREE_EQUALITIES}")
+    assert plan_query(q) == [COMPILED, CANONICAL]
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +325,27 @@ def test_equality_query_normalizes_only_its_atom(monkeypatch):
     assert rows == eval_canonical(q.disjuncts[0], "abab")
 
 
+def test_union_query_normalizes_only_its_atoms(monkeypatch):
+    """The union of the disjuncts' normal forms is built as one, so the
+    configurations are searched once per atom and not again for the
+    union."""
+    calls = []
+    search = vsa._search_configs
+
+    def counting(automaton, *args):
+        calls.append(automaton.n_states)
+        return search(automaton, *args)
+
+    q = parse_query("SELECT x FROM /.* x{a .*} .*/ UNION "
+                    "SELECT x FROM /.* x{.+} .*/, /.* x{.* b} .*/ UNION "
+                    "SELECT x FROM /x{.} .*/")
+    monkeypatch.setattr(vsa, "_search_configs", counting)
+    united, _ = compile_query(q, "abaabba")
+    rows = list(enumerate_spans(united, "abaabba"))
+    assert len(calls) == 4
+    assert rows == list(eval_query(q, "abaabba", strategy="canonical"))
+
+
 # ---------------------------------------------------------------------------
 # Union evaluation
 # ---------------------------------------------------------------------------
@@ -288,14 +366,12 @@ def test_single_disjunct_matches_its_own_evaluation():
 
 
 def test_mixed_plan_agrees_with_all_canonical():
-    q = parse_query(
-        "SELECT x FROM /x{a}.*/ UNION SELECT x FROM /x{.}.*/, /.* b/")
-    options = PlanOptions(max_join_compile=1)
-    assert plan_query(q, options) == [COMPILED, CANONICAL]
-    mixed = list(eval_query(q, "ab", options=options))
-    assert len(mixed) == len(set(mixed))
-    assert mixed == list(eval_query(q, "ab", strategy="canonical"))
-    assert mixed == list(eval_query(q, "ab", strategy="compiled"))
+    q = parse_query(f"SELECT x FROM /.* x{{a}} .*/ UNION {THREE_EQUALITIES}")
+    assert plan_query(q) == [COMPILED, CANONICAL]
+    mixed = list(eval_query(q, "aaaabbbb"))
+    assert [str(row["x"]) for row in mixed] == ["6..7", "4..5", "3..4", "2..3", "1..2"]
+    assert mixed == list(eval_query(q, "aaaabbbb", strategy="canonical"))
+    assert mixed == list(eval_query(q, "aaaabbbb", strategy="compiled"))
 
 
 def _count_equality_searches(monkeypatch):
