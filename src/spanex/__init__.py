@@ -41,22 +41,22 @@ from .formula import (
 from .vsa import (
     ANY,
     FunctionalityReport,
-    KeyReport,
     NotFunctionalAutomaton,
     NotFunctionalError,
     VSA,
     VsaFormatError,
     dump_vsa,
-    is_key_attribute,
     load_vsa,
     trim,
 )
 from .compiler import (
     EqualityBudgetError,
+    KeyReport,
     apply_selections,
     build_equality_automaton,
     check_functional,
     compile_regex,
+    is_key_attribute,
     join,
     join_many,
     project,

@@ -23,7 +23,7 @@ import statistics
 import sys
 import time
 
-from .compiler import EqualityBudgetError, check_functional, compile_regex
+from .compiler import EqualityBudgetError, check_functional, compile_regex, is_key_attribute
 from .enumerator import build_match_graph, enumerate_graph
 from .formula import parse_formula
 from .harness import gen_3cnf_query, gen_clique_query, gen_streq_clique_query
@@ -35,7 +35,7 @@ from .query import (
     parse_query,
     query_to_source,
 )
-from .vsa import dump_vsa, is_key_attribute
+from .vsa import dump_vsa
 
 
 class CliError(Exception):

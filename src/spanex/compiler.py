@@ -1,6 +1,6 @@
 """Compilation of capture formulas into marking automata, the functionality
-check, and the automaton algebra: projection, union, natural join, and
-string-equality selection.
+check, the automaton algebra (projection, union, natural join, and
+string-equality selection), and the key-attribute test.
 
 A formula compiles to the ε-free normal form of its construction
 (:func:`~spanex.vsa.normal_form`), which is also the one functionality
@@ -13,10 +13,16 @@ forward search over a normal form along the document, keeping a marker move
 only when the spans it opens and closes fit the equated substrings, and
 leaving out states that two liveness rules show cannot reach the end.
 Compiled formulas, the join, projection, union and equality selection return
-a :class:`~spanex.vsa.NormalForm`, so no later stage rebuilds one.
+a :class:`~spanex.vsa.NormalForm`, so no later stage rebuilds one.  The join
+is the one product construction: a variable is a key attribute when the
+join of an automaton with a copy of itself, its other variables renamed,
+never lets a variable and its copy differ.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from itertools import chain, count
 
 from .formula import (
     Alt,
@@ -30,7 +36,8 @@ from .formula import (
     Sym,
     formula_variables,
 )
-from .model import CLOSED, OPEN, WAITING, close_op, open_op
+from .enumerator import enumerate_spans
+from .model import CLOSED, OPEN, WAITING, SpanTuple, close_op, open_op
 from .vsa import (
     ANY,
     VSA,
@@ -265,15 +272,104 @@ def join(first: VSA, second: VSA) -> NormalForm:
     return trim(NormalForm(variables, len(pairs), 0, final, transitions, configs))
 
 
-def join_many(automata) -> VSA:
-    """Left fold of the binary join (trimmed at every step)."""
+def join_many(automata) -> NormalForm:
+    """Left fold of the binary join; a lone automaton gives its normal form."""
     automata = list(automata)
     if not automata:
         raise ValueError("join of no automata")
-    result = trim(automata[0])
+    result = normal_form(automata[0])
     for vsa in automata[1:]:
         result = join(result, vsa)
     return result
+
+
+# ---------------------------------------------------------------------------
+# Key attribute
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class KeyReport:
+    is_key: bool
+    witness: tuple[str, SpanTuple, SpanTuple] | None = None
+
+    def __bool__(self) -> bool:
+        return self.is_key
+
+
+def _renamed(form: NormalForm, names: dict[str, str]) -> NormalForm:
+    """The normal form with each variable in ``names`` renamed: its marker
+    sets relabelled, its configuration columns put in the new names' order."""
+    variables = [names.get(var, var) for var in form.ordered_variables]
+    columns = sorted(range(len(variables)), key=variables.__getitem__)
+    transitions = [(src, frozenset((kind, names.get(var, var)) for kind, var in label)
+                    if isinstance(label, frozenset) else label, dst)
+                   for src, label, dst in form.transitions]
+    configs = [tuple([config[i] for i in columns]) for config in form.configs]
+    return NormalForm(variables, form.n_states, form.initial, form.final,
+                      transitions, configs)
+
+
+def is_key_attribute(vsa: VSA, var: str) -> KeyReport:
+    """Decide whether ``var`` determines the whole tuple in every result.
+
+    Join the automaton with a copy whose other variables are renamed: on
+    every document, the join's tuples are the pairs of tuples that agree on
+    ``var``.  Configurations at the checkpoints (before each symbol, and at
+    acceptance) fix a tuple, and every state of the trimmed join lies on an
+    accepting run, so ``var`` is a key exactly when no state puts a variable
+    and its copy in different configurations.  Otherwise the shortest run
+    through such a state spells the witness document (a wildcard read as a
+    symbol the join does not name), and the first row of that document
+    whose halves differ gives the witness ``(document, tuple1, tuple2)``.
+    """
+    if var not in vsa.variables:
+        raise ValueError(f"unknown variable {var!r}")
+    form = normal_form(vsa)
+    if form.configs is None:
+        return KeyReport(True)
+    others = sorted(form.variables - {var})
+    suffix = "'"
+    while any(other + suffix in form.variables for other in others):
+        suffix += "'"
+    copy = {other: other + suffix for other in others}
+    pairs = join(form, _renamed(form, copy))
+    ordered = pairs.ordered_variables
+    columns = [(ordered.index(other), ordered.index(name)) for other, name in copy.items()]
+    differs = [any(config[i] != config[j] for i, j in columns) for config in pairs.configs]
+    if not any(differs):
+        return KeyReport(True)
+
+    # breadth-first over (state, differed yet) to the final state, differed
+    out_edges: list[list] = [[] for _ in range(pairs.n_states)]
+    for src, label, dst in pairs.transitions:
+        out_edges[src].append((label, dst))
+    goal = (pairs.final, True)
+    queue = [(pairs.initial, False)]
+    parents = {queue[0]: None}
+    for node in queue:  # grows while it is walked
+        if node == goal:
+            break
+        state, differed = node
+        for label, dst in out_edges[state]:
+            nxt = (dst, differed or differs[dst])
+            if nxt not in parents:
+                parents[nxt] = (node, label)
+                queue.append(nxt)
+    used = {label for _, label, _ in pairs.transitions if isinstance(label, str)}
+    symbols = map(chr, chain(range(ord("a"), ord("z") + 1), count(0x100)))
+    fresh = next(symbol for symbol in symbols if symbol not in used)
+    letters = []
+    node = goal
+    while parents[node] is not None:
+        node, label = parents[node]
+        if label is ANY or isinstance(label, str):
+            letters.append(fresh if label is ANY else label)
+    doc = "".join(reversed(letters))
+    halves = ((row.restrict(form.variables),
+               SpanTuple({name: row[copy.get(name, name)] for name in form.variables}))
+              for row in enumerate_spans(pairs, doc))
+    return KeyReport(False, (doc, *next(pair for pair in halves if pair[0] != pair[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +453,7 @@ def _set_bits(bits: int):
 
 
 def apply_selections(vsa: VSA, selections, doc: str, *,
-                     path_budget: int | None = None) -> VSA:
+                     path_budget: int | None = None) -> NormalForm:
     """Filter the automaton's tuples on this document by substring equality
     of each selected variable pair.
 
@@ -383,10 +479,8 @@ def apply_selections(vsa: VSA, selections, doc: str, *,
     unknown = {var for pair in selections for var in pair} - vsa.variables
     if unknown:
         raise ValueError(f"selection variables not in automaton: {sorted(unknown)}")
-    if not selections:
-        return trim(vsa)
     form = normal_form(vsa)
-    if form.configs is None:
+    if not selections or form.configs is None:
         return form
     classes = [[form.ordered_variables.index(var) for var in members]
                for members in _equality_classes(selections)]

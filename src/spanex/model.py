@@ -9,8 +9,7 @@ A *span tuple* assigns a span to every variable of a fixed variable set.
 
 Each variable has an open and a close marker.  Automaton edges carry sets of
 these markers, and the scan of a document tracks each variable's state
-(waiting, open, closed) between symbols, which the helpers at the end of
-this module turn back into span tuples.
+(waiting, open, closed) between symbols.
 """
 
 from __future__ import annotations
@@ -166,40 +165,3 @@ class SpanTuple:
 
 
 EMPTY_TUPLE = SpanTuple._ordered((), ())
-
-
-# ---------------------------------------------------------------------------
-# Variable state sequences <-> span tuples
-# ---------------------------------------------------------------------------
-#
-# Scanning a document of length l, the situation of a variable just before
-# reading symbol number p (p = 1..l+1, the last "position" sits after the
-# final symbol) is WAITING, OPEN or CLOSED.  A span tuple corresponds to
-# exactly one such state sequence per variable, and vice versa — this
-# bijection is what makes span tuples enumerable as strings.
-
-
-def state_sequence_to_tuple(
-    seq: list[tuple[int, ...]], variables: Iterable[str]
-) -> SpanTuple:
-    """The span tuple of a per-position state sequence.
-
-    ``seq[p-1]`` holds the states before reading symbol p; a variable's span
-    begins at the first position where it is no longer WAITING and ends at
-    the first position where it is CLOSED.
-    """
-    ordered = tuple(sorted(variables))
-    spans = []
-    for idx, var in enumerate(ordered):
-        begin = end = None
-        for pos0, entry in enumerate(seq):
-            state = entry[idx]
-            if begin is None and state != WAITING:
-                begin = pos0 + 1
-            if end is None and state == CLOSED:
-                end = pos0 + 1
-                break
-        if begin is None or end is None:
-            raise ValueError(f"state sequence never closes variable {var!r}")
-        spans.append(Span(begin, end))
-    return SpanTuple._ordered(ordered, tuple(spans))

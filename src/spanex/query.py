@@ -319,17 +319,21 @@ MAX_EQ_COMPILE = 2  # more equalities than this are evaluated canonically
 
 
 def _join_fits(atoms, budget: int) -> bool:
-    """Whether the join of the atoms provably has at most ``budget`` states:
-    an atom with L letters compiles to at most 2 + 2·L states (initial,
-    final, and a source and a target copy per letter edge), and a join has
-    at most the product of its inputs' states."""
-    bound = 1
-    for atom in atoms:
-        letters = sum(isinstance(node, (Sym, Any)) for node in formula_nodes(atom))
-        bound *= 2 + 2 * letters
-        if bound > budget:
-            return False
-    return True
+    """Whether the left fold of the join over the atoms provably creates at
+    most ``budget`` states.  An atom with L letters compiles to at most
+    2 + 2·L states: the initial and final states, and at most L source and
+    L target copies.  Letters pair source copies only with source copies,
+    so joining a form of at most P source and P target copies with one of
+    L creates at most 1 + (P+1)(L+1) + P·L states, and keeps at most P·L
+    of each copy."""
+    counts = [sum(isinstance(node, (Sym, Any)) for node in formula_nodes(atom))
+              for atom in atoms]
+    product = counts[0]
+    created = 2 + 2 * product
+    for letters in counts[1:]:
+        created += 1 + (product + 1) * (letters + 1) + product * letters
+        product *= letters
+    return created <= budget
 
 
 def plan_query(query: UnionQuery, options: PlanOptions | None = None) -> list[str]:

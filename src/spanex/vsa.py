@@ -22,9 +22,8 @@ its configurations; :func:`normal_form`, the one functionality check, builds
 one once.  Formulas are checked by the same test, on the automaton they
 compile to, and every non-functional input raises
 :class:`NotFunctionalError`.  The join reads that form's adjacency lists,
-the match graph and the key test step it through one memoized step
-(:func:`cached_step`), and the enumerator's output alphabet is its
-configurations.
+the match graph steps it through one memoized step (:func:`cached_step`),
+and the enumerator's output alphabet is its configurations.
 """
 
 from __future__ import annotations
@@ -34,15 +33,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .model import (
-    CLOSED,
-    OPEN,
-    OP_CLOSE,
-    OP_OPEN,
-    WAITING,
-    SpanTuple,
-    state_sequence_to_tuple,
-)
+from .model import CLOSED, OPEN, OP_CLOSE, OP_OPEN, WAITING
 
 
 class _AnySymbol:
@@ -132,13 +123,6 @@ class VSA:
     @property
     def any_out(self):
         return self._adjacency()[3]
-
-    def concrete_symbols(self) -> frozenset[str]:
-        return frozenset(label for _, label, _ in self.transitions
-                         if isinstance(label, str))
-
-    def has_wildcard(self) -> bool:
-        return any(label is ANY for _, label, _ in self.transitions)
 
     def __repr__(self) -> str:
         return (f"VSA(vars={sorted(self.variables)}, n={self.n_states}, "
@@ -413,117 +397,6 @@ def cached_step(form: VSA) -> Callable[[int, object], frozenset[int]]:
         return hit
 
     return step
-
-
-# ---------------------------------------------------------------------------
-# Key attribute
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class KeyReport:
-    is_key: bool
-    witness: tuple[str, SpanTuple, SpanTuple] | None = None
-
-    def __bool__(self) -> bool:
-        return self.is_key
-
-
-def _fresh_symbol(used: frozenset[str]) -> str:
-    for code in range(ord("a"), ord("a") + 26):
-        if chr(code) not in used:
-            return chr(code)
-    code = 0x100
-    while chr(code) in used:
-        code += 1
-    return chr(code)
-
-
-def is_key_attribute(vsa: VSA, var: str) -> KeyReport:
-    """Decide whether ``var`` determines the whole tuple in every result.
-
-    Two accepting runs on the same document denote tuples that agree on
-    ``var`` exactly when their per-position configurations agree on ``var``
-    at every "checkpoint" (just before each symbol, and at acceptance), and
-    the tuples are equal when the configurations fully agree everywhere.  So
-    the test runs two synchronized copies of the automaton over checkpoint
-    states, with a bit remembering whether a full-configuration difference
-    has been seen; the attribute fails to be a key exactly when the pair can
-    accept with the bit set.  On failure the path is decoded into a witness
-    ``(document, tuple1, tuple2)``.
-    """
-    if var not in vsa.variables:
-        raise ValueError(f"unknown variable {var!r}")
-    form = normal_form(vsa)
-    configs = form.configs
-    if configs is None:
-        return KeyReport(True)
-    if len(vsa.variables) <= 1:
-        # the single variable trivially determines the tuple
-        return KeyReport(True)
-
-    ordered = form.ordered_variables
-    var_pos = ordered.index(var)
-    symbols = sorted(form.concrete_symbols())
-    if form.has_wildcard():
-        symbols.append(_fresh_symbol(form.concrete_symbols()))
-
-    step = cached_step(form)
-    starts = marker_moves(form, form.initial)
-
-    # product states: (bit, state1, state2); parents for witness decoding
-    parents: dict[tuple[int, int, int], tuple[tuple[int, int, int] | None, str | None]] = {}
-    queue: deque[tuple[int, int, int]] = deque()
-    for p1 in starts:
-        for p2 in starts:
-            c1, c2 = configs[p1], configs[p2]
-            if c1[var_pos] != c2[var_pos]:
-                continue
-            node = (0 if c1 == c2 else 1, p1, p2)
-            if node not in parents:
-                parents[node] = (None, None)
-                queue.append(node)
-
-    goal = None
-    while queue and goal is None:
-        node = queue.popleft()
-        bit, p1, p2 = node
-        if bit == 1 and p1 == form.final and p2 == form.final:
-            goal = node
-            break
-        for symbol in symbols:
-            targets1 = step(p1, symbol)
-            if not targets1:
-                continue
-            targets2 = step(p2, symbol)
-            for q1 in targets1:
-                c1 = configs[q1]
-                for q2 in targets2:
-                    c2 = configs[q2]
-                    if c1[var_pos] != c2[var_pos]:
-                        continue
-                    nxt = (bit or (0 if c1 == c2 else 1), q1, q2)
-                    if nxt not in parents:
-                        parents[nxt] = (node, symbol)
-                        queue.append(nxt)
-
-    if goal is None:
-        return KeyReport(True)
-
-    # walk the parent chain back to an initial pair
-    path: list[tuple[tuple[int, int, int], str | None]] = []
-    node = goal
-    while node is not None:
-        parent, symbol = parents[node]
-        path.append((node, symbol))
-        node = parent
-    path.reverse()
-    doc = "".join(symbol for _, symbol in path if symbol is not None)
-    seq1 = [configs[n[1]] for n, _ in path]
-    seq2 = [configs[n[2]] for n, _ in path]
-    tup1 = state_sequence_to_tuple(seq1, ordered)
-    tup2 = state_sequence_to_tuple(seq2, ordered)
-    return KeyReport(False, (doc, tup1, tup2))
 
 
 # ---------------------------------------------------------------------------

@@ -433,7 +433,7 @@ def is_valid_span(span: Span, doc_len: int) -> bool:
 def tuple_to_state_sequence(tup: SpanTuple, doc_len: int, variables) -> list[tuple[int, ...]]:
     """Per-position variable states, one tuple per position 1..doc_len+1,
     each in ``sorted(variables)`` order; inverse of
-    ``spanex.model.state_sequence_to_tuple``."""
+    :func:`state_sequence_to_tuple`."""
     ordered = sorted(variables)
     seq = []
     for pos in range(1, doc_len + 2):
@@ -448,6 +448,30 @@ def tuple_to_state_sequence(tup: SpanTuple, doc_len: int, variables) -> list[tup
                 entry.append(CLOSED)
         seq.append(tuple(entry))
     return seq
+
+
+def state_sequence_to_tuple(seq: list[tuple[int, ...]], variables) -> SpanTuple:
+    """The span tuple of a per-position state sequence.
+
+    ``seq[p-1]`` holds the states before reading symbol p; a variable's span
+    begins at the first position where it is no longer WAITING and ends at
+    the first position where it is CLOSED.
+    """
+    ordered = sorted(variables)
+    spans = {}
+    for idx, var in enumerate(ordered):
+        begin = end = None
+        for pos0, entry in enumerate(seq):
+            state = entry[idx]
+            if begin is None and state != WAITING:
+                begin = pos0 + 1
+            if end is None and state == CLOSED:
+                end = pos0 + 1
+                break
+        if begin is None or end is None:
+            raise ValueError(f"state sequence never closes variable {var!r}")
+        spans[var] = Span(begin, end)
+    return SpanTuple(spans)
 
 
 def canonical_key(tup: SpanTuple, doc_len: int, variables) -> tuple:

@@ -18,7 +18,7 @@ from spanex.formula import Any, Bind, Cat, Star, parse_formula
 from spanex.harness import gen_3cnf_query
 from spanex.model import EMPTY_TUPLE, Span, SpanTuple, all_spans, close_op, open_op
 from spanex.query import PlanOptions, eval_canonical, parse_query
-from spanex.vsa import NotFunctionalError, normal_form, trim
+from spanex.vsa import NormalForm, NotFunctionalError, normal_form, trim
 
 from helpers import (
     assert_normal_form, filter_rows, is_functional, join_rows, project_rows, random_doc,
@@ -228,6 +228,20 @@ def test_join_matches_relational_oracle():
         assert is_functional(join(a1, a2)), (f1, f2)
 
 
+def test_join_many_of_one_automaton_is_its_normal_form():
+    """A lone automaton is checked and normalized as a joined one is."""
+    form = compile_regex(parse_formula(".* x{.} .*"))
+    assert join_many([form]) is form
+    plain = compile_regex(parse_formula(".* x{.} .*"), check=False)
+    assert isinstance(join_many([plain]), NormalForm)
+    assert relation_of(join_many([plain]), "ab") == relation_of(form, "ab")
+    not_functional = compile_regex(parse_formula("x{a} | b"), check=False)
+    with pytest.raises(NotFunctionalError):
+        join_many([not_functional])
+    with pytest.raises(NotFunctionalError):
+        join_many([not_functional, form])
+
+
 def test_join_many_identity_and_associativity():
     rng = random.Random(42424)
     single = compile_regex(parse_formula(".* x{.} .*"))
@@ -376,6 +390,13 @@ def test_contradictory_pins_empty_the_result():
 def test_empty_selection_list_is_identity():
     a = compile_regex(parse_formula("x{a}"))
     assert relation_of(apply_selections(a, [], "a"), "a") == relation_of(a, "a")
+
+
+def test_empty_selection_list_gives_the_normal_form():
+    plain = compile_regex(parse_formula("x{a} .*"), check=False)
+    assert isinstance(apply_selections(plain, [], "ab"), NormalForm)
+    with pytest.raises(NotFunctionalError):
+        apply_selections(compile_regex(parse_formula("x{a} | b"), check=False), [], "a")
 
 
 def test_selection_unknown_variable():

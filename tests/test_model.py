@@ -11,13 +11,13 @@ from spanex.formula import parse_formula
 from spanex.model import (
     CLOSED, EMPTY_TUPLE, OPEN, WAITING,
     Span, SpanTuple,
-    all_spans, close_op, open_op, span_text, state_sequence_to_tuple,
+    all_spans, close_op, open_op, span_text,
 )
 from spanex.query import eval_canonical, eval_query, parse_query
 
 from helpers import (
     assert_canonical_order, is_valid_span, is_valid_state_sequence,
-    tuple_to_state_sequence,
+    state_sequence_to_tuple, tuple_to_state_sequence,
 )
 from oracle import is_valid_ref_word, oracle_enumerate, ref_word_span_tuple, tuple_ref_words
 

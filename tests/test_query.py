@@ -161,39 +161,60 @@ ACYCLIC_CQ = ("SELECT x, y, z FROM /.* x{.*} .* y{.*} .* z{.*} .*/, "
 
 
 def _join_bound(cq: ConjunctiveQuery) -> int:
-    """2 + 2·L states per atom of L letters, multiplied over the atoms."""
+    """The states the left fold of the join creates, at most: 2 + 2·L for
+    the first atom of L letters, then 1 + (P+1)(L+1) + P·L for each next
+    one, where P is the product of the earlier atoms' L."""
     letters = [sum(isinstance(node, (Sym, Any)) for node in formula_nodes(atom))
                for atom in cq.atoms]
-    return math.prod(2 + 2 * count for count in letters)
+    created = 2 + 2 * letters[0]
+    for i, count in enumerate(letters[1:], 1):
+        product = math.prod(letters[:i])
+        created += 1 + (product + 1) * (count + 1) + product * count
+    return created
 
 
 def test_plan_falls_back_on_wide_joins():
     """Past three atoms, a join compiles only when its state bound fits the
-    budget: 16 * 10 * 10 * 8 for the acyclic CQ, at least 56 * 226**3 for
+    budget: 16 + 69 + 258 + 789 for the acyclic CQ, over 76 million for
     the 3-clique on 8 nodes."""
     budget = PlanOptions().eq_path_budget
     acyclic = parse_query(ACYCLIC_CQ)
-    assert _join_bound(acyclic.disjuncts[0]) == 12_800
+    assert _join_bound(acyclic.disjuncts[0]) == 1_132
     assert plan_query(acyclic) == [COMPILED]
-    assert plan_query(acyclic, PlanOptions(eq_path_budget=12_799)) == [CANONICAL]
+    assert plan_query(acyclic, PlanOptions(eq_path_budget=1_131)) == [CANONICAL]
     cycle = (8, [(i, i % 8 + 1) for i in range(1, 9)])
     clique, _ = gen_clique_query(cycle, 3)
     assert len(clique.disjuncts[0].atoms) == 4
-    assert _join_bound(clique.disjuncts[0]) > budget
+    assert _join_bound(clique.disjuncts[0]) > 76_000_000 > budget
     assert plan_query(clique) == [CANONICAL]
 
 
 def test_plan_compiles_every_join_of_three_atoms():
     """Three atoms compile whatever their bound, which can be far above the
     states the join builds."""
-    word, pattern = "ab" * 50, "a(a|b)" * 50
+    word, pattern = "ab" * 60, "a(a|b)" * 60
     q = parse_query(f"SELECT x FROM /.* x{{{word}}} .*/, /.* x{{{pattern}}} .*/, "
                     f"/.* x{{.*}} a .*/")
     assert _join_bound(q.disjuncts[0]) > PlanOptions().eq_path_budget
     assert plan_query(q) == [COMPILED]
-    doc = "ab" * 52
+    doc = "ab" * 62
     rows = list(eval_query(q, doc))
-    assert [str(row["x"]) for row in rows] == ["3..103", "1..101"]
+    assert [str(row["x"]) for row in rows] == ["3..123", "1..121"]
+    assert rows == list(eval_query(q, doc, strategy="canonical"))
+
+
+def test_plan_compiles_four_atoms_whose_fold_fits():
+    """A variable-free ``/.*/`` adds few states to the fold, so these four
+    atoms compile (bound 60,093), though the product of their atoms' state
+    counts is over 400,000."""
+    word, pattern = "ab" * 20, "a(a|b)" * 20
+    q = parse_query(f"SELECT x FROM /.* x{{{word}}} .*/, /.* x{{{pattern}}} .*/, "
+                    f"/.* x{{.*}} a .*/, /.*/")
+    assert _join_bound(q.disjuncts[0]) == 60_093
+    assert plan_query(q) == [COMPILED]
+    doc = "ab" * 22
+    rows = list(eval_query(q, doc))
+    assert [str(row["x"]) for row in rows] == ["3..43", "1..41"]
     assert rows == list(eval_query(q, doc, strategy="canonical"))
 
 

@@ -6,13 +6,15 @@ from collections import Counter
 
 import pytest
 
-from spanex.compiler import check_functional, compile_regex, join, project, union_vsa
+from spanex.compiler import (
+    check_functional, compile_regex, is_key_attribute, join, project, union_vsa,
+)
 from spanex.enumerator import enumerate_spans
 from spanex.formula import parse_formula
 from spanex.model import CLOSED, OPEN, WAITING, close_op, open_op
 from spanex.vsa import (
     ANY, VSA, NotFunctionalAutomaton, VsaFormatError, cached_step, dump_vsa,
-    is_key_attribute, load_vsa, marker_moves, normal_form, trim,
+    load_vsa, marker_moves, normal_form, trim,
 )
 
 from helpers import (
@@ -299,6 +301,55 @@ def test_key_verdicts_match_brute_force_over_short_documents():
             assert first in rows and second in rows
             assert first != second and first[var] == second[var]
         checked += 1
+
+
+# variable-free padding around and inside the bindings of a random atom
+KEY_PADS = ("", "", ".*", ".*", "a", "b*", ".", "(a|b)*")
+KEY_BODIES = ("ε", "a", "b", ".*", "a*", ".", "ab")
+
+
+def _random_bound_atom(rng: random.Random, variables) -> VSA:
+    """Each variable bound once, in order, with padding between; sometimes
+    an alternation with the same bindings in another order."""
+    def bindings(names):
+        parts = [rng.choice(KEY_PADS)]
+        for var in names:
+            parts += [f"{var}{{{rng.choice(KEY_BODIES)}}}", rng.choice(KEY_PADS)]
+        return " ".join(part for part in parts if part)
+    text = bindings(variables)
+    if rng.random() < 0.4:
+        text = f"({text}) | ({bindings(rng.sample(variables, len(variables)))})"
+    return compile_regex(parse_formula(text))
+
+
+def test_random_non_keys_carry_valid_witnesses():
+    """Atoms binding 2-3 variables, and joins of two of them, are often not
+    keyed by a variable: a non-key over short documents is a non-key, and
+    every witness holds two different rows of its document that agree on
+    the variable."""
+    rng = random.Random(1818)
+    docs = list(all_docs("ab", 4))
+    non_keys = joined_non_keys = 0
+    for _ in range(40):
+        pool = ["x", "y", "z"][:rng.choice((2, 3))]
+        joined = rng.random() < 0.4
+        if joined:
+            a = join(_random_bound_atom(rng, rng.sample(pool, 2)),
+                     _random_bound_atom(rng, rng.sample(pool, 2)))
+        else:
+            a = _random_bound_atom(rng, pool)
+        for var in sorted(a.variables):
+            report = is_key_attribute(a, var)
+            if not brute_force_key(a, var, docs):
+                assert not report.is_key, (dump_vsa(a), var)
+            if not report.is_key:
+                non_keys += 1
+                joined_non_keys += joined
+                doc, first, second = report.witness
+                rows = relation_of(a, doc)
+                assert first in rows and second in rows
+                assert first != second and first[var] == second[var]
+    assert non_keys >= 40 and joined_non_keys >= 5, (non_keys, joined_non_keys)
 
 
 # ---------------------------------------------------------------------------
