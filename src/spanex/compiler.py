@@ -13,10 +13,12 @@ forward search over a normal form along the document, keeping a marker move
 only when the spans it opens and closes fit the equated substrings, and
 leaving out states that two liveness rules show cannot reach the end.
 Compiled formulas, the join, projection, union and equality selection return
-a :class:`~spanex.vsa.NormalForm`, so no later stage rebuilds one.  The join
-is the one product construction: a variable is a key attribute when the
-join of an automaton with a copy of itself, its other variables renamed,
-never lets a variable and its copy differ.
+a :class:`~spanex.vsa.NormalForm`, so no later stage rebuilds one, and none
+builds a marker set: the configurations fix those, so projection and
+renaming rewrite only the configurations.  The join is the one product
+construction: a variable is a key attribute when the join of an automaton
+with a copy of itself, its other variables renamed, never lets a variable
+and its copy differ.
 """
 
 from __future__ import annotations
@@ -144,10 +146,10 @@ def check_functional(subject: Formula | VSA) -> FunctionalityReport:
 def project(vsa: VSA, keep) -> NormalForm:
     """Restrict the automaton's tuples to the given variables.
 
-    On the input's normal form, marker operations of dropped variables are
-    erased in place (an emptied set becomes a plain ε-edge) and their
-    columns leave the configurations; the state graph is unchanged.  Keeping
-    every variable returns the normal form as it is.
+    The input's normal form with the dropped variables' columns taken out
+    of its configurations, over the same edges: a marker move then performs
+    only the kept variables' operations.  Keeping every variable returns
+    the normal form as it is.
     """
     keep = frozenset(keep)
     extra = keep - vsa.variables
@@ -158,15 +160,9 @@ def project(vsa: VSA, keep) -> NormalForm:
         return form
     if form.configs is None:
         return empty_vsa(keep)
-    transitions = []
-    for src, label, dst in form.transitions:
-        if isinstance(label, frozenset):
-            kept = frozenset(op for op in label if op[1] in keep)
-            label = kept if kept else None
-        transitions.append((src, label, dst))
     columns = [i for i, var in enumerate(form.ordered_variables) if var in keep]
     configs = [tuple(config[i] for i in columns) for config in form.configs]
-    return NormalForm(keep, form.n_states, form.initial, form.final, transitions,
+    return NormalForm(keep, form.n_states, form.initial, form.final, form.edges,
                       configs)
 
 
@@ -190,16 +186,16 @@ def union_vsa(*automata: VSA) -> NormalForm:
     if not forms:
         return empty_vsa(variables)
     configs = [forms[0].configs[forms[0].initial], forms[0].configs[forms[0].final]]
-    transitions: dict[tuple, None] = {}  # in first-seen order, without repeats
+    edges: dict[tuple, None] = {}  # in first-seen order, without repeats
     for form in forms:
         ids = {form.initial: 0, form.final: 1}
         for state, config in enumerate(form.configs):
             if state not in ids:
                 ids[state] = len(configs)
                 configs.append(config)
-        for src, label, dst in form.transitions:
-            transitions[ids[src], label, ids[dst]] = None
-    return NormalForm(variables, len(configs), 0, 1, transitions, configs)
+        for src, label, dst in form.edges:
+            edges[ids[src], label, ids[dst]] = None
+    return NormalForm(variables, len(configs), 0, 1, edges, configs)
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +210,10 @@ def join(first: VSA, second: VSA) -> NormalForm:
     explored forward from the initial pair, with two rules.  A pair of
     source copies reads a symbol both sides can read: concrete on both
     sides, concrete against wildcard, or wildcard on both.  Any other pair
-    takes one marker move on each side when the two moves agree on the
-    shared variables, labelled with the union of their operations.  The
-    product is again in normal form, and a pair's configuration merges the
-    two sides' configurations, which agree on the shared variables.
+    takes one marker move on each side when the two targets agree on the
+    shared variables.  The product is again in normal form: a pair's
+    configuration merges the two sides' ones, so a move performs the union
+    of the two sides' operations.
     """
     a, b = normal_form(first), normal_form(second)
     configs_a, configs_b = a.configs, b.configs
@@ -232,17 +228,17 @@ def join(first: VSA, second: VSA) -> NormalForm:
     both = a.ordered_variables + b.ordered_variables
     columns = [both.index(var) for var in sorted(variables)]
 
-    eps_a, ops_a, sym_a, any_a = a.eps_out, a.ops_out, a.sym_out, a.any_out
-    eps_b, ops_b, sym_b, any_b = b.eps_out, b.ops_out, b.sym_out, b.any_out
+    moves_a, sym_a, any_a = a.moves_out, a.sym_out, a.any_out
+    moves_b, sym_b, any_b = b.moves_out, b.sym_out, b.any_out
     pair_id = {(a.initial, b.initial): 0}
     pairs = [(a.initial, b.initial)]
-    transitions: list[tuple] = []
+    edges: list[tuple] = []
 
     def add(source: int, label, q1: int, q2: int) -> None:
         target = pair_id.setdefault((q1, q2), len(pairs))
         if target == len(pairs):
             pairs.append((q1, q2))
-        transitions.append((source, label, target))
+        edges.append((source, label, target))
 
     for source, (p1, p2) in enumerate(pairs):  # grows while it is walked
         sym_1, any_1 = sym_a[p1], any_a[p1]
@@ -257,19 +253,21 @@ def join(first: VSA, second: VSA) -> NormalForm:
                     for q2 in dsts_2:
                         add(source, symbol, q1, q2)
             continue
-        # rule 2: one marker move on each side, agreeing on shared variables
-        moves_2 = [(None, q2) for q2 in eps_b[p2]] + ops_b[p2]
-        for ops_1, q1 in [(None, q1) for q1 in eps_a[p1]] + ops_a[p1]:
-            for ops_2, q2 in moves_2:
+        # rule 2: one marker move on each side, agreeing on shared variables;
+        # on each side the moves that perform no operation come first, an
+        # order that fixes the product's state numbers and so its dump
+        moves_2 = sorted(moves_b[p2], key=lambda q2: configs_b[q2] != configs_b[p2])
+        for q1 in sorted(moves_a[p1], key=lambda q1: configs_a[q1] != configs_a[p1]):
+            for q2 in moves_2:
                 if shared_a[q1] == shared_b[q2]:
-                    add(source, frozenset().union(ops_1 or (), ops_2 or ()) or None, q1, q2)
+                    add(source, None, q1, q2)
 
     final = pair_id.get((a.final, b.final))
     if final is None:
         return empty_vsa(variables)
     merged = [configs_a[q1] + configs_b[q2] for q1, q2 in pairs]
     configs = [tuple(config[i] for i in columns) for config in merged]
-    return trim(NormalForm(variables, len(pairs), 0, final, transitions, configs))
+    return trim(NormalForm(variables, len(pairs), 0, final, edges, configs))
 
 
 def join_many(automata) -> NormalForm:
@@ -298,16 +296,13 @@ class KeyReport:
 
 
 def _renamed(form: NormalForm, names: dict[str, str]) -> NormalForm:
-    """The normal form with each variable in ``names`` renamed: its marker
-    sets relabelled, its configuration columns put in the new names' order."""
+    """The normal form with each variable in ``names`` renamed: its
+    configuration columns put in the new names' order."""
     variables = [names.get(var, var) for var in form.ordered_variables]
     columns = sorted(range(len(variables)), key=variables.__getitem__)
-    transitions = [(src, frozenset((kind, names.get(var, var)) for kind, var in label)
-                    if isinstance(label, frozenset) else label, dst)
-                   for src, label, dst in form.transitions]
     configs = [tuple([config[i] for i in columns]) for config in form.configs]
     return NormalForm(variables, form.n_states, form.initial, form.final,
-                      transitions, configs)
+                      form.edges, configs)
 
 
 def is_key_attribute(vsa: VSA, var: str) -> KeyReport:
@@ -342,7 +337,7 @@ def is_key_attribute(vsa: VSA, var: str) -> KeyReport:
 
     # breadth-first over (state, differed yet) to the final state, differed
     out_edges: list[list] = [[] for _ in range(pairs.n_states)]
-    for src, label, dst in pairs.transitions:
+    for src, label, dst in pairs.edges:
         out_edges[src].append((label, dst))
     goal = (pairs.final, True)
     queue = [(pairs.initial, False)]
@@ -356,14 +351,14 @@ def is_key_attribute(vsa: VSA, var: str) -> KeyReport:
             if nxt not in parents:
                 parents[nxt] = (node, label)
                 queue.append(nxt)
-    used = {label for _, label, _ in pairs.transitions if isinstance(label, str)}
+    used = {label for _, label, _ in pairs.edges if isinstance(label, str)}
     symbols = map(chr, chain(range(ord("a"), ord("z") + 1), count(0x100)))
     fresh = next(symbol for symbol in symbols if symbol not in used)
     letters = []
     node = goal
     while parents[node] is not None:
         node, label = parents[node]
-        if label is ANY or isinstance(label, str):
+        if label is not None:
             letters.append(fresh if label is ANY else label)
     doc = "".join(reversed(letters))
     halves = ((row.restrict(form.variables),
@@ -411,8 +406,8 @@ def _closing_lengths(form: NormalForm, column: int, limit: int) -> list[int]:
     letters_into: list[list[int]] = [[] for _ in range(form.n_states)]
     keeps_into: list[list[int]] = [[] for _ in range(form.n_states)]
     closers = set()
-    for src, label, dst in form.transitions:
-        if label is ANY or isinstance(label, str):
+    for src, label, dst in form.edges:
+        if label is not None:
             letters_into[dst].append(src)
         elif configs[src][column] == OPEN:
             if configs[dst][column] == OPEN:
@@ -535,8 +530,8 @@ def apply_selections(vsa: VSA, selections, doc: str, *,
     # can close them after, class still waiting?), members closed, classes
     # finished, classes still waiting
     moves: list[list] = [[] for _ in range(form.n_states)]
-    for q, label, dst in form.transitions:
-        if label is None or isinstance(label, frozenset):
+    for q, label, dst in form.edges:
+        if label is None:
             before, after = form_configs[q], form_configs[dst]
             opens = [(m, k, after[c] == CLOSED, closable[m][dst], k in waiting[dst])
                      for m, (k, c) in enumerate(slots) if before[c] == WAITING != after[c]]
@@ -544,9 +539,9 @@ def apply_selections(vsa: VSA, selections, doc: str, *,
                       if before[c] == OPEN and after[c] == CLOSED]
             done = {k for k, members in enumerate(classes)
                     if all(after[c] == CLOSED for c in members)}
-            moves[q].append((label, dst, opens, closes, done, waiting[dst]))
+            moves[q].append((dst, opens, closes, done, waiting[dst]))
 
-    transitions: list[tuple] = []
+    edges: list[tuple] = []
     configs: list[tuple[int, ...]] = []
 
     def add(states: dict, key: tuple, source: int | None, label) -> None:
@@ -557,7 +552,7 @@ def apply_selections(vsa: VSA, selections, doc: str, *,
                 raise EqualityBudgetError(len(configs), path_budget)
             target = states[key] = len(configs) - 1
         if source is not None:
-            transitions.append((source, label, target))
+            edges.append((source, label, target))
 
     nothing_held = ((None,) * len(classes), (None,) * len(slots))
     layer: dict[tuple, int] = {}
@@ -570,7 +565,7 @@ def apply_selections(vsa: VSA, selections, doc: str, *,
         for (q, ids, ends), state in layer.items():
             due = [m for m, end in enumerate(ends) if end == position]  # kept moves close these
             kept = tuple(None if end == position else end for end in ends)
-            for label, dst, opens, closes, done, wait in moves[q]:
+            for dst, opens, closes, done, wait in moves[q]:
                 if (dst == form.final) != last or closes != due:
                     continue
                 for held, open_ends in opened(opens, ids, kept, position, room):
@@ -580,7 +575,7 @@ def apply_selections(vsa: VSA, selections, doc: str, *,
                     if any(held[k] is not None and last_begin(held[k]) <= position
                            for k in wait):
                         continue
-                    add(sources, (dst, held, open_ends), state, label)
+                    add(sources, (dst, held, open_ends), state, None)
         if last:
             break
         symbol = doc[position - 1]
@@ -598,13 +593,13 @@ def apply_selections(vsa: VSA, selections, doc: str, *,
     # in-edges: so a reverse sweep finds those that reach the final one
     live = [False] * len(configs)
     live[final] = True
-    for src, _, dst in reversed(transitions):
+    for src, _, dst in reversed(edges):
         live[src] = live[src] or live[dst]
     kept = [state for state, alive in enumerate(live) if alive]
     remap = {state: i for i, state in enumerate(kept)}
     return NormalForm(form.variables, len(kept), 0, remap[final],
                       [(remap[src], label, remap[dst])
-                       for src, label, dst in transitions if live[dst]],
+                       for src, label, dst in edges if live[dst]],
                       [configs[state] for state in kept])
 
 

@@ -53,7 +53,7 @@ from functools import partial
 from itertools import chain
 
 from .model import CLOSED, WAITING, Span, SpanTuple
-from .vsa import VSA, cached_step, marker_moves, normal_form
+from .vsa import VSA, cached_step, normal_form
 
 _START = -1  # virtual start node's "state" id
 
@@ -145,7 +145,7 @@ def build_match_graph(automaton: VSA, doc: str) -> MatchGraph:
 
     # forward sweep: layers[i] = states reachable before reading symbol i+1;
     # a (layer, symbol) pair is stepped once, however often it recurs
-    layer = frozenset(marker_moves(form, form.initial))
+    layer = frozenset(form.moves_out[form.initial])
     layers = [layer]
     moves: dict = {}
     for symbol in doc:

@@ -117,6 +117,8 @@ _BLOCK_CLOSE = "]"
 
 def _normalize_graph(graph):
     n, edges = graph
+    if n < 1:
+        raise ValueError(f"a graph needs at least 1 node, not {n}")
     out = set()
     for u, v in edges:
         if not (1 <= u <= n and 1 <= v <= n) or u == v:
@@ -133,7 +135,7 @@ def _node_code(node: int, width: int) -> str:
 def clique_document(graph) -> str:
     """The edge-list encoding shared by both clique reductions."""
     n, edges = _normalize_graph(graph)
-    width = max(1, math.ceil(math.log2(n))) if n > 1 else 1
+    width = max(1, math.ceil(math.log2(n)))
     return "".join(
         _BLOCK_OPEN + _node_code(i, width) + _BLOCK_SEP + _node_code(j, width)
         + _BLOCK_CLOSE
@@ -189,7 +191,7 @@ def gen_clique_query(graph, k: int):
         raise ValueError("clique size must be at least 2")
     n, _edges = _normalize_graph(graph)
     doc = clique_document(graph)
-    width = max(1, math.ceil(math.log2(n))) if n > 1 else 1
+    width = max(1, math.ceil(math.log2(n)))
 
     slot_atoms = []
     for l in range(1, k + 1):

@@ -17,13 +17,14 @@ per-variable states (its *configuration*), and the final state's
 configuration has closed everything.  The marker set between two states is
 then fixed by their configurations, which gives every functional automaton
 an ε-free *normal form* of at most ``2n + 2`` states in which a run
-alternates one marker move and one letter.  A :class:`NormalForm` carries
-its configurations; :func:`normal_form`, the one functionality check, builds
-one once.  Formulas are checked by the same test, on the automaton they
-compile to, and every non-functional input raises
-:class:`NotFunctionalError`.  The join reads that form's adjacency lists,
-the match graph steps it through one memoized step (:func:`cached_step`),
-and the enumerator's output alphabet is its configurations.
+alternates one marker move and one letter.  A :class:`NormalForm` stores
+its moves and configurations and reads the marker sets off them; only
+automata from outside (:class:`VSA`, :func:`load_vsa`) are checked edge by
+edge.  :func:`normal_form`, the one functionality check, builds one once,
+for formulas and automata alike; every non-functional input raises
+:class:`NotFunctionalError`.  The join reads the form's adjacency lists,
+the match graph steps it through :func:`cached_step`, and the enumerator's
+output alphabet is its configurations.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class VSA:
     """A variable-set automaton.  Treat instances as immutable."""
 
     __slots__ = ("variables", "ordered_variables", "n_states", "initial", "final",
-                 "transitions", "_adj")
+                 "transitions")
 
     def __init__(self, variables: Iterable[str], n_states: int, initial: int,
                  final: int, transitions: Iterable[Transition]):
@@ -70,7 +71,6 @@ class VSA:
         self.initial = initial
         self.final = final
         self.transitions = tuple(transitions)
-        self._adj = None
         if not (0 <= initial < n_states and 0 <= final < n_states):
             raise ValueError("initial/final state out of range")
         for src, label, dst in self.transitions:
@@ -88,42 +88,6 @@ class VSA:
             elif label is not None and label is not ANY:
                 raise ValueError(f"bad label: {label!r}")
 
-    # -- adjacency views ---------------------------------------------------
-
-    def _adjacency(self):
-        if self._adj is None:
-            eps = [[] for _ in range(self.n_states)]
-            ops = [[] for _ in range(self.n_states)]
-            sym = [{} for _ in range(self.n_states)]
-            anyy = [[] for _ in range(self.n_states)]
-            for src, label, dst in self.transitions:
-                if label is None:
-                    eps[src].append(dst)
-                elif label is ANY:
-                    anyy[src].append(dst)
-                elif isinstance(label, str):
-                    sym[src].setdefault(label, []).append(dst)
-                else:
-                    ops[src].append((label, dst))
-            self._adj = (eps, ops, sym, anyy)
-        return self._adj
-
-    @property
-    def eps_out(self):
-        return self._adjacency()[0]
-
-    @property
-    def ops_out(self):
-        return self._adjacency()[1]
-
-    @property
-    def sym_out(self):
-        return self._adjacency()[2]
-
-    @property
-    def any_out(self):
-        return self._adjacency()[3]
-
     def __repr__(self) -> str:
         return (f"VSA(vars={sorted(self.variables)}, n={self.n_states}, "
                 f"init={self.initial}, final={self.final}, "
@@ -131,18 +95,54 @@ class VSA:
 
 
 class NormalForm(VSA):
-    """An automaton in the shape :func:`normal_form` gives, with the
-    configuration ``configs[q]`` of each state ``q`` (None only for the
-    canonical empty automaton).  Whoever builds one vouches for both, so
+    """An automaton in the shape :func:`normal_form` gives, stored as its
+    moves: ``edges`` labels a letter edge with its symbol or :data:`ANY` and
+    a marker move with None, and :attr:`transitions` derives a move's
+    operations from ``configs``, the configuration of each state (None only
+    for the canonical empty automaton).  Per state, in edge order,
+    ``moves_out`` lists marker-move targets, ``sym_out`` maps a symbol to
+    letter targets and ``any_out`` lists wildcard targets (built on first
+    use).  The engine builds one and vouches for it: nothing checks it, and
     :func:`normal_form` and the functionality check take it as it is."""
 
-    __slots__ = ("configs",)
+    __slots__ = ("configs", "edges", "moves_out", "sym_out", "any_out", "_labelled")
 
     def __init__(self, variables: Iterable[str], n_states: int, initial: int,
-                 final: int, transitions: Iterable[Transition],
+                 final: int, edges: Iterable[Transition],
                  configs: list[tuple[int, ...]] | None):
-        super().__init__(variables, n_states, initial, final, transitions)
-        self.configs = configs
+        self.variables = frozenset(variables)
+        self.ordered_variables = tuple(sorted(self.variables))
+        self.n_states, self.initial, self.final = n_states, initial, final
+        self.edges, self.configs, self._labelled = tuple(edges), configs, None
+
+    def __getattr__(self, name: str):
+        """Build the adjacency lists on first use: a product trimmed at once has none."""
+        if name not in ("moves_out", "sym_out", "any_out"):
+            raise AttributeError(name)
+        self.moves_out = moves = [[] for _ in range(self.n_states)]
+        self.sym_out = sym = [{} for _ in range(self.n_states)]
+        self.any_out = anyy = [[] for _ in range(self.n_states)]
+        for src, label, dst in self.edges:
+            if label is None:
+                moves[src].append(dst)
+            elif label is ANY:
+                anyy[src].append(dst)
+            else:
+                sym[src].setdefault(label, []).append(dst)
+        return getattr(self, name)
+
+    @property
+    def transitions(self) -> tuple[Transition, ...]:
+        """The edges, each marker move labelled with its operation set or None."""
+        if self._labelled is None:
+            configs, ordered = self.configs, self.ordered_variables
+            labels = {pair: _marker_set(*pair, ordered) or None
+                      for pair in {(configs[src], configs[dst])
+                                   for src, label, dst in self.edges if label is None}}
+            self._labelled = tuple(
+                (src, labels[configs[src], configs[dst]] if label is None else label, dst)
+                for src, label, dst in self.edges)
+        return self._labelled
 
 
 def empty_vsa(variables: Iterable[str]) -> NormalForm:
@@ -174,9 +174,11 @@ def trim(vsa: VSA) -> VSA:
     canonical empty automaton (over the same variables) is returned.  A
     :class:`NormalForm` stays one, with the configurations of its kept states.
     """
+    normal = isinstance(vsa, NormalForm)
+    edges = vsa.edges if normal else vsa.transitions
     forward = [[] for _ in range(vsa.n_states)]
     backward = [[] for _ in range(vsa.n_states)]
-    for src, _, dst in vsa.transitions:
+    for src, _, dst in edges:
         forward[src].append(dst)
         backward[dst].append(src)
     alive = _reach(vsa.initial, forward) & _reach(vsa.final, backward)
@@ -186,11 +188,10 @@ def trim(vsa: VSA) -> VSA:
         return vsa
     kept = [state for state in range(vsa.n_states) if state in alive]
     remap = {state: i for i, state in enumerate(kept)}
-    transitions = [(remap[src], label, remap[dst])
-                   for src, label, dst in vsa.transitions
-                   if src in alive and dst in alive]
-    shape = (vsa.variables, len(kept), remap[vsa.initial], remap[vsa.final], transitions)
-    if isinstance(vsa, NormalForm):
+    edges = [(remap[src], label, remap[dst]) for src, label, dst in edges
+             if src in alive and dst in alive]
+    shape = (vsa.variables, len(kept), remap[vsa.initial], remap[vsa.final], edges)
+    if normal:
         return NormalForm(*shape, [vsa.configs[state] for state in kept])
     return VSA(*shape)
 
@@ -298,13 +299,9 @@ def _search_configs(vsa: VSA, out_edges: list[list], live) -> list:
 def _marker_set(before: tuple[int, ...], after: tuple[int, ...],
                 ordered: tuple[str, ...]) -> Ops:
     """The operations that advance configuration ``before`` to ``after``."""
-    ops = set()
-    for var, was, now in zip(ordered, before, after):
-        if was == WAITING and now != WAITING:
-            ops.add((OP_OPEN, var))
-        if was != CLOSED and now == CLOSED:
-            ops.add((OP_CLOSE, var))
-    return frozenset(ops)
+    steps = list(zip(ordered, before, after))
+    return frozenset([(OP_OPEN, var) for var, was, now in steps if was == WAITING != now]
+                     + [(OP_CLOSE, var) for var, was, now in steps if was != CLOSED == now])
 
 
 def normal_form(vsa: VSA) -> NormalForm:
@@ -315,10 +312,10 @@ def normal_form(vsa: VSA) -> NormalForm:
     state with a letter edge and one *target copy* of each letter-edge
     target (a state can be both).  Letter edges run from source to target
     copies.  Every other edge is one marker move: from the initial state or
-    a target copy to a source copy or the final state, labelled with the
-    operations between the two configurations (ε when there are none).  So
-    a run alternates one marker move and one letter, and the form has at
-    most ``2n + 2`` states.  The canonical empty automaton stands for an
+    a target copy to a source copy or the final state, which performs the
+    operations between the two configurations (none for an ε-move).  So a
+    run alternates one marker move and one letter, and the form has at most
+    ``2n + 2`` states.  The canonical empty automaton stands for an
     empty language.  Only states on an initial→final path count: one search
     through them finds the configurations, and no trimmed copy is built.
 
@@ -344,8 +341,7 @@ def normal_form(vsa: VSA) -> NormalForm:
     if vsa.initial not in live:
         return empty_vsa(vsa.variables)
     configs = _search_configs(vsa, out_edges, live)
-    ordered = vsa.ordered_variables
-    for var, state in zip(ordered, configs[vsa.final]):
+    for var, state in zip(vsa.ordered_variables, configs[vsa.final]):
         if state != CLOSED:
             raise NotFunctionalAutomaton("variable not closed at the final state",
                                          vsa.final, var)
@@ -355,32 +351,19 @@ def normal_form(vsa: VSA) -> NormalForm:
     targets = sorted({dst for _, _, dst in letters})
     source_id = {state: 2 + i for i, state in enumerate(sources)}
     target_id = {state: 2 + len(sources) + i for i, state in enumerate(targets)}
-    transitions = [(source_id[src], label, target_id[dst])
-                   for src, label, dst in letters]
-    labels: dict[tuple, Ops | None] = {}  # per pair of configurations
+    edges = [(source_id[src], label, target_id[dst]) for src, label, dst in letters]
     for here, start in [(0, vsa.initial)] + [(target_id[t], t) for t in targets]:
         for state in _reach(start, markers):
-            ends = [source_id[state]] if state in source_id else []
+            if state in source_id:
+                edges.append((here, None, source_id[state]))
             if state == vsa.final:
-                ends.append(1)
-            if ends:
-                pair = (configs[start], configs[state])
-                if pair not in labels:
-                    labels[pair] = _marker_set(*pair, ordered) or None
-                transitions.extend((here, labels[pair], end) for end in ends)
+                edges.append((here, None, 1))
     form_configs = ([configs[vsa.initial], configs[vsa.final]]
                     + [configs[state] for state in sources + targets])
-    return NormalForm(vsa.variables, len(form_configs), 0, 1, transitions,
-                      form_configs)
+    return NormalForm(vsa.variables, len(form_configs), 0, 1, edges, form_configs)
 
 
-def marker_moves(form: VSA, state: int) -> frozenset[int]:
-    """Where one marker move of a normal form leads from the initial state
-    or a target copy."""
-    return frozenset(form.eps_out[state]).union(dst for _, dst in form.ops_out[state])
-
-
-def cached_step(form: VSA) -> Callable[[int, object], frozenset[int]]:
+def cached_step(form: NormalForm) -> Callable[[int, object], frozenset[int]]:
     """The step of a normal form, memoized per (state, symbol): from a
     source copy, read ``symbol`` over a concrete or wildcard edge, then take
     that target's marker moves.  The symbol :data:`ANY` follows wildcard
@@ -392,7 +375,7 @@ def cached_step(form: VSA) -> Callable[[int, object], frozenset[int]]:
         hit = cache.get(key)
         if hit is None:
             dsts = form.sym_out[state].get(symbol, []) + form.any_out[state]
-            hit = frozenset().union(*(marker_moves(form, dst) for dst in dsts))
+            hit = frozenset().union(*(form.moves_out[dst] for dst in dsts))
             cache[key] = hit
         return hit
 

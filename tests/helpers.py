@@ -20,8 +20,7 @@ from spanex.model import (
     open_op, close_op,
 )
 from spanex.vsa import (
-    ANY, VSA, NormalForm, NotFunctionalAutomaton, cached_step, marker_moves,
-    normal_form, trim,
+    ANY, VSA, NormalForm, NotFunctionalAutomaton, cached_step, normal_form, trim,
 )
 from spanex.enumerator import enumerate_spans
 
@@ -234,7 +233,7 @@ def brute_force_graph_size(automaton: VSA, doc: str) -> tuple[int, int]:
     if form.configs is None:
         return 0, 0
     step = cached_step(form)
-    layers = [set(marker_moves(form, form.initial))]
+    layers = [set(form.moves_out[form.initial])]
     for symbol in doc:
         layers.append({nxt for state in layers[-1] for nxt in step(state, symbol)})
     if form.final not in layers[-1]:
@@ -357,15 +356,18 @@ def assert_normal_form(form: VSA) -> None:
             assert dst in sources or dst == form.final
 
 
-def two_pass_normal_form(automaton: VSA) -> NormalForm:
+def two_pass_normal_form(automaton: VSA) -> tuple[VSA, list | None]:
     """The normal form built the long way, as a reference for
     :func:`normal_form`: trim the automaton into a copy, search the copy for
     its configurations, then walk the marker closure of the initial state
     and of each letter target and label the move to every state reached.
-    Raises :class:`NotFunctionalAutomaton` as the one check does."""
+    Returns a plain automaton with those labels, so they are not the ones a
+    :class:`NormalForm` derives, and the configurations (None for an empty
+    language).  Raises :class:`NotFunctionalAutomaton` as the one check
+    does."""
     trimmed = trim(automaton)
     if isinstance(trimmed, NormalForm):  # only an empty language trims to one
-        return trimmed
+        return trimmed, None
     configs = compute_state_configs(trimmed)
     ordered = trimmed.ordered_variables
     for var, state in zip(ordered, configs[trimmed.final]):
@@ -380,9 +382,10 @@ def two_pass_normal_form(automaton: VSA) -> NormalForm:
     target_id = {state: 2 + len(sources) + i for i, state in enumerate(targets)}
     transitions = [(source_id[src], label, target_id[dst])
                    for src, label, dst in letters]
-    markers = [list(eps) for eps in trimmed.eps_out]
-    for state, edges in enumerate(trimmed.ops_out):
-        markers[state].extend(dst for _, dst in edges)
+    markers = [[] for _ in range(trimmed.n_states)]
+    for src, label, dst in trimmed.transitions:
+        if label is None or isinstance(label, frozenset):
+            markers[src].append(dst)
     for here, start in [(0, trimmed.initial)] + [(target_id[t], t) for t in targets]:
         reached, stack = {start}, [start]
         while stack:
@@ -400,8 +403,8 @@ def two_pass_normal_form(automaton: VSA) -> NormalForm:
             transitions.extend((here, ops or None, end) for end in ends)
     form_configs = ([configs[trimmed.initial], configs[trimmed.final]]
                     + [configs[state] for state in sources + targets])
-    return NormalForm(trimmed.variables, len(form_configs), 0, 1, transitions,
-                      form_configs)
+    return (VSA(trimmed.variables, len(form_configs), 0, 1, transitions),
+            form_configs)
 
 
 def is_functional(automaton: VSA) -> bool:

@@ -22,7 +22,7 @@ from spanex.model import (
     CLOSED, OP_CLOSE, OP_OPEN, OPEN, WAITING, Span, SpanTuple, all_spans,
     close_op, open_op,
 )
-from spanex.vsa import VSA
+from spanex.vsa import ANY, VSA
 
 _MAX_ORACLE_VARS = 3
 _MAX_ORACLE_DOC = 8
@@ -246,15 +246,24 @@ def expand_strict(vsa: VSA) -> VSA:
     return VSA(vsa.variables, n_states, vsa.initial, vsa.final, transitions)
 
 
+def _out_edges(vsa: VSA) -> list[list[tuple]]:
+    """Each state's (label, target) pairs, read off the transition list."""
+    out: list[list[tuple]] = [[] for _ in range(vsa.n_states)]
+    for src, label, dst in vsa.transitions:
+        out[src].append((label, dst))
+    return out
+
+
 def eps_closure(vsa: VSA) -> list[frozenset[int]]:
     """States reachable via ε-moves only."""
+    out = _out_edges(vsa)
     closures = []
     for start in range(vsa.n_states):
         seen = {start}
         stack = [start]
         while stack:
-            for nxt in vsa.eps_out[stack.pop()]:
-                if nxt not in seen:
+            for label, nxt in out[stack.pop()]:
+                if label is None and nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
         closures.append(frozenset(seen))
@@ -267,23 +276,20 @@ def accepts_ref_word(vsa: VSA, ref_word) -> bool:
     Use it after :func:`expand_strict`; operation sets of size > 1 are
     rejected to keep the oracle's semantics plain.
     """
+    out = _out_edges(vsa)
     closure = eps_closure(vsa)
     current = set(closure[vsa.initial])
     for symbol in ref_word:
         nxt: set[int] = set()
-        if isinstance(symbol, str):
-            for state in current:
-                for dst in vsa.sym_out[state].get(symbol, ()):
-                    nxt |= closure[dst]
-                for dst in vsa.any_out[state]:
-                    nxt |= closure[dst]
-        else:
-            want = frozenset({symbol})
-            for state in current:
-                for ops, dst in vsa.ops_out[state]:
-                    if len(ops) > 1:
+        for state in current:
+            for label, dst in out[state]:
+                if isinstance(symbol, str):
+                    if label == symbol or label is ANY:
+                        nxt |= closure[dst]
+                elif isinstance(label, frozenset):
+                    if len(label) > 1:
                         raise ValueError("expand the automaton before oracle matching")
-                    if ops == want:
+                    if label == {symbol}:
                         nxt |= closure[dst]
         current = nxt
         if not current:

@@ -285,6 +285,18 @@ def test_compile_dump_to_stdout(capsys):
     assert out.startswith("vsa v=x n=")
 
 
+def test_compile_dump_is_pinned(capsys):
+    """The exact dump of a formula whose marker moves perform several
+    operations at once: opens before closes, each sorted by name."""
+    code, out, _ = run_cli(capsys, "compile", "--formula", "x{y{a}} z{ε} .*",
+                           "--dump", "-")
+    assert code == 0
+    assert out == ("vsa v=x,y,z n=6\ninit 0\nfinal 1\n"
+                   "0 ops:[⊢x,⊢y] 2\n2 sym:a 4\n3 any 5\n"
+                   "4 ops:[⊢z,⊣x,⊣y,⊣z] 1\n4 ops:[⊢z,⊣x,⊣y,⊣z] 3\n"
+                   "5 eps 1\n5 eps 3\n")
+
+
 def test_analyze_key_variable(capsys):
     code, out, _ = run_cli(capsys, "analyze", "--formula", "x{.*}",
                            "--key", "x")
@@ -403,6 +415,17 @@ def test_gen_out_into_missing_directory_exits_2(capsys, tmp_path):
                            "--out", str(tmp_path / "missing" / "sat"))
     assert code == 2
     assert_one_error_line(err)
+
+
+@pytest.mark.parametrize("kind", ["clique", "streq-clique"])
+@pytest.mark.parametrize("nodes", ["0", "-2"])
+def test_gen_clique_without_nodes_exits_2(capsys, tmp_path, kind, nodes):
+    prefix = tmp_path / "graph"
+    code, out, err = run_cli(capsys, "gen", kind, "--nodes", nodes,
+                             "--out", str(prefix))
+    assert (code, out) == (2, "")
+    assert_one_error_line(err)
+    assert not (tmp_path / "graph.spq").exists()
 
 
 def test_gen_argument_validation(capsys, tmp_path):

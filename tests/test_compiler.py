@@ -435,7 +435,7 @@ def test_closing_lengths_repeat_with_the_form():
     when its levels repeat, and the bits past it repeat with period 3 up to
     the limit."""
     form = compile_regex(parse_formula("x{a (b c d)*} .*"))
-    (_, entered), = form.ops_out[form.initial]
+    entered, = form.moves_out[form.initial]
     for limit in (0, 1, 5, 30, 1000):
         bits = _closing_lengths(form, 0, limit)[entered]
         assert bits == sum(1 << n for n in range(1, limit + 1) if n % 3 == 1), limit

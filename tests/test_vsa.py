@@ -7,14 +7,15 @@ from collections import Counter
 import pytest
 
 from spanex.compiler import (
-    check_functional, compile_regex, is_key_attribute, join, project, union_vsa,
+    apply_selections, check_functional, compile_regex, is_key_attribute, join,
+    project, union_vsa,
 )
 from spanex.enumerator import enumerate_spans
 from spanex.formula import parse_formula
 from spanex.model import CLOSED, OPEN, WAITING, close_op, open_op
 from spanex.vsa import (
     ANY, VSA, NotFunctionalAutomaton, VsaFormatError, cached_step, dump_vsa,
-    load_vsa, marker_moves, normal_form, trim,
+    load_vsa, normal_form, trim,
 )
 
 from helpers import (
@@ -129,7 +130,8 @@ def test_normal_form_matches_the_two_pass_reference():
     """One search over the construction, through the states that reach the
     final one, gives what trimming it first and searching the copy gave:
     the same states and configurations in the same order and the same
-    transitions, or the same error and variable.  Random formulas over
+    transitions, their marker sets derived by the form against those the
+    reference computed, or the same error and variable.  Random formulas over
     x, y, z, with ∅ leaves and non-functional ones, and hand automata with
     a dead branch and an unreachable island."""
     rng = random.Random(1_414)
@@ -141,7 +143,7 @@ def test_normal_form_matches_the_two_pass_reference():
     formulas = [random_formula(rng, variables=("x", "y", "z")) for _ in range(600)]
     for subject in hand + formulas:
         try:
-            expected = two_pass_normal_form(
+            expected, configs = two_pass_normal_form(
                 subject if isinstance(subject, VSA) else compile_regex(subject, check=False))
         except NotFunctionalAutomaton as err:
             with pytest.raises(NotFunctionalAutomaton) as got:
@@ -151,7 +153,7 @@ def test_normal_form_matches_the_two_pass_reference():
             continue
         form = normal_form(subject) if isinstance(subject, VSA) else compile_regex(subject)
         assert (form.n_states, form.initial, form.final, form.configs) == \
-            (expected.n_states, expected.initial, expected.final, expected.configs), subject
+            (expected.n_states, expected.initial, expected.final, configs), subject
         assert Counter(form.transitions) == Counter(expected.transitions), subject
         kinds["empty" if form.configs is None else "functional"] += 1
     assert min(kinds.values()) >= 10 and len(kinds) == 5, kinds
@@ -191,7 +193,7 @@ def test_normal_form_marker_moves_span_markers():
     assert moves(target[w]) == from_start
     assert moves(target[o]) == {source[o]: None, source[c]: closes, form.final: closes}
     assert moves(target[c]) == {source[c]: None, form.final: None}
-    assert marker_moves(form, target[o]) == {source[o], source[c], form.final}
+    assert set(form.moves_out[target[o]]) == {source[o], source[c], form.final}
 
 
 def test_eps_closure_is_identity_without_eps_edges():
@@ -240,7 +242,7 @@ def test_normal_form_shape_and_relation():
             continue
         assert form.n_states <= 2 * a.n_states + 2
         assert_normal_form(form)
-        assert marker_moves(form, form.initial) <= set(letter_sources(form)) | {form.final}
+        assert set(form.moves_out[form.initial]) <= set(letter_sources(form)) | {form.final}
         for doc in ("", "a", "ab", "bba"):
             assert relation_of(form, doc) == relation_of(a, doc)
 
@@ -379,6 +381,33 @@ def test_dump_round_trip_projection_and_union():
     for automaton, doc in ((a, "ab"), (b, "aa")):
         again = load_vsa(dump_vsa(automaton))
         assert relation_of(again, doc) == relation_of(automaton, doc)
+
+
+def test_dumps_of_the_algebra_are_pinned():
+    """The exact dumps of a join, a projection, a union and an equality
+    selection: their state numbering and every marker set.  In the join a
+    state has an ε-move and a move that opens x, which the product pairs in
+    that order."""
+    def form(text):
+        return compile_regex(parse_formula(text))
+
+    joined = join(form("(x{a} | b x{a}) y{.*}"), form(".* y{b .*}"))
+    assert dump_vsa(joined) == (
+        "vsa v=x,y n=12\ninit 0\nfinal 10\n0 eps 1\n0 ops:[⊢x] 2\n1 sym:b 3\n"
+        "2 sym:a 4\n3 ops:[⊢x] 5\n4 ops:[⊢y,⊣x] 6\n5 sym:a 7\n6 sym:b 8\n"
+        "7 ops:[⊢y,⊣x] 6\n8 eps 9\n8 ops:[⊣y] 10\n9 any 11\n11 eps 9\n"
+        "11 ops:[⊣y] 10\n")
+    assert dump_vsa(project(form("x{a y{b}} z{.}"), {"x", "z"})) == (
+        "vsa v=x,z n=8\ninit 0\nfinal 1\n0 ops:[⊢x] 2\n2 sym:a 5\n3 sym:b 6\n"
+        "4 any 7\n5 eps 3\n6 ops:[⊢z,⊣x] 4\n7 ops:[⊣z] 1\n")
+    assert dump_vsa(union_vsa(form("x{a} y{b}"), form("y{x{a} b}"))) == (
+        "vsa v=x,y n=10\ninit 0\nfinal 1\n0 ops:[⊢x,⊢y] 6\n0 ops:[⊢x] 2\n"
+        "2 sym:a 4\n3 sym:b 5\n4 ops:[⊢y,⊣x] 3\n5 ops:[⊣y] 1\n6 sym:a 8\n"
+        "7 sym:b 9\n8 ops:[⊣x] 7\n9 ops:[⊣y] 1\n")
+    selected = apply_selections(form(".* x{.} .* y{.} .*"), [("x", "y")], "aba")
+    assert dump_vsa(selected) == (
+        "vsa v=x,y n=8\ninit 0\nfinal 7\n0 ops:[⊢x] 1\n1 any 2\n2 ops:[⊣x] 3\n"
+        "3 any 4\n4 ops:[⊢y] 5\n5 any 6\n6 ops:[⊣y] 7\n")
 
 
 def test_dump_round_trips_every_symbol():
