@@ -26,13 +26,15 @@ with index ``i`` (of ``v``, in name order) is the two events ``begin·v + i``
 and ``end·v + i``, and the stream is the descending order of the rows'
 sorted event lists.
 
-The frontier node sets a run can reach are determinized once, before the
-first result (within a fixed allowance), straight from the automaton's
-step, and a *run index* over their change points lists any run's change
-points latest first, each in time that does not depend on the run's length
-(a binary search over the runs that merge there, where several do).  The
-walk keeps one frame per run, so between two results it does work bounded
-by the number of variables and the automaton, not by the document.
+The frontier node sets a run can reach are determinized straight from the
+automaton's step, and a *run index* over their change points lists any
+run's change points latest first, each in time that does not depend on the
+run's length (a binary search over the runs that merge there, where several
+do).  Both are built in full before the first result, so the first result
+waits for work that grows with the number of distinct frontier sets, which
+subset growth in the automaton can make large.  The walk keeps one frame
+per run, so between two results it does work bounded by the number of
+variables and the automaton, not by the document.
 
 Representation choices for speed: configurations are interned to integer
 ranks (so letter comparison is int comparison); node sets, and each
@@ -57,16 +59,6 @@ from .vsa import VSA, cached_step, normal_form
 
 _START = -1  # virtual start node's "state" id
 
-# Elementary-operation allowance for determinizing frontier sets before the
-# first result: one operation per member of each set stepped, per set of
-# each frontier stepped, and per index entry (change point, or set that
-# turns into another).  Within it, every set the enumeration can reach has
-# its successors computed up front and the run index covers every run; past
-# it (pathological subset growth), sets are computed lazily and each run
-# lists its change points on entry, so delays may spike but stay polynomial.
-_PREWARM_OPS = 1 << 19
-
-
 class EnumerationStats:
     """Counters a caller can pass in to observe the enumeration's work.
 
@@ -77,13 +69,13 @@ class EnumerationStats:
     not with the document's length.  ``cold_transitions`` counts the
     frontier-set steps computed (each one set over one symbol into one
     alive layer), ``max_node_set`` the size of the largest frontier set.
-    ``prewarm_ops`` counts the operations charged against the allowance
-    before the first result, and ``indexed`` tells whether the last
-    enumeration of a non-empty document built its run index within it.
+    All frontier-set steps are computed while the run index is built,
+    before the first result, so ``cold_transitions`` does not move after
+    it.
     """
 
     __slots__ = ("tuples", "max_node_set", "scan_steps", "fill_steps",
-                 "cold_transitions", "prewarm_ops", "indexed")
+                 "cold_transitions")
 
     def __init__(self):
         self.tuples = 0
@@ -91,8 +83,6 @@ class EnumerationStats:
         self.scan_steps = 0
         self.fill_steps = 0
         self.cold_transitions = 0
-        self.prewarm_ops = 0
-        self.indexed = False
 
 
 class MatchGraph:
@@ -219,35 +209,25 @@ class _Frontiers:
     A slab's frontier, the sets the enumeration reaches there, is numbered
     by content too, and ``prewarm`` steps it once per distinct (frontier,
     symbol, alive layer), so a slab whose frontier recurs costs one lookup.
-    Only change points get a global number g:
-      slab_of[g]: g's slab
-      choices[g]: g's choices, as above
-      goals[g]:   per choice, the first change point of the run it enters
-                  once the run index is built, else the set it enters
-      stays[g]:   g's stay, kept only when runs list their change points
-                  on entry
+    Every slab is stepped before the first result: one lookup per slab,
+    and one split per distinct (set, symbol, alive layer), so the number of
+    distinct sets, not their size, sets the cost.
     """
 
     def __init__(self, graph: MatchGraph, stats: EnumerationStats | None):
         self.graph = graph
         self.stats = stats
         self.last = graph.doc_len - 1
-        self.ops = 0
         self.set_ids: dict[tuple[int, ...], int] = {}
         self.members: list[tuple[int, ...]] = []
         self.splits: dict[tuple, tuple] = {}
         self.frontier_ids: dict[tuple[int, ...], int] = {}
         self.frontiers: list[tuple[int, ...]] = []
-        self.slab_of: list[int] = []
-        self.choices: list[tuple[int, ...]] = []
-        self.goals: list[tuple[int, ...]] = []
-        self.stays: list = []
-        self.point_ids: dict[tuple[int, int], int] = {}
         self.start = _number(self.set_ids, self.members, (_START,))
 
     def split(self, c: int, symbol, layer: frozenset) -> tuple:
         """Set ``c``'s step over ``symbol`` (None at slab 0) into ``layer``,
-        at a cost of one operation per member when not yet memoized."""
+        memoized."""
         key = (c, symbol, layer)
         hit = self.splits.get(key)
         if hit is None:
@@ -268,7 +248,6 @@ class _Frontiers:
             else:
                 hit = (letters, nexts, None, letters, nexts)
             self.splits[key] = hit
-            self.ops += len(members)
             stats = self.stats
             if stats is not None:
                 stats.cold_transitions += 1
@@ -278,33 +257,27 @@ class _Frontiers:
 
     def step_frontier(self, f: int, symbol, layer: frozenset) -> tuple:
         """``(next frontier, work)`` for frontier ``f`` at a slab that is not
-        the last, at a cost of one operation per set.  ``work`` is None when
-        the slab is passive (no set has choices and each stays itself), else
-        ``(change points, moves, entries)``: a change point as ``(set,
-        choices, targets, stay)``, a move as ``(set, stay)`` for each other
-        set that turns into another, and ``entries`` the number of both,
-        the run index's work at the slab."""
-        sets = self.frontiers[f]
+        the last.  ``work`` is None when the slab is passive (no set has
+        choices and each stays itself), else ``(change points, moves)``: a
+        change point as ``(set, choices, targets, stay)``, and a move as
+        ``(set, stay)`` for each other set that turns into another."""
         reached: set[int] = set()
         points = []
         moves = []
-        for c in sets:
+        for c in self.frontiers[f]:
             choices, targets, stay, _, nexts = self.split(c, symbol, layer)
             reached.update(nexts)
             if choices:
                 points.append((c, choices, targets, stay))
             elif stay != c:
                 moves.append((c, stay))
-        self.ops += len(sets)
         nxt = _number(self.frontier_ids, self.frontiers, tuple(sorted(reached)))
-        work = len(points) + len(moves)
-        return nxt, (tuple(points), tuple(moves), work) if work else None
+        return nxt, (tuple(points), tuple(moves)) if points or moves else None
 
-    def prewarm(self, budget: int):
-        """Step every slab's frontier, charging the memo misses and each
-        slab's index entries.  Returns the slabs that are not passive, as
-        ``(slab, work)``, and the last slab's sets with their letters; None
-        when the budget ran out."""
+    def prewarm(self) -> tuple[int, list, list]:
+        """Step every slab's frontier.  Returns the virtual start's set, the
+        slabs that are not passive, as ``(slab, work)``, and the last slab's
+        sets with their letters."""
         graph = self.graph
         steps: dict[tuple, tuple] = {}
         f = _number(self.frontier_ids, self.frontiers, (self.start,))
@@ -318,45 +291,13 @@ class _Frontiers:
             f, work = hit
             if work is not None:
                 busy.append((slab, work))
-                self.ops += work[2]
-            if self.ops > budget:
-                return None
         symbol = graph.doc[self.last - 1] if self.last else None
         ends = [(c, self.split(c, symbol, graph.alive[self.last])[3])
                 for c in self.frontiers[f]]
-        return None if self.ops > budget else (busy, ends)
-
-    def first_point(self, slab: int, c: int) -> int:
-        """The first change point on set ``c``'s stay chain from ``slab`` on,
-        found by walking the chain (the budget ran out before the run index
-        was built) and numbered on first sight; each set walked past
-        remembers it, so merging chains are walked once."""
-        graph, point_ids = self.graph, self.point_ids
-        passed = []
-        while True:
-            g = point_ids.get((slab, c))
-            if g is not None:
-                break
-            choices, targets, stay, letters, _ = self.split(
-                c, graph.doc[slab - 1] if slab else None, graph.alive[slab])
-            if slab == self.last or choices:
-                g = point_ids[slab, c] = len(self.slab_of)
-                self.slab_of.append(slab)
-                if slab == self.last:
-                    choices, targets, stay = letters, (), None
-                self.choices.append(choices)
-                self.goals.append(targets)
-                self.stays.append(stay)
-                break
-            passed.append((slab, c))
-            c = stay
-            slab += 1
-        for key in passed:
-            point_ids[key] = g
-        return g
+        return self.start, busy, ends
 
 
-def _index_runs(sets: _Frontiers, busy: list, ends: list):
+def _index_runs(last: int, start: int, busy: list, ends: list):
     """Number the change points and build the run index over them.
 
     The change points of a run entered at a set are the change points on its
@@ -369,24 +310,29 @@ def _index_runs(sets: _Frontiers, busy: list, ends: list):
     not passive finds each set's first change point; a passive slab's sets
     have the same ones as the next slab's.
 
-    Returns ``(start, top, down, preorder)``: ``start`` is the virtual
-    start's number, ``down[g]`` g's only child, or its children with their
-    preorder numbers, ascending.  Fills ``sets.goals`` with first change
-    points.
+    Takes the last slab and ``_Frontiers.prewarm``'s result.  Returns
+    ``(first, slab_of, choices, goals, top, down, preorder)``, indexed by
+    change point g: ``first`` is the virtual start's first change point,
+    ``slab_of[g]`` g's slab, ``choices[g]`` its choices (every letter at
+    the last slab), ``goals[g]`` per choice the first change point of the
+    run it enters, and ``down[g]`` g's only child, or its children with
+    their preorder numbers, ascending.
     """
-    slab_of, choices, goals = sets.slab_of, sets.choices, sets.goals
+    slab_of: list[int] = []
+    choices: list[tuple[int, ...]] = []
+    goals: list[tuple[int, ...]] = []
     top: list[int] = []
     kids: dict[int, list[int]] = {}
     roots: list[int] = []
     ahead = {}  # set -> its first change point, at the slab after the current
     for c, letters in ends:
         g = ahead[c] = len(slab_of)
-        slab_of.append(sets.last)
+        slab_of.append(last)
         choices.append(letters)
         goals.append(())
         top.append(g)
         roots.append(g)
-    for slab, (points, moves, _) in reversed(busy):
+    for slab, (points, moves) in reversed(busy):
         # a set that stays itself keeps its entry; the other entries are
         # all read before any is replaced
         moved = [(c, ahead[stay]) for c, stay in moves]
@@ -417,16 +363,18 @@ def _index_runs(sets: _Frontiers, busy: list, ends: list):
     down: list = [None] * len(slab_of)
     for g, below in kids.items():
         down[g] = below[0] if len(below) == 1 else (below, [preorder[k] for k in below])
-    return ahead[sets.start], top, down, preorder
+    return ahead[start], slab_of, choices, goals, top, down, preorder
 
 
 def enumerate_graph(graph: MatchGraph, stats: EnumerationStats | None = None):
     """Yield the graph's span tuples in canonical configuration order.
 
-    The walk keeps one frame per run of the current string: the run's letter,
-    its first change point and the change point it is at.  Between two
-    results it leaves and enters at most one run per configuration change,
-    so the delay does not depend on the document's length.
+    The run index is built on the first ``next()``, before the first
+    result.  The walk then keeps one frame per run of the current string:
+    the run's letter, its first change point and the change point it is at.
+    Between two results it leaves and enters at most one run per
+    configuration change, so the delay does not depend on the document's
+    length.
     """
     if graph.empty:
         return
@@ -442,29 +390,10 @@ def enumerate_graph(graph: MatchGraph, stats: EnumerationStats | None = None):
         return
     last = doc_len - 1
 
-    sets = _Frontiers(graph, stats)
-    warm = sets.prewarm(_PREWARM_OPS)
-    indexed = warm is not None
-    if stats is not None:
-        stats.prewarm_ops += sets.ops
-        stats.indexed = indexed
-    choices, slab_of, goals = sets.choices, sets.slab_of, sets.goals
-    if indexed:
-        # every change point is known: the walk needs no sets or splits
-        sets.splits = sets.members = sets.set_ids = None
-        start, top, down, preorder = _index_runs(sets, *warm)
-        sets = warm = None
-
-    def enter_unindexed(letter: int, slab: int, c: int) -> list:
-        """A frame for the run entered at set ``c`` of ``slab``, its change
-        points listed on entry (the budget ran out before the index was
-        built)."""
-        first_point, stays = sets.first_point, sets.stays
-        path = [first_point(slab, c)]
-        while stays[path[-1]] is not None:
-            g = path[-1]
-            path.append(first_point(slab_of[g] + 1, stays[g]))
-        return [letter, path[0], path.pop(), 0, path]
+    # the walk needs no sets or splits: they are freed before the index is
+    # built over their change points
+    start, slab_of, choices, goals, top, down, preorder = _index_runs(
+        last, *_Frontiers(graph, stats).prewarm())
 
     # begin[v] / end[v]: the 1-based positions where variable v leaves
     # WAITING / becomes CLOSED on the current string.  A run writes the
@@ -484,11 +413,8 @@ def enumerate_graph(graph: MatchGraph, stats: EnumerationStats | None = None):
     make_row = SpanTuple._ordered
 
     # a frame: [run letter, first change point, current change point,
-    #           next choice there, unindexed change points still to visit]
-    if indexed:
-        frame = [-1, start, start, 0, None]
-    else:
-        frame = enter_unindexed(-1, 0, sets.start)
+    #           next choice there]
+    frame = [-1, start, start, 0]
     frames = [frame]
     while True:
         at = frame[2]
@@ -529,11 +455,8 @@ def enumerate_graph(graph: MatchGraph, stats: EnumerationStats | None = None):
                         if now == CLOSED:
                             end[v] = position
                 fill_total += 1
-                if indexed:
-                    goal = goals[at][i]
-                    frame = [letter, goal, top[goal], 0, None]
-                else:
-                    frame = enter_unindexed(letter, position, goals[at][i])
+                goal = goals[at][i]
+                frame = [letter, goal, top[goal], 0]
                 frames.append(frame)
                 continue
         # this change point is done: go to the run's next one, or leave it
@@ -547,15 +470,11 @@ def enumerate_graph(graph: MatchGraph, stats: EnumerationStats | None = None):
                 return
             frame = frames[-1]
             continue
-        path = frame[4]
-        if path is None:
-            below = down[at]
-            if type(below) is tuple:
-                kids_of, order = below
-                below = kids_of[bisect_right(order, preorder[frame[1]]) - 1]
-            frame[2] = below
-        else:
-            frame[2] = path.pop()
+        below = down[at]
+        if type(below) is tuple:
+            kids_of, order = below
+            below = kids_of[bisect_right(order, preorder[frame[1]]) - 1]
+        frame[2] = below
         frame[3] = 0
 
 

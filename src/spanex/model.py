@@ -14,7 +14,6 @@ these markers, and the scan of a document tracks each variable's state
 
 from __future__ import annotations
 
-from functools import total_ordering
 from typing import Iterable, Iterator, NamedTuple
 
 # ---------------------------------------------------------------------------
@@ -75,7 +74,6 @@ def all_spans(doc_len: int) -> Iterator[Span]:
 # ---------------------------------------------------------------------------
 
 
-@total_ordering
 class SpanTuple:
     """An immutable assignment from variable names to spans.
 
@@ -83,9 +81,9 @@ class SpanTuple:
     tuple is stored as two tuples: the variable names in order and their
     spans in the same order.  The enumerator hands every tuple of one stream
     the same names tuple.  Hashable, with the hash computed from the spans on
-    first use (equal tuples have equal spans), and comparable, so result sets
-    behave like relations; ordering is by the (variable, span) items sorted
-    by variable name, compared pairwise, also across variable sets.
+    first use (equal tuples have equal spans), so result sets behave like
+    relations.  Tuples are not ordered: the enumerator's order is
+    :func:`spanex.enumerator.enumeration_key`.
     """
 
     __slots__ = ("_names", "_spans", "_hash")
@@ -146,13 +144,6 @@ class SpanTuple:
         if not isinstance(other, SpanTuple):
             return NotImplemented
         return self._spans == other._spans and self._names == other._names
-
-    def __lt__(self, other: object) -> bool:
-        if not isinstance(other, SpanTuple):
-            return NotImplemented
-        if self._names == other._names:
-            return self._spans < other._spans
-        return self.items() < other.items()
 
     def __hash__(self) -> int:
         if self._hash is None:

@@ -329,7 +329,7 @@ def oracle_enumerate(target, doc: str) -> list[SpanTuple]:
         candidate = SpanTuple(dict(zip(variables, combo)))
         if any(accepts(word) for word in tuple_ref_words(candidate, doc)):
             results.append(candidate)
-    return sorted(results)
+    return sorted(results, key=SpanTuple.items)
 
 
 def brute_force_clique(graph, k: int) -> bool:

@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-from spanex import enumerator
 from spanex.compiler import compile_regex, union_vsa
 from spanex.enumerator import (
     EnumerationStats, build_match_graph, enumerate_graph, enumerate_spans,
@@ -114,11 +113,22 @@ def test_all_substrings_order_on_aaa():
 
 
 def test_enumeration_is_deterministic():
-    a = compile_regex(parse_formula(".* x{.*} .* y{.*} .*"))
-    first = list(enumerate_spans(a, "abab"))
-    second = list(enumerate_spans(a, "abab"))
-    assert first == second
-    assert len(first) == len(set(first))
+    """Two runs give the same duplicate-free stream in canonical order.  On
+    the periodic documents one memoized split serves the frontier sets of
+    many positions."""
+    for formula, doc in [
+        (".* x{.*} .* y{.*} .*", "abab"),
+        (".* x{.*} .* y{.*} .*", "abab" * 3),
+        (".* x{a+} .* y{b+} .*", "bbbabbbaaaaabbaababb"),
+        (".* x{a .*} .* | .* x{.* b} .*", "abbab" * 4),
+        (".* x{ab} .*", "abcc" * 250),
+        (".* x{a+} .* y{b+} .*", "aab" * 40),
+    ]:
+        a = compile_regex(parse_formula(formula))
+        first = list(enumerate_spans(a, doc))
+        assert first
+        assert list(enumerate_spans(a, doc)) == first
+        assert_canonical_order(first, len(doc), sorted(a.variables))
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +250,8 @@ def test_steps_per_tuple_do_not_grow_with_the_document():
 
 
 def work_between_results(formula, doc):
-    """The largest scan + fill steps between two consecutive results, the
-    number of results, and whether the run index was built."""
+    """The largest scan + fill steps between two consecutive results, and
+    the number of results."""
     stats = EnumerationStats()
     largest = 0
     before = None
@@ -250,29 +260,24 @@ def work_between_results(formula, doc):
         if before is not None:
             largest = max(largest, now - before)
         before = now
-    return largest, stats.tuples, stats.indexed
+    return largest, stats.tuples
 
 
-@pytest.mark.parametrize("allowance", [enumerator._PREWARM_OPS, 0],
-                         ids=["indexed", "unindexed"])
 @pytest.mark.parametrize("formula, alphabet, lengths, most", [
     pytest.param(".* x{ab} .*", "abc", (2000, 20000), 5, id="sparse"),
     pytest.param(".* x{.*} .*", "ab", (100, 300), 3, id="dense"),
 ])
 def test_work_between_results_does_not_grow_with_the_document(
-        monkeypatch, allowance, formula, alphabet, lengths, most):
+        formula, alphabet, lengths, most):
     """The delay claim without timing: the most walk steps between two
-    results is the same on a short and a ten times longer document, with
-    the run index and with runs listing their change points on entry, and
+    results is the same on a short and a ten times longer document, and
     within 3 per run of a result (at most 2·|variables| + 1 runs)."""
-    monkeypatch.setattr(enumerator, "_PREWARM_OPS", allowance)
     rng = random.Random(11)
     seen = []
     for length in lengths:
         doc = "".join(rng.choice(alphabet) for _ in range(length))
-        largest, tuples, indexed = work_between_results(formula, doc)
+        largest, tuples = work_between_results(formula, doc)
         assert tuples > 10
-        assert indexed == (allowance > 0)
         seen.append(largest)
     assert seen == [most, most]
     n_vars = len(compile_regex(parse_formula(formula)).variables)
@@ -280,16 +285,14 @@ def test_work_between_results_does_not_grow_with_the_document(
 
 
 def test_allowance_covers_a_long_sparse_document():
-    """A 300k-char random text fits in the allowance, because each distinct
-    frontier is stepped once and only change points are indexed: the run
-    index is built, and the rows are the occurrences of "ab", latest
-    first."""
+    """The run index of a 300k-char random text costs little: each distinct
+    frontier set is stepped once per (symbol, alive layer), not once per
+    position.  The rows are the occurrences of "ab", latest first."""
     rng = random.Random(2024)
     doc = "".join(rng.choice("abc") for _ in range(300_000))
     stats = EnumerationStats()
     rows = list(enumerate_spans(compile_regex(parse_formula(".* x{ab} .*")), doc, stats))
-    assert stats.indexed
-    assert stats.prewarm_ops <= enumerator._PREWARM_OPS
+    assert stats.cold_transitions < 100
     found = []
     at = doc.find("ab")
     while at >= 0:
@@ -298,23 +301,43 @@ def test_allowance_covers_a_long_sparse_document():
     assert rows == found[::-1]
 
 
+def test_run_index_is_built_under_subset_growth():
+    """``.* x{a} .* a (a|b)^12 .*`` reaches many distinct frontier sets on
+    a random text (77,356 set steps on this one, though no set holds more
+    than 15 nodes): every step is taken before the first result, and the
+    rows are each "a" followed later by an "a" with at least 12 letters
+    after it, latest first."""
+    rng = random.Random(7)
+    doc = "".join(rng.choice("ab") for _ in range(20_000))
+    formula = ".* x{a} .* a " + "(a|b)" * 12 + " .*"
+    stats = EnumerationStats()
+    gen = enumerate_spans(compile_regex(parse_formula(formula)), doc, stats)
+    rows = [next(gen)]
+    cold_at_first = stats.cold_transitions
+    rows += gen
+    assert stats.cold_transitions == cold_at_first
+    last_a = doc.rfind("a", 0, len(doc) - 12)
+    assert rows == [SpanTuple({"x": Span(p + 1, p + 2)})
+                    for p in range(last_a - 1, -1, -1) if doc[p] == "a"]
+
+
 def test_prewarm_charges_nothing_for_repeated_frontiers():
     """A slab whose frontier recurs, no set with a choice there, costs a
-    lookup and no operations: one match in a long run of c's costs the
-    same at any length."""
+    lookup and no frontier-set step: one match in a long run of c's costs
+    the same at any length."""
     a = compile_regex(parse_formula(".* x{ab} .*"))
     charged = []
     for pad in (1000, 10000):
         stats = EnumerationStats()
         rows = list(enumerate_spans(a, "c" * pad + "ab" + "c" * pad, stats))
         assert rows == [SpanTuple({"x": Span(pad + 1, pad + 3)})]
-        charged.append((stats.prewarm_ops, stats.cold_transitions))
+        charged.append(stats.cold_transitions)
     assert charged[0] == charged[1]
 
 
 def test_no_cold_transitions_after_first_result():
-    """On documents the pre-warm allowance covers, every frontier transition
-    is memoized before the first tuple is handed out."""
+    """Every frontier transition is memoized before the first tuple is
+    handed out."""
     a = compile_regex(parse_formula(".* x{.*} .* y{.*} .*"))
     stats = EnumerationStats()
     gen = enumerate_spans(a, "abab", stats)
@@ -337,28 +360,6 @@ def test_two_variable_stream_on_a_longer_document():
     assert {(row["x"], row["y"]) for row in rows} == {
         (x, y) for x in uniform["a"] for y in uniform["b"] if x.end <= y.begin}
     assert_canonical_order(rows, len(doc), "xy")
-
-
-@pytest.mark.parametrize("formula, doc", [
-    (".* x{.*} .* y{.*} .*", "abab" * 3),
-    (".* x{a+} .* y{b+} .*", "bbbabbbaaaaabbaababb"),
-    (".* x{a .*} .* | .* x{.* b} .*", "abbab" * 4),
-    pytest.param(".* x{ab} .*", "abcc" * 250, id="periodic-abcc"),
-    pytest.param(".* x{a+} .* y{b+} .*", "aab" * 40, id="periodic-aab"),
-])
-def test_streams_agree_without_the_run_index(monkeypatch, formula, doc):
-    """With no determinization allowance, runs list their change points by
-    walking; rows and order stay the same.  On the periodic documents one
-    memoized split serves the frontier sets of many positions."""
-    a = compile_regex(parse_formula(formula))
-    stats = EnumerationStats()
-    want = list(enumerate_spans(a, doc, stats))
-    assert stats.indexed
-    monkeypatch.setattr(enumerator, "_PREWARM_OPS", 0)
-    stats = EnumerationStats()
-    assert list(enumerate_spans(a, doc, stats)) == want
-    assert stats.cold_transitions > 0
-    assert not stats.indexed
 
 
 # ---------------------------------------------------------------------------
