@@ -42,19 +42,18 @@ position's whole frontier of them, are numbered by content, not by
 position, and their steps memoized by (content, symbol, alive layer), so a
 position whose frontier recurs costs one lookup; only change points get a
 number of their own, and positions where nothing changes are skipped when
-the index is built; each variable's span is written when a run that
-changes it is entered; a result is the stream's one tuple of variable
-names, already in order, and a tuple of its spans, each made by a C-level
-call, with no sort and its hash left to its first use.
+the index is built; a variable's two bounds are written in one flat list
+when a run that changes it is entered; a result is the stream's one tuple
+of variable names, already in order, and a copy of that list, a tuple of
+ints with no sort and no span object (a row makes those when read).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import partial
 from itertools import chain
 
-from .model import CLOSED, WAITING, Span, SpanTuple
+from .model import CLOSED, WAITING, SpanTuple
 from .vsa import VSA, cached_step, normal_form
 
 _START = -1  # virtual start node's "state" id
@@ -386,7 +385,7 @@ def enumerate_graph(graph: MatchGraph, stats: EnumerationStats | None = None):
         if stats is not None:
             stats.tuples += 1
             stats.max_node_set = max(stats.max_node_set, 1)
-        yield SpanTuple._ordered(variables, (Span(1, 1),) * n_vars)
+        yield SpanTuple._ordered(variables, (1, 1) * n_vars)
         return
     last = doc_len - 1
 
@@ -395,21 +394,18 @@ def enumerate_graph(graph: MatchGraph, stats: EnumerationStats | None = None):
     start, slab_of, choices, goals, top, down, preorder = _index_runs(
         last, *_Frontiers(graph, stats).prewarm())
 
-    # begin[v] / end[v]: the 1-based positions where variable v leaves
-    # WAITING / becomes CLOSED on the current string.  A run writes the
-    # entries of the variables its letter changes, at its first slab; each
-    # string changes each variable once, so entries left by runs no longer
-    # on the stack are always overwritten before the next result.
-    begin = [0] * n_vars
-    end = [0] * n_vars
+    # bounds[2v] / bounds[2v + 1], the row's flat bounds: the 1-based
+    # positions where variable v leaves WAITING / becomes CLOSED on the
+    # current string.  A run writes the entries of the variables its letter
+    # changes, at its first slab; each string changes each variable once, so
+    # entries left by runs no longer on the stack are overwritten in time.
+    bounds = [0] * (2 * n_vars)
     config_of = graph.config_by_rank + [(WAITING,) * n_vars]  # letter -1: before the document
     final_pos = doc_len + 1
     scan_total = 0
     fill_total = 0
     base_scan = stats.scan_steps if stats is not None else 0
     base_fill = stats.fill_steps if stats is not None else 0
-    # one C-level call per span, not namedtuple's __new__
-    make_span = partial(tuple.__new__, Span)
     make_row = SpanTuple._ordered
 
     # a frame: [run letter, first change point, current change point,
@@ -430,13 +426,13 @@ def enumerate_graph(graph: MatchGraph, stats: EnumerationStats | None = None):
                     if was != CLOSED:
                         now = after[v]
                         if was == WAITING:
-                            begin[v] = doc_len if now != WAITING else final_pos
-                        end[v] = doc_len if now == CLOSED else final_pos
+                            bounds[2 * v] = doc_len if now != WAITING else final_pos
+                        bounds[2 * v + 1] = doc_len if now == CLOSED else final_pos
                 if stats is not None:
                     stats.tuples += 1
                     stats.scan_steps = base_scan + scan_total
                     stats.fill_steps = base_fill + fill_total
-                yield make_row(variables, tuple(map(make_span, zip(begin, end))))
+                yield make_row(variables, tuple(bounds))
         else:
             i = frame[3]
             if i < len(options):
@@ -451,9 +447,9 @@ def enumerate_graph(graph: MatchGraph, stats: EnumerationStats | None = None):
                     now = after[v]
                     if was != now:
                         if was == WAITING:
-                            begin[v] = position
+                            bounds[2 * v] = position
                         if now == CLOSED:
-                            end[v] = position
+                            bounds[2 * v + 1] = position
                 fill_total += 1
                 goal = goals[at][i]
                 frame = [letter, goal, top[goal], 0]
@@ -484,11 +480,9 @@ def enumeration_key(row: SpanTuple) -> list[int]:
     a configuration that grows sooner, or at the same position in a variable
     earlier in name order, so a larger string: the enumerator streams rows
     in descending order of this key, and equal keys mean equal rows."""
-    spans = row._spans
-    v = len(spans)
-    events = []
-    for i, (begin, end) in enumerate(spans):
-        events += (begin * v + i, end * v + i)
+    bounds = row._bounds
+    v = len(bounds) // 2
+    events = [bound * v + i // 2 for i, bound in enumerate(bounds)]
     events.sort()
     return events
 

@@ -14,6 +14,7 @@ these markers, and the scan of a document tracks each variable's state
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 # ---------------------------------------------------------------------------
@@ -77,33 +78,37 @@ def all_spans(doc_len: int) -> Iterator[Span]:
 class SpanTuple:
     """An immutable assignment from variable names to spans.
 
-    The values must be :class:`Span` objects; they are kept as given.  A
-    tuple is stored as two tuples: the variable names in order and their
-    spans in the same order.  The enumerator hands every tuple of one stream
-    the same names tuple.  Hashable, with the hash computed from the spans on
-    first use (equal tuples have equal spans), so result sets behave like
+    The values are pairs ``(begin, end)``, :class:`Span` objects or plain
+    tuples, and each name may occur once.  A tuple is stored as the
+    variable names in order and one flat tuple of their bounds in the same
+    order, ``(begin₁, end₁, begin₂, end₂, …)``; a value is read back as a
+    :class:`Span` equal to the one given, made on access.  The enumerator
+    hands every tuple of one stream the same names tuple.  Hashable, by the
+    bounds (equal tuples have equal bounds), so result sets behave like
     relations.  Tuples are not ordered: the enumerator's order is
     :func:`spanex.enumerator.enumeration_key`.
     """
 
-    __slots__ = ("_names", "_spans", "_hash")
+    __slots__ = ("_names", "_bounds")
 
     def __init__(self, assignment: dict[str, Span] | Iterable[tuple[str, Span]]):
         if isinstance(assignment, dict):
             assignment = assignment.items()
-        items = sorted(assignment)
-        self._names: tuple[str, ...] = tuple([var for var, _ in items])
-        self._spans: tuple[Span, ...] = tuple([span for _, span in items])
-        self._hash: int | None = None
+        items = sorted(assignment, key=itemgetter(0))
+        names = tuple([var for var, _ in items])
+        if len(set(names)) < len(names):
+            raise ValueError(f"repeated variable name in {names}")
+        self._names: tuple[str, ...] = names
+        self._bounds: tuple[int, ...] = tuple([
+            bound for _, (begin, end) in items for bound in (begin, end)])
 
     @classmethod
-    def _ordered(cls, names: tuple[str, ...], spans: tuple[Span, ...]) -> "SpanTuple":
-        """The tuple of ``names``, already in order, and their ``spans``;
-        both are kept as given."""
+    def _ordered(cls, names: tuple[str, ...], bounds: tuple[int, ...]) -> "SpanTuple":
+        """The tuple of ``names``, already in order, and their flat
+        ``bounds``; both are kept as given."""
         self = object.__new__(cls)
         self._names = names
-        self._spans = spans
-        self._hash = None
+        self._bounds = bounds
         return self
 
     @property
@@ -111,16 +116,18 @@ class SpanTuple:
         return self._names
 
     def items(self) -> tuple[tuple[str, Span], ...]:
-        return tuple(zip(self._names, self._spans))
+        bounds = self._bounds
+        return tuple(zip(self._names, map(Span, bounds[::2], bounds[1::2])))
 
     def as_dict(self) -> dict[str, Span]:
-        return dict(zip(self._names, self._spans))
+        return dict(self.items())
 
     def __getitem__(self, var: str) -> Span:
         try:
-            return self._spans[self._names.index(var)]
+            i = 2 * self._names.index(var)
         except ValueError:
             raise KeyError(var) from None
+        return Span(self._bounds[i], self._bounds[i + 1])
 
     def __contains__(self, var: str) -> bool:
         return var in self._names
@@ -128,30 +135,28 @@ class SpanTuple:
     def restrict(self, variables: Iterable[str]) -> "SpanTuple":
         keep = set(variables)
         kept = [i for i, var in enumerate(self._names) if var in keep]
+        bounds = self._bounds
         return SpanTuple._ordered(tuple([self._names[i] for i in kept]),
-                                  tuple([self._spans[i] for i in kept]))
+                                  tuple([b for i in kept for b in bounds[2 * i:2 * i + 2]]))
 
     def merge(self, other: "SpanTuple") -> "SpanTuple":
         """Union of two tuples; overlapping variables must agree."""
-        combined = self.as_dict()
-        for var, span in other.items():
-            if var in combined and combined[var] != span:
+        combined = dict(zip(self._names, zip(self._bounds[::2], self._bounds[1::2])))
+        for var, span in zip(other._names, zip(other._bounds[::2], other._bounds[1::2])):
+            if combined.setdefault(var, span) != span:
                 raise ValueError(f"conflicting span for variable {var!r}")
-            combined[var] = span
         return SpanTuple(combined)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SpanTuple):
             return NotImplemented
-        return self._spans == other._spans and self._names == other._names
+        return self._bounds == other._bounds and self._names == other._names
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self._spans)
-        return self._hash
+        return hash(self._bounds)
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{v}={s}" for v, s in zip(self._names, self._spans))
+        inner = ", ".join(f"{v}={s}" for v, s in self.items())
         return f"SpanTuple({inner})"
 
 

@@ -356,15 +356,15 @@ def plan_query(query: UnionQuery, options: PlanOptions | None = None) -> list[st
 
 
 def _hash_join(left_vars, left_rows, right_vars, right_rows):
-    shared = sorted(left_vars & right_vars)
+    shared = left_vars & right_vars
     merged_vars = left_vars | right_vars
     out = []
     if shared:
-        index: dict[tuple, list[SpanTuple]] = {}
+        index: dict[SpanTuple, list[SpanTuple]] = {}
         for row in right_rows:
-            index.setdefault(tuple(row[v] for v in shared), []).append(row)
+            index.setdefault(row.restrict(shared), []).append(row)
         for row in left_rows:
-            for other in index.get(tuple(row[v] for v in shared), ()):
+            for other in index.get(row.restrict(shared), ()):
                 out.append(row.merge(other))
     else:
         for row, other in itertools.product(left_rows, right_rows):

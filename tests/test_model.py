@@ -2,12 +2,13 @@
 
 import itertools
 import operator
+import random
 
 import pytest
 
 from spanex.compiler import compile_regex
 from spanex.enumerator import enumerate_spans
-from spanex.formula import parse_formula
+from spanex.formula import Any, Cat, Star, parse_formula
 from spanex.model import (
     CLOSED, EMPTY_TUPLE, OPEN, WAITING,
     Span, SpanTuple,
@@ -16,8 +17,8 @@ from spanex.model import (
 from spanex.query import eval_canonical, eval_query, parse_query
 
 from helpers import (
-    assert_canonical_order, is_valid_span, is_valid_state_sequence,
-    state_sequence_to_tuple, tuple_to_state_sequence,
+    assert_canonical_order, is_valid_span, is_valid_state_sequence, random_doc,
+    random_functional_formula, state_sequence_to_tuple, tuple_to_state_sequence,
 )
 from oracle import is_valid_ref_word, oracle_enumerate, ref_word_span_tuple, tuple_ref_words
 
@@ -72,10 +73,43 @@ def test_tuple_access_and_restrict():
     assert t.restrict([]) == EMPTY_TUPLE
 
 
-def test_tuple_keeps_the_given_spans():
+def test_tuple_values_come_back_as_equal_spans():
+    """A tuple keeps its spans' bounds, not the given objects: every
+    accessor returns Span instances equal to the values given.  Rows of
+    random formulas with 1 to 3 variables equal, and hash like, the tuple
+    rebuilt from their dict."""
     span = Span(2, 3)
-    assert SpanTuple({"x": span})["x"] is span
-    assert SpanTuple([("y", Span(1, 1)), ("x", span)]).items()[0][1] is span
+    t = SpanTuple([("y", Span(1, 1)), ("x", span)])
+    assert t["x"] == span and type(t["x"]) is Span
+    assert t.items() == (("x", span), ("y", Span(1, 1)))
+    assert all(type(value) is Span for _, value in t.items())
+    assert all(type(value) is Span for value in t.as_dict().values())
+    rng = random.Random(1729)
+    seen = set()
+    for _ in range(100):
+        formula = random_functional_formula(rng, depth=4, variables=("x", "y", "z"),
+                                            require_vars=True)
+        formula = Cat(Star(Any()), Cat(formula, Star(Any())))
+        for row in enumerate_spans(compile_regex(formula), random_doc(rng, 6)):
+            twin = SpanTuple(row.as_dict())
+            assert row == twin and hash(row) == hash(twin), (formula, row)
+            seen.add(len(row.variables))
+    assert seen == {1, 2, 3}
+
+
+def test_tuple_rejects_a_repeated_variable():
+    with pytest.raises(ValueError, match="repeated variable"):
+        SpanTuple([("x", Span(1, 2)), ("x", Span(2, 3))])
+    with pytest.raises(ValueError, match="repeated variable"):
+        SpanTuple([("x", Span(1, 2)), ("y", Span(1, 1)), ("x", Span(1, 2))])
+
+
+def test_tuple_of_plain_pairs_returns_spans():
+    t = SpanTuple({"x": (1, 2)})
+    assert type(t["x"]) is Span and t["x"].begin == 1 and t["x"].end == 2
+    twin = SpanTuple({"x": Span(1, 2)})
+    assert t == twin and hash(t) == hash(twin)
+    assert repr(t) == "SpanTuple(x=1..2)"
 
 
 def test_tuple_merge_agreeing():
