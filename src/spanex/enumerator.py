@@ -42,10 +42,10 @@ position's whole frontier of them, are numbered by content, not by
 position, and their steps memoized by (content, symbol, alive layer), so a
 position whose frontier recurs costs one lookup; only change points get a
 number of their own, and positions where nothing changes are skipped when
-the index is built; a variable's two bounds are written in one flat list
-when a run that changes it is entered; a result is the stream's one tuple
-of variable names, already in order, and a copy of that list, a tuple of
-ints with no sort and no span object (a row makes those when read).
+the index is built; each change point carries the entries its letter
+changes write, so the walk reads no configuration; a result is the stream's
+one tuple of variable names and a copy of one flat list of bounds, a tuple
+of ints with no sort and no span object (a row makes those when read).
 """
 
 from __future__ import annotations
@@ -195,15 +195,15 @@ class _Frontiers:
     start, with letter -1.  A set's number depends on its members alone
     (they fix its letter), not on its slab, and its step at a slab is
     memoized on (set, symbol read, alive layer): ``split`` gives
-    ``(choices, targets, stay, letters, nexts)``, where ``letters`` are the
-    letters of the layer-slab nodes the set steps into, ascending,
-    ``nexts`` the sets of those nodes per letter, and
+    ``(choices, targets, stay, own, letters, nexts)``, where ``own`` is the
+    set's letter, ``letters`` the letters of the layer-slab nodes the set
+    steps into, ascending, ``nexts`` the sets of those nodes per letter, and
       choices: the letters that end a run at the set, at every slab but the
                last: every available letter but the set's own (at the last
                slab every available letter ends one);
       targets: the sets those choices enter;
       stay:    the set a run continues with on the set's own letter, or None.
-    A set with choices at its slab is a *change point* there.
+    A set with choices at its slab is a *change point* there (``writes``).
 
     A slab's frontier, the sets the enumeration reaches there, is numbered
     by content too, and ``prewarm`` steps it once per distinct (frontier,
@@ -223,6 +223,30 @@ class _Frontiers:
         self.frontier_ids: dict[tuple[int, ...], int] = {}
         self.frontiers: list[tuple[int, ...]] = []
         self.start = _number(self.set_ids, self.members, (_START,))
+        self.config_of = graph.config_by_rank + [(WAITING,) * len(graph.variables)]
+        self.changes: dict[tuple, tuple] = {}
+
+    def writes(self, own: int, letters: tuple[int, ...], end: int = 0) -> tuple:
+        """Per letter, memoized, the flat-bound entries a change from letter
+        ``own`` to it writes: a begin as its variable leaves WAITING, an end
+        as it becomes CLOSED.  At the last slab (``end`` = doc_len) each entry
+        left is ``(entry, value)``: ``end`` if the letter writes it, else
+        ``end + 1``, for the accepting configuration after the document."""
+        key = (own, letters, end)
+        hit = self.changes.get(key)
+        if hit is None:
+            before = self.config_of[own]
+            rows = []
+            for letter in letters:
+                row = []
+                for v, (was, now) in enumerate(zip(before, self.config_of[letter])):
+                    if was == WAITING:
+                        row.append((2 * v, end if now != WAITING else end + 1))
+                    if was != CLOSED:
+                        row.append((2 * v + 1, end if now == CLOSED else end + 1))
+                rows.append(tuple(row) if end else tuple([e for e, value in row if value == end]))
+            hit = self.changes[key] = tuple(rows)
+        return hit
 
     def split(self, c: int, symbol, layer: frozenset) -> tuple:
         """Set ``c``'s step over ``symbol`` (None at slab 0) into ``layer``,
@@ -242,10 +266,11 @@ class _Frontiers:
             letters = tuple(sorted(by_letter))
             nexts = tuple([_number(self.set_ids, self.members, tuple(sorted(nodes)))
                            for nodes in map(by_letter.get, letters)])
-            if letters[0] == letter_of.get(members[0], -1):
-                hit = (letters[1:], nexts[1:], nexts[0], letters, nexts)
+            own = letter_of.get(members[0], -1)
+            if letters[0] == own:
+                hit = (letters[1:], nexts[1:], nexts[0], own, letters, nexts)
             else:
-                hit = (letters, nexts, None, letters, nexts)
+                hit = (letters, nexts, None, own, letters, nexts)
             self.splits[key] = hit
             stats = self.stats
             if stats is not None:
@@ -258,16 +283,16 @@ class _Frontiers:
         """``(next frontier, work)`` for frontier ``f`` at a slab that is not
         the last.  ``work`` is None when the slab is passive (no set has
         choices and each stays itself), else ``(change points, moves)``: a
-        change point as ``(set, choices, targets, stay)``, and a move as
+        change point as ``(set, writes, targets, stay)``, and a move as
         ``(set, stay)`` for each other set that turns into another."""
         reached: set[int] = set()
         points = []
         moves = []
         for c in self.frontiers[f]:
-            choices, targets, stay, _, nexts = self.split(c, symbol, layer)
+            choices, targets, stay, own, _, nexts = self.split(c, symbol, layer)
             reached.update(nexts)
             if choices:
-                points.append((c, choices, targets, stay))
+                points.append((c, self.writes(own, choices), targets, stay))
             elif stay != c:
                 moves.append((c, stay))
         nxt = _number(self.frontier_ids, self.frontiers, tuple(sorted(reached)))
@@ -276,7 +301,7 @@ class _Frontiers:
     def prewarm(self) -> tuple[int, list, list]:
         """Step every slab's frontier.  Returns the virtual start's set, the
         slabs that are not passive, as ``(slab, work)``, and the last slab's
-        sets with their letters."""
+        sets with their writes."""
         graph = self.graph
         steps: dict[tuple, tuple] = {}
         f = _number(self.frontier_ids, self.frontiers, (self.start,))
@@ -291,7 +316,8 @@ class _Frontiers:
             if work is not None:
                 busy.append((slab, work))
         symbol = graph.doc[self.last - 1] if self.last else None
-        ends = [(c, self.split(c, symbol, graph.alive[self.last])[3])
+        layer = graph.alive[self.last]
+        ends = [(c, self.writes(*self.split(c, symbol, layer)[3:5], graph.doc_len))
                 for c in self.frontiers[f]]
         return self.start, busy, ends
 
@@ -310,24 +336,25 @@ def _index_runs(last: int, start: int, busy: list, ends: list):
     have the same ones as the next slab's.
 
     Takes the last slab and ``_Frontiers.prewarm``'s result.  Returns
-    ``(first, slab_of, choices, goals, top, down, preorder)``, indexed by
-    change point g: ``first`` is the virtual start's first change point,
-    ``slab_of[g]`` g's slab, ``choices[g]`` its choices (every letter at
-    the last slab), ``goals[g]`` per choice the first change point of the
-    run it enters, and ``down[g]`` g's only child, or its children with
-    their preorder numbers, ascending.
+    ``(first, n_last, slab_of, writes, goals, top, down, preorder)``:
+    ``first`` is the virtual start's first change point, and the last slab's
+    are numbered first, below ``n_last``.  Indexed by change point g:
+    ``slab_of[g]`` is g's slab, ``writes[g]`` per choice its bound writes,
+    ``goals[g]`` per choice the first change point of the run it enters,
+    and ``down[g]`` g's only child, or its children with their preorder
+    numbers, ascending.
     """
     slab_of: list[int] = []
-    choices: list[tuple[int, ...]] = []
+    writes: list[tuple] = []
     goals: list[tuple[int, ...]] = []
     top: list[int] = []
     kids: dict[int, list[int]] = {}
     roots: list[int] = []
     ahead = {}  # set -> its first change point, at the slab after the current
-    for c, letters in ends:
+    for c, written in ends:
         g = ahead[c] = len(slab_of)
         slab_of.append(last)
-        choices.append(letters)
+        writes.append(written)
         goals.append(())
         top.append(g)
         roots.append(g)
@@ -335,10 +362,10 @@ def _index_runs(last: int, start: int, busy: list, ends: list):
         # a set that stays itself keeps its entry; the other entries are
         # all read before any is replaced
         moved = [(c, ahead[stay]) for c, stay in moves]
-        for c, options, targets, stay in points:
+        for c, written, targets, stay in points:
             g = len(slab_of)
             slab_of.append(slab)
-            choices.append(options)
+            writes.append(written)
             goals.append(tuple([ahead[t] for t in targets]))
             if stay is None:
                 top.append(g)
@@ -362,18 +389,19 @@ def _index_runs(last: int, start: int, busy: list, ends: list):
     down: list = [None] * len(slab_of)
     for g, below in kids.items():
         down[g] = below[0] if len(below) == 1 else (below, [preorder[k] for k in below])
-    return ahead[start], slab_of, choices, goals, top, down, preorder
+    return ahead[start], len(ends), slab_of, writes, goals, top, down, preorder
 
 
 def enumerate_graph(graph: MatchGraph, stats: EnumerationStats | None = None):
     """Yield the graph's span tuples in canonical configuration order.
 
     The run index is built on the first ``next()``, before the first
-    result.  The walk then keeps one frame per run of the current string:
-    the run's letter, its first change point and the change point it is at.
+    result.  The walk then keeps a 3-slot frame per run of the current
+    string: its first change point, the one it is at and the next choice
+    there; a run whose only change point is at the last slab gets none.
     Between two results it leaves and enters at most one run per
-    configuration change, so the delay does not depend on the document's
-    length.
+    configuration change, writing the bounds its change point lists, so
+    the delay does not depend on the document's length.
     """
     if graph.empty:
         return
@@ -387,77 +415,63 @@ def enumerate_graph(graph: MatchGraph, stats: EnumerationStats | None = None):
             stats.max_node_set = max(stats.max_node_set, 1)
         yield SpanTuple._ordered(variables, (1, 1) * n_vars)
         return
-    last = doc_len - 1
 
-    # the walk needs no sets or splits: they are freed before the index is
-    # built over their change points
-    start, slab_of, choices, goals, top, down, preorder = _index_runs(
-        last, *_Frontiers(graph, stats).prewarm())
+    # the walk needs no sets, splits or configurations: they are freed
+    # before the index is built over their change points
+    start, n_last, slab_of, writes, goals, top, down, preorder = _index_runs(
+        doc_len - 1, *_Frontiers(graph, stats).prewarm())
 
     # bounds[2v] / bounds[2v + 1], the row's flat bounds: the 1-based
     # positions where variable v leaves WAITING / becomes CLOSED on the
-    # current string.  A run writes the entries of the variables its letter
-    # changes, at its first slab; each string changes each variable once, so
-    # entries left by runs no longer on the stack are overwritten in time.
+    # current string.  Entering a run writes the entries its change point
+    # lists for it; each string changes each variable once, so entries left
+    # by runs no longer on the stack are overwritten in time.
     bounds = [0] * (2 * n_vars)
-    config_of = graph.config_by_rank + [(WAITING,) * n_vars]  # letter -1: before the document
-    final_pos = doc_len + 1
     scan_total = 0
     fill_total = 0
     base_scan = stats.scan_steps if stats is not None else 0
     base_fill = stats.fill_steps if stats is not None else 0
     make_row = SpanTuple._ordered
 
-    # a frame: [run letter, first change point, current change point,
-    #           next choice there]
-    frame = [-1, start, start, 0]
+    # a frame: [first change point, current change point, next choice there]
+    frame = [start, start, 0]
     frames = [frame]
+    at = start
     while True:
-        at = frame[2]
-        options = choices[at]
-        if slab_of[at] == last:
+        if at < n_last:
             # every choice completes a result: the last slab's letter, then
             # the accepting configuration after the document
-            before = config_of[frame[0]]
-            for letter in options:
-                after = config_of[letter]
-                for v in range(n_vars):
-                    was = before[v]
-                    if was != CLOSED:
-                        now = after[v]
-                        if was == WAITING:
-                            bounds[2 * v] = doc_len if now != WAITING else final_pos
-                        bounds[2 * v + 1] = doc_len if now == CLOSED else final_pos
+            for pairs in writes[at]:
+                for entry, value in pairs:
+                    bounds[entry] = value
                 if stats is not None:
                     stats.tuples += 1
                     stats.scan_steps = base_scan + scan_total
                     stats.fill_steps = base_fill + fill_total
                 yield make_row(variables, tuple(bounds))
+            scan_total += 1
+            if at != frame[1]:  # a frameless run: back to the run that entered it
+                at = frame[1]
+                continue
         else:
-            i = frame[3]
+            i = frame[2]
+            options = writes[at]
             if i < len(options):
                 # change letter here: enter the run that starts with it
-                letter = options[i]
-                frame[3] = i + 1
+                frame[2] = i + 1
                 position = slab_of[at] + 1
-                before = config_of[frame[0]]
-                after = config_of[letter]
-                for v in range(n_vars):
-                    was = before[v]
-                    now = after[v]
-                    if was != now:
-                        if was == WAITING:
-                            bounds[2 * v] = position
-                        if now == CLOSED:
-                            bounds[2 * v + 1] = position
+                for entry in options[i]:
+                    bounds[entry] = position
                 fill_total += 1
-                goal = goals[at][i]
-                frame = [letter, goal, top[goal], 0]
-                frames.append(frame)
+                at = goals[at][i]
+                if at >= n_last:  # else its only change point is at the last slab
+                    frame = [at, top[at], 0]
+                    frames.append(frame)
+                    at = frame[1]
                 continue
+            scan_total += 1
         # this change point is done: go to the run's next one, or leave it
-        scan_total += 1
-        if at == frame[1]:
+        if at == frame[0]:
             frames.pop()
             if not frames:
                 if stats is not None:
@@ -465,13 +479,14 @@ def enumerate_graph(graph: MatchGraph, stats: EnumerationStats | None = None):
                     stats.fill_steps = base_fill + fill_total
                 return
             frame = frames[-1]
+            at = frame[1]
             continue
         below = down[at]
         if type(below) is tuple:
             kids_of, order = below
-            below = kids_of[bisect_right(order, preorder[frame[1]]) - 1]
-        frame[2] = below
-        frame[3] = 0
+            below = kids_of[bisect_right(order, preorder[frame[0]]) - 1]
+        frame[1] = at = below
+        frame[2] = 0
 
 
 def enumeration_key(row: SpanTuple) -> list[int]:

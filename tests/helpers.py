@@ -437,20 +437,12 @@ def tuple_to_state_sequence(tup: SpanTuple, doc_len: int, variables) -> list[tup
     """Per-position variable states, one tuple per position 1..doc_len+1,
     each in ``sorted(variables)`` order; inverse of
     :func:`state_sequence_to_tuple`."""
-    ordered = sorted(variables)
-    seq = []
-    for pos in range(1, doc_len + 2):
-        entry = []
-        for var in ordered:
-            span = tup[var]
-            if pos < span.begin:
-                entry.append(WAITING)
-            elif pos < span.end:
-                entry.append(OPEN)
-            else:
-                entry.append(CLOSED)
-        seq.append(tuple(entry))
-    return seq
+    columns = []
+    for var in sorted(variables):
+        span = tup[var]
+        columns.append([WAITING] * (span.begin - 1) + [OPEN] * (span.end - span.begin)
+                       + [CLOSED] * (doc_len + 2 - span.end))
+    return list(zip(*columns)) if columns else [()] * (doc_len + 1)
 
 
 def state_sequence_to_tuple(seq: list[tuple[int, ...]], variables) -> SpanTuple:

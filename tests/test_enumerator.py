@@ -2,6 +2,7 @@
 does not depend on the document's length."""
 
 import random
+from math import comb
 
 import pytest
 
@@ -233,6 +234,24 @@ def test_stats_are_pinned(formula, after_first, after_all):
     assert tuple(getattr(stats, f) for f in STATS_FIELDS) == after_first
     list(gen)
     assert tuple(getattr(stats, f) for f in STATS_FIELDS) == after_all
+
+
+@pytest.mark.parametrize("formula", [".* x{.*} .*", ".* x{.*} .* y{.*} .*"])
+def test_all_spans_counters_have_a_closed_form(formula):
+    """On every tuple of spans over L symbols, k variables in a row, the
+    stream has C(L + 2k, 2k) rows, enters C(L + 2k - 1, 2k) runs and takes
+    C(L + 2k - 1, 2k) + C(L + 2k - 2, 2k) scan steps, the runs whose only
+    change point is at the last slab included.  (At L = 1 no run is
+    entered.)"""
+    automaton = compile_regex(parse_formula(formula))
+    bounds = 2 * len(automaton.variables)
+    for length in range(2, 13):
+        stats = EnumerationStats()
+        rows = list(enumerate_spans(automaton, ("abc" * length)[:length], stats))
+        assert len(rows) == comb(length + bounds, bounds)
+        assert (stats.tuples, stats.fill_steps, stats.scan_steps) == (
+            comb(length + bounds, bounds), comb(length + bounds - 1, bounds),
+            comb(length + bounds - 1, bounds) + comb(length + bounds - 2, bounds)), length
 
 
 def test_steps_per_tuple_do_not_grow_with_the_document():

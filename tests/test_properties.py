@@ -8,6 +8,9 @@ the order ``enumeration_key`` gives a set of rows.  Examples are
 derandomized, so a run is reproducible.
 """
 
+from itertools import combinations_with_replacement
+from math import comb
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -40,6 +43,34 @@ def test_every_span_of_long_documents(doc):
     assert span_set(rows) == {(i, j) for i in range(1, length + 2)
                               for j in range(i, length + 2)}
     assert_canonical_order(rows, len(doc), ("x",))
+
+
+def assert_every_ordered_span_tuple(doc: str, names: str) -> None:
+    """``SELECT x, y FROM /.* x{.*} .* y{.*} .*/`` and its like yield every
+    tuple of spans in which each variable ends where the next may begin:
+    C(L + 2k, 2k) rows for k variables on L symbols."""
+    binds = " .* ".join(f"{name}{{.*}}" for name in names)
+    rows = drain(f"SELECT {', '.join(names)} FROM /.* {binds} .*/", doc)
+    bounds = 2 * len(names)
+    assert len(rows) == comb(len(doc) + bounds, bounds)
+    assert ({tuple(b for name in names for b in (row[name].begin, row[name].end))
+             for row in rows}
+            == set(combinations_with_replacement(range(1, len(doc) + 2), bounds)))
+    assert_canonical_order(rows, len(doc), tuple(names))
+
+
+@settings(PROPERTY, max_examples=3)
+@given(documents("abc", 9, 25))
+@example("abc" * 8 + "a")
+def test_every_span_pair_of_long_documents(doc):
+    assert_every_ordered_span_tuple(doc, "xy")
+
+
+@settings(PROPERTY, max_examples=3)
+@given(documents("abc", 9, 14))
+@example("abc" * 4 + "ab")
+def test_every_span_triple_of_long_documents(doc):
+    assert_every_ordered_span_tuple(doc, "xyz")
 
 
 @settings(PROPERTY, max_examples=20)
