@@ -11,7 +11,11 @@ alternate one marker move and one letter, so it synchronises letters and
 pairs marker moves that agree on shared variables.  String equality is one
 forward search over a normal form along the document, keeping a marker move
 only when the spans it opens and closes fit the equated substrings, and
-leaving out states that two liveness rules show cannot reach the end.
+leaving out states that two liveness rules show cannot reach the end.  Each
+of its states belongs to one position, so the states it keeps are already
+the layers of a match graph: :func:`equality_graph` hands them to the
+enumerator, projected by ranking letters on the kept columns, and
+:func:`apply_selections` is the same search's normal form, for the algebra.
 Compiled formulas, the join, projection, union and equality selection return
 a :class:`~spanex.vsa.NormalForm`, so no later stage rebuilds one, and none
 builds a marker set: the configurations fix those, so projection and
@@ -38,7 +42,7 @@ from .formula import (
     Sym,
     formula_variables,
 )
-from .enumerator import enumerate_spans
+from .enumerator import MatchGraph, empty_graph, enumerate_spans, layered_graph
 from .model import CLOSED, OPEN, WAITING, SpanTuple, close_op, open_op
 from .vsa import (
     ANY,
@@ -447,36 +451,28 @@ def _set_bits(bits: int):
         bits ^= low
 
 
-def apply_selections(vsa: VSA, selections, doc: str, *,
-                     path_budget: int | None = None) -> NormalForm:
-    """Filter the automaton's tuples on this document by substring equality
-    of each selected variable pair.
-
-    One forward search over the input's normal form along ``doc``.  A state
-    is (position, form state, the substring id each equality class holds,
-    the end of each open class member).  A marker move of the form is kept
-    when it closes exactly the open members that end here, and each member
-    it opens with length L fixes its class's id to that substring (first
-    begin, length) or matches the id held.  A class forgets its id once all
-    its members are closed.
-
-    Two rules keep the search from creating states that cannot reach the
-    final state; each drops dead states alone, so the output is the same as
-    without them.  Occurrence: a state is dropped once its position has
-    passed the last begin in ``doc`` of a substring that a class holds while
-    one of its members still waits to open.  Closing length: a member opens
-    with length L only if the form can close it exactly L letters after the
-    state the opening move enters (:func:`_closing_lengths`).  The result is
-    a trimmed normal form with the input's configurations; creating more
-    than ``path_budget`` states raises :class:`EqualityBudgetError`.
-    """
+def _selection_form(vsa: VSA, selections) -> tuple[list, NormalForm]:
+    """The selections as pairs, and the input's normal form; raises on a
+    selection variable the automaton does not have."""
     selections = [(x, y) for x, y in selections]
     unknown = {var for pair in selections for var in pair} - vsa.variables
     if unknown:
         raise ValueError(f"selection variables not in automaton: {sorted(unknown)}")
-    form = normal_form(vsa)
-    if not selections or form.configs is None:
-        return form
+    return selections, normal_form(vsa)
+
+
+def _equality_search(form: NormalForm, selections: list, doc: str,
+                     path_budget: int | None):
+    """The equality search of :func:`apply_selections` over ``form``, which
+    has configurations.
+
+    Returns ``(origin, edges, final, sources_at)``: ``origin[s]`` is the
+    form state of created state s (state 0 the initial one); ``edges`` are
+    the created edges, a marker move labelled None, in creation order, each
+    created after the source of its in-edges; ``final`` is the final state,
+    or None when the search did not reach it; ``sources_at[i]`` is the
+    range of states created at position i+1 that read a letter next.
+    """
     classes = [[form.ordered_variables.index(var) for var in members]
                for members in _equality_classes(selections)]
     slots = [(k, c) for k, members in enumerate(classes) for c in members]
@@ -542,15 +538,16 @@ def apply_selections(vsa: VSA, selections, doc: str, *,
             moves[q].append((dst, opens, closes, done, waiting[dst]))
 
     edges: list[tuple] = []
-    configs: list[tuple[int, ...]] = []
+    origin: list[int] = []
+    sources_at: list[range] = []
 
     def add(states: dict, key: tuple, source: int | None, label) -> None:
         target = states.get(key)
         if target is None:
-            configs.append(form_configs[key[0]])
-            if path_budget is not None and len(configs) > path_budget:
-                raise EqualityBudgetError(len(configs), path_budget)
-            target = states[key] = len(configs) - 1
+            origin.append(key[0])
+            if path_budget is not None and len(origin) > path_budget:
+                raise EqualityBudgetError(len(origin), path_budget)
+            target = states[key] = len(origin) - 1
         if source is not None:
             edges.append((source, label, target))
 
@@ -561,6 +558,7 @@ def apply_selections(vsa: VSA, selections, doc: str, *,
     for position in range(1, doc_len + 2):
         last = position == doc_len + 1
         room = (2 << doc_len + 1 - position) - 1  # lengths that fit from here
+        first = len(origin)
         sources: dict[tuple, int] = {}
         for (q, ids, ends), state in layer.items():
             due = [m for m, end in enumerate(ends) if end == position]  # kept moves close these
@@ -578,6 +576,7 @@ def apply_selections(vsa: VSA, selections, doc: str, *,
                     add(sources, (dst, held, open_ends), state, None)
         if last:
             break
+        sources_at.append(range(first, len(origin)))
         symbol = doc[position - 1]
         layer = {}
         for (q, ids, ends), state in sources.items():
@@ -586,12 +585,42 @@ def apply_selections(vsa: VSA, selections, doc: str, *,
                 for dst in dsts:
                     add(layer, (dst, ids, ends), state, label)
 
-    final = sources.get((form.final, *nothing_held))
+    return origin, edges, sources.get((form.final, *nothing_held)), sources_at
+
+
+def apply_selections(vsa: VSA, selections, doc: str, *,
+                     path_budget: int | None = None) -> NormalForm:
+    """Filter the automaton's tuples on this document by substring equality
+    of each selected variable pair.
+
+    One forward search over the input's normal form along ``doc``.  A state
+    is (position, form state, the substring id each equality class holds,
+    the end of each open class member).  A marker move of the form is kept
+    when it closes exactly the open members that end here, and each member
+    it opens with length L fixes its class's id to that substring (first
+    begin, length) or matches the id held.  A class forgets its id once all
+    its members are closed.
+
+    Two rules keep the search from creating states that cannot reach the
+    final state; each drops dead states alone, so the output is the same as
+    without them.  Occurrence: a state is dropped once its position has
+    passed the last begin in ``doc`` of a substring that a class holds while
+    one of its members still waits to open.  Closing length: a member opens
+    with length L only if the form can close it exactly L letters after the
+    state the opening move enters (:func:`_closing_lengths`).  The result is
+    a trimmed normal form with the input's configurations; creating more
+    than ``path_budget`` states raises :class:`EqualityBudgetError`.
+    :func:`equality_graph` hands the same search's states to the enumerator.
+    """
+    selections, form = _selection_form(vsa, selections)
+    if not selections or form.configs is None:
+        return form
+    origin, edges, final, _ = _equality_search(form, selections, doc, path_budget)
     if final is None:
         return empty_vsa(form.variables)
     # each state was created from the initial one, after the sources of its
     # in-edges: so a reverse sweep finds those that reach the final one
-    live = [False] * len(configs)
+    live = [False] * len(origin)
     live[final] = True
     for src, _, dst in reversed(edges):
         live[src] = live[src] or live[dst]
@@ -600,7 +629,61 @@ def apply_selections(vsa: VSA, selections, doc: str, *,
     return NormalForm(form.variables, len(kept), 0, remap[final],
                       [(remap[src], label, remap[dst])
                        for src, label, dst in edges if live[dst]],
-                      [configs[state] for state in kept])
+                      [form.configs[origin[state]] for state in kept])
+
+
+def equality_graph(vsa: VSA, selections, doc: str, keep, *,
+                   path_budget: int | None = None) -> MatchGraph:
+    """The match graph of :func:`apply_selections`' result on ``doc``,
+    projected onto the variables in ``keep``, taken from the equality search
+    itself.
+
+    Each state the search creates belongs to one position, so its kept
+    states are already the graph's layers: layer i holds the live states
+    that read letter i+1 next, and the final state ends the last one.  One
+    reverse sweep over the search's edges finds the live states and, for
+    each live state of a layer, its live successors in the next one (a
+    letter, then a marker move), which the graph's step returns.  Letters
+    are the configurations cut to the kept columns.  The same rows, order,
+    graph size and enumeration counters as
+    ``build_match_graph(project(apply_selections(...), keep), doc)``, with
+    no automaton built in between.
+    """
+    selections, form = _selection_form(vsa, selections)
+    keep = frozenset(keep)
+    extra = keep - form.variables
+    if extra:
+        raise ValueError(f"projection variables not in automaton: {sorted(extra)}")
+    variables = tuple(sorted(keep))
+    if form.configs is None:
+        return empty_graph(doc, variables)
+    origin, edges, final, sources_at = _equality_search(form, selections, doc,
+                                                        path_budget)
+    if final is None:
+        return empty_graph(doc, variables)
+    # as in apply_selections; a live state's marker moves are swept before
+    # the letters into it, so a letter's live successors are known by then
+    live = [False] * len(origin)
+    live[final] = True
+    moves_to: dict[int, list[int]] = {}  # live state -> live marker-move targets
+    successors: dict[int, set[int]] = {}  # live layer state -> its step
+    for src, label, dst in reversed(edges):
+        if live[dst]:
+            live[src] = True
+            if label is None:
+                moves_to.setdefault(src, []).append(dst)
+            else:
+                successors.setdefault(src, set()).update(moves_to[dst])
+    alive = [frozenset([state for state in states if live[state]])
+             for states in sources_at]
+    alive.append(frozenset((final,)))
+    columns = [i for i, var in enumerate(form.ordered_variables) if var in keep]
+    letters = [tuple([config[i] for i in columns]) for config in form.configs]
+    config_of = {state: letters[origin[state]] for state in successors}
+    config_of[final] = letters[origin[final]]
+    edge_count = len(alive[0]) + sum(map(len, successors.values()))
+    return layered_graph(doc, variables, alive, lambda state, _: successors[state],
+                         config_of, edge_count)
 
 
 def build_equality_automaton(doc: str, selections, *,

@@ -10,7 +10,9 @@ has the same length, and labelling each node with its state's configuration
 turns paths into exactly the per-position state sequences of the result
 tuples — one path label string per result, no duplicates.  The graph keeps
 only its layers; both sweeps memoize a step by the layer's content, so a
-repetitive document costs dictionary lookups, not per-state work.
+repetitive document costs dictionary lookups, not per-state work.  The
+equality search walks the document already, so it hands over the layers
+it kept instead (:func:`~spanex.compiler.equality_graph`).
 
 Enumeration walks that string language in ascending order (letters are
 configurations ordered as tuples, WAITING < OPEN < CLOSED, variables in name
@@ -87,13 +89,17 @@ class EnumerationStats:
 class MatchGraph:
     """The layered evaluation graph of one (automaton, document) pair.
 
-    ``alive[i]`` (0 <= i <= doc_len) is layer i: the states of the normal
-    form reachable before reading symbol i+1 that still reach the accepting
-    state after the document, as a frozenset; equal layers are one object.
-    Edges are not stored: a virtual start node fans into layer 0, and a node
-    of layer i-1 steps over ``doc[i-1]`` with ``step`` (the form's memoized
-    step) into its successors in layer i.  ``letter_of`` maps each node's
-    state to the rank of its configuration in ``config_by_rank``.
+    ``alive[i]`` (0 <= i <= doc_len) is layer i: the states reachable
+    before reading symbol i+1 that still reach the accepting state after the
+    document, as a frozenset.  Edges are not stored: a virtual start node
+    fans into layer 0, and a node of layer i-1 steps over ``doc[i-1]`` with
+    ``step(state, symbol)`` into successors that include its successors in
+    layer i.  ``letter_of`` maps each node's state to the rank of its
+    configuration in ``config_by_rank``.  :func:`build_match_graph` lays out
+    a normal form along the document, its step the form's memoized step and
+    equal layers one object; the equality search
+    (:func:`~spanex.compiler.equality_graph`) hands over the layers it kept,
+    each state tied to one position and its step the successors it kept.
     """
 
     __slots__ = ("empty", "doc", "doc_len", "variables", "config_by_rank",
@@ -114,8 +120,22 @@ class MatchGraph:
         self.edge_count = edge_count
 
 
-def _empty_graph(doc: str, variables: tuple[str, ...]) -> MatchGraph:
+def empty_graph(doc: str, variables: tuple[str, ...]) -> MatchGraph:
+    """The graph of an automaton with no results on ``doc``."""
     return MatchGraph(True, doc, variables, [], [], None, {}, 0, 0)
+
+
+def layered_graph(doc: str, variables: tuple[str, ...], alive: list[frozenset],
+                  step, config_of: dict, edge_count: int) -> MatchGraph:
+    """The graph over the given layers, its letters the configurations that
+    ``config_of`` gives each node's state (over ``variables``, so possibly
+    projected), ranked in canonical order."""
+    config_by_rank = sorted(set(config_of.values()))
+    rank = {config: i for i, config in enumerate(config_by_rank)}
+    letter_of = {state: rank[config] for state, config in config_of.items()}
+    node_count = 1 + sum(map(len, alive))
+    return MatchGraph(False, doc, variables, config_by_rank, alive, step, letter_of,
+                      node_count, edge_count)
 
 
 def build_match_graph(automaton: VSA, doc: str) -> MatchGraph:
@@ -129,7 +149,7 @@ def build_match_graph(automaton: VSA, doc: str) -> MatchGraph:
     variables = form.ordered_variables
     doc_len = len(doc)
     if configs is None:
-        return _empty_graph(doc, variables)
+        return empty_graph(doc, variables)
     step = cached_step(form)
 
     # forward sweep: layers[i] = states reachable before reading symbol i+1;
@@ -147,7 +167,7 @@ def build_match_graph(automaton: VSA, doc: str) -> MatchGraph:
         layers.append(layer)
     moves.clear()
     if form.final not in layer:
-        return _empty_graph(doc, variables)
+        return empty_graph(doc, variables)
 
     # backward prune to nodes that reach the accepting node, with the edges
     # between layers; memoized and interned as in the forward sweep
@@ -167,14 +187,9 @@ def build_match_graph(automaton: VSA, doc: str) -> MatchGraph:
         edge_count += edges
     edge_count += len(here)  # the virtual start's edges
 
-    # letter universe: configurations of surviving nodes, in canonical order
     states = frozenset().union(*set(alive))
-    config_by_rank = sorted({configs[state] for state in states})
-    rank = {config: i for i, config in enumerate(config_by_rank)}
-    letter_of = {state: rank[configs[state]] for state in states}
-    node_count = 1 + sum(map(len, alive))
-    return MatchGraph(False, doc, variables, config_by_rank, alive, step, letter_of,
-                      node_count, edge_count)
+    return layered_graph(doc, variables, alive, step,
+                         {state: configs[state] for state in states}, edge_count)
 
 
 def _number(ids: dict, items: list, item) -> int:

@@ -17,9 +17,12 @@ which is why all branches must project the same variable set.  ``SELECT ()``
 is the Boolean form: the answer is either empty or the single empty tuple.
 
 Two evaluation routes exist.  The canonical one materialises every atom and
-runs hash joins plus filters; the compiled one builds one automaton for the
-whole query and streams its enumeration (duplicate-free, ordered, polynomial
-delay).  ``eval_query`` picks a route per branch with :func:`plan_query`,
+runs hash joins plus filters; the compiled one builds match graphs and
+streams their enumeration (duplicate-free, ordered, polynomial delay).  A
+disjunct with equalities gets the equality search's own graph, and any other
+the graph of its projected join; a union of disjuncts without equalities is
+one automaton and one graph, and otherwise the disjuncts' streams are
+merged.  ``eval_query`` picks a route per branch with :func:`plan_query`,
 since a join of many atoms can blow up the automaton product; the rows and
 their order do not depend on the routes it picks.
 """
@@ -32,13 +35,19 @@ from dataclasses import dataclass
 
 from .compiler import (
     EqualityBudgetError,
-    apply_selections,
     compile_regex,
+    equality_graph,
     join_many,
     project,
     union_vsa,
 )
-from .enumerator import enumerate_spans, enumeration_key
+from .enumerator import (
+    MatchGraph,
+    build_match_graph,
+    enumerate_graph,
+    enumerate_spans,
+    enumeration_key,
+)
 from .formula import (
     Any,
     Formula,
@@ -302,7 +311,7 @@ def query_to_source(query: UnionQuery) -> str:
 class PlanOptions:
     """The one budget of the automatic strategy choice.
 
-    ``eq_path_budget``: most states the equality search (``apply_selections``)
+    ``eq_path_budget``: most states the equality search (``equality_graph``)
     may create per disjunct; past it, ``auto`` evaluates the disjunct
     canonically and a forced compiled run raises :class:`EqualityBudgetError`.
     A join of more than :data:`MAX_SMALL_JOIN` atoms is planned compiled only
@@ -399,41 +408,60 @@ def eval_canonical(cq: ConjunctiveQuery, doc: str) -> list[SpanTuple]:
 
 
 def compile_cq(cq: ConjunctiveQuery, doc: str, *,
-               path_budget: int | None = None):
-    """One automaton whose enumeration on ``doc`` is exactly the answer:
-    join of the compiled atoms, equality selection, projection."""
-    joined = join_many(compile_regex(atom) for atom in cq.atoms)
+               path_budget: int | None = None) -> MatchGraph:
+    """The match graph whose enumeration on ``doc`` is exactly the answer.
+
+    The compiled atoms are joined; a disjunct with equalities takes the
+    equality search's own graph, projected by ranking its letters on the
+    kept columns, and any other the graph of the join's projection."""
+    joined = join_many(map(compile_regex, cq.atoms))
     if cq.equalities:
-        joined = apply_selections(joined, cq.equalities, doc,
-                                  path_budget=path_budget)
-    return project(joined, cq.projected_set)
+        return equality_graph(joined, cq.equalities, doc, cq.projected_set,
+                              path_budget=path_budget)
+    return build_match_graph(project(joined, cq.projected_set), doc)
 
 
 def compile_query(query: UnionQuery, doc: str, decisions: list[str] | None = None,
                   *, path_budget: int = PlanOptions.eq_path_budget,
-                  fallback: bool = False):
-    """Compile each disjunct planned ``COMPILED`` (all when ``decisions`` is
-    None) exactly once.
+                  fallback: bool = False) -> list[MatchGraph | None]:
+    """The match graphs of the disjuncts planned ``COMPILED`` (all when
+    ``decisions`` is None), each compiled exactly once; the answer is their
+    streams merged (:func:`merge_streams`) with the other disjuncts' rows.
 
-    Returns ``(united, parts)``.  ``parts[i]`` is disjunct i's automaton, or
-    None when planned canonical or when, with ``fallback``, its equality
-    selection went past ``path_budget`` states (else that raises
-    :class:`EqualityBudgetError`).  ``united`` is the union of all parts (a
-    lone part as is) when none is None, else None.
+    When every disjunct compiles and none has equalities, the union of their
+    automata gives one graph.  Otherwise there is one entry per disjunct:
+    its graph, or None when planned canonical or when, with ``fallback``,
+    its equality search went past ``path_budget`` states (else that raises
+    :class:`EqualityBudgetError`).
     """
-    parts = []
-    for i, cq in enumerate(query.disjuncts):
-        automaton = None
-        if decisions is None or decisions[i] == COMPILED:
+    if decisions is None:
+        decisions = [COMPILED] * len(query.disjuncts)
+    if len(decisions) > 1 and all(decision == COMPILED for decision in decisions) \
+            and not any(cq.equalities for cq in query.disjuncts):
+        united = union_vsa(*(project(join_many(map(compile_regex, cq.atoms)),
+                                     cq.projected_set) for cq in query.disjuncts))
+        return [build_match_graph(united, doc)]
+    graphs = []
+    for cq, decision in zip(query.disjuncts, decisions):
+        graph = None
+        if decision == COMPILED:
             try:
-                automaton = compile_cq(cq, doc, path_budget=path_budget)
+                graph = compile_cq(cq, doc, path_budget=path_budget)
             except EqualityBudgetError:
                 if not fallback:
                     raise
-        parts.append(automaton)
-    if any(part is None for part in parts):
-        return None, parts
-    return (parts[0] if len(parts) == 1 else union_vsa(*parts)), parts
+        graphs.append(graph)
+    return graphs
+
+
+def merge_streams(streams: list):
+    """One stream in the enumerator's order from streams each in it: a lone
+    stream as it is, else merged on
+    :func:`~spanex.enumerator.enumeration_key` with repeats dropped."""
+    if len(streams) == 1:
+        return streams[0]
+    merged = heapq.merge(*streams, key=enumeration_key, reverse=True)
+    return (row for row, _ in itertools.groupby(merged))
 
 
 # ---------------------------------------------------------------------------
@@ -448,12 +476,11 @@ def eval_query(query: UnionQuery, doc: str,
 
     ``strategy`` is ``auto`` (:func:`plan_query` per disjunct, and canonical
     for a disjunct whose equality search passes ``options.eq_path_budget``),
-    ``canonical``, or ``compiled`` (force one automaton, whatever its size;
-    raises :class:`EqualityBudgetError` past ``options.eq_path_budget``).  Every
-    route yields the same list, in the enumerator's order: when every
-    disjunct compiles, the union automaton is enumerated; otherwise each
-    disjunct's rows, through its automaton or the canonical route, are
-    merged on :func:`~spanex.enumerator.enumeration_key` and repeats dropped.
+    ``canonical``, or ``compiled`` (force the compiled route, whatever its
+    size; raises :class:`EqualityBudgetError` past ``options.eq_path_budget``).
+    Every route yields the same list, in the enumerator's order: the streams
+    of :func:`compile_query`'s graphs and the canonical rows of the other
+    disjuncts, merged by :func:`merge_streams`.
     """
     options = options or PlanOptions()
     if strategy == "auto":
@@ -462,15 +489,9 @@ def eval_query(query: UnionQuery, doc: str,
         decisions = [strategy] * len(query.disjuncts)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    united, parts = compile_query(query, doc, decisions,
-                                  path_budget=options.eq_path_budget,
-                                  fallback=strategy == "auto")
-    if united is not None:
-        yield from enumerate_spans(united, doc)
-        return
-    streams = [eval_canonical(cq, doc) if automaton is None
-               else enumerate_spans(automaton, doc)
-               for cq, automaton in zip(query.disjuncts, parts)]
-    merged = heapq.merge(*streams, key=enumeration_key, reverse=True)
-    for row, _ in itertools.groupby(merged):
-        yield row
+    graphs = compile_query(query, doc, decisions, path_budget=options.eq_path_budget,
+                           fallback=strategy == "auto")
+    # a lone union graph stands for every disjunct, and zip stops after it
+    yield from merge_streams([eval_canonical(cq, doc) if graph is None
+                              else enumerate_graph(graph)
+                              for cq, graph in zip(query.disjuncts, graphs)])

@@ -14,7 +14,7 @@ from spanex.compiler import (
     apply_selections, build_equality_automaton, compile_regex, is_key_attribute,
     join, project, union_vsa,
 )
-from spanex.enumerator import enumerate_spans
+from spanex.enumerator import enumerate_graph, enumerate_spans
 from spanex.formula import parse_formula
 from spanex.harness import (
     brute_force_sat, gen_3cnf_query, gen_clique_query, gen_streq_clique_query,
@@ -231,7 +231,7 @@ def test_criterion_8_strategy_agreement():
         cq.validate()
         doc = random_doc(rng, 6)
         want = eval_canonical(cq, doc)
-        got = list(enumerate_spans(compile_cq(cq, doc), doc))
+        got = list(enumerate_graph(compile_cq(cq, doc)))
         assert got == want, (i, atoms, equalities, doc)
 
 

@@ -360,6 +360,24 @@ def test_bench_report_into_missing_directory_exits_2(capsys, tmp_path):
     assert_one_error_line(err)
 
 
+@pytest.mark.parametrize("query", [
+    "SELECT x, y FROM /.* x{.*} .* y{.*} .*/ WHERE x == y",
+    # the equality disjunct's stream merges with the other one's
+    "SELECT x, y FROM /.* x{a} .* y{b} .*/ UNION "
+    "SELECT x, y FROM /.* x{.+} .* y{.+} .*/ WHERE x == y",
+])
+def test_bench_counts_the_tuples_eval_counts(capsys, tmp_path, query):
+    report = tmp_path / "delays.csv"
+    code, _, _ = run_cli(capsys, "bench", "--query-text", query,
+                         "--input-text", "abaabbab", "--report", str(report))
+    assert code == 0
+    by_name = {row[0]: row[2] for row in parse_report(report.read_text())}
+    code, out, _ = run_cli(capsys, "eval", "--format", "count", "--query-text", query,
+                           "--input-text", "abaabbab")
+    assert code == 0
+    assert by_name["tuple_count"] == int(out) > 0
+
+
 def test_bench_empty_result_reports_preprocess_only(capsys, tmp_path):
     report = tmp_path / "empty.csv"
     code, _, _ = run_cli(capsys, "bench", "--query-text",

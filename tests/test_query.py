@@ -10,7 +10,7 @@ import spanex.query
 from spanex import compiler, vsa
 from spanex.compiler import compile_regex
 from spanex.enumerator import (
-    EnumerationStats, build_match_graph, enumerate_graph, enumerate_spans,
+    EnumerationStats, build_match_graph, enumerate_graph,
 )
 from spanex.formula import Any, Sym, formula_nodes
 from spanex.harness import gen_3cnf_query, gen_clique_query, gen_streq_clique_query
@@ -262,7 +262,7 @@ def test_two_atom_join_pins_both_strategies():
     q = parse_query("SELECT x, y FROM /x{a}.*/, /.*y{a}/")
     want = [SpanTuple({"x": Span(1, 2), "y": Span(2, 3)})]
     assert eval_canonical(q.disjuncts[0], "aa") == want
-    assert list(enumerate_spans(compile_cq(q.disjuncts[0], "aa"), "aa")) == want
+    assert list(enumerate_graph(compile_cq(q.disjuncts[0], "aa"))) == want
 
 
 def test_single_atom_query_equals_enumeration():
@@ -271,7 +271,7 @@ def test_single_atom_query_equals_enumeration():
     want = relation_of(compile_regex(parse_formula("a* x{a*} a*")), "aaa")
     rows = eval_canonical(q.disjuncts[0], "aaa")
     assert set(rows) == want
-    assert list(enumerate_spans(compile_cq(q.disjuncts[0], "aaa"), "aaa")) == rows
+    assert list(enumerate_graph(compile_cq(q.disjuncts[0], "aaa"))) == rows
     assert list(eval_query(q, "aaa")) == rows
 
 
@@ -279,14 +279,14 @@ def test_boolean_query_yields_one_empty_tuple():
     q = parse_query("SELECT () FROM /.* x{a} .*/")
     assert list(eval_query(q, "ba")) == [EMPTY_TUPLE]
     assert list(eval_query(q, "bb")) == []
-    assert list(enumerate_spans(compile_cq(q.disjuncts[0], "ba"), "ba")) == [EMPTY_TUPLE]
+    assert list(enumerate_graph(compile_cq(q.disjuncts[0], "ba"))) == [EMPTY_TUPLE]
 
 
 def test_equality_query_filters_substrings():
     q = parse_query("SELECT x, y FROM /.* x{.*} .* y{.*} .*/ WHERE x == y")
     doc = "abab"
     got_canonical = eval_canonical(q.disjuncts[0], doc)
-    got_compiled = list(enumerate_spans(compile_cq(q.disjuncts[0], doc), doc))
+    got_compiled = list(enumerate_graph(compile_cq(q.disjuncts[0], doc)))
     assert got_canonical == got_compiled
     for row in got_canonical:
         x, y = row["x"], row["y"]
@@ -301,6 +301,21 @@ def test_satisfiable_3cnf_query_is_nonempty():
     assert list(eval_query(query, doc)) == []
 
 
+STATS_FIELDS = ("tuples", "scan_steps", "fill_steps", "cold_transitions", "max_node_set")
+
+
+def _walk(graph):
+    """The graph's size, its rows, and its counters after the first row and
+    at the end."""
+    stats = EnumerationStats()
+    stream = enumerate_graph(graph, stats)
+    rows = [next(stream, None)]
+    after_first = tuple(getattr(stats, f) for f in STATS_FIELDS)
+    rows += stream
+    after_all = tuple(getattr(stats, f) for f in STATS_FIELDS)
+    return (graph.node_count, graph.edge_count), rows, after_first, after_all
+
+
 @pytest.mark.parametrize("text, graph_size, after_first, after_all", [
     ("SELECT x, y FROM /.* x{a .*} .*/, /.* x{.*} y{.*b} .*/",
      (14, 17), (1, 0, 2, 10, 2), (5, 10, 6, 10, 2)),
@@ -312,24 +327,39 @@ def test_satisfiable_3cnf_query_is_nonempty():
 def test_compiled_query_graph_and_stats_are_pinned(text, graph_size, after_first,
                                                    after_all):
     """Exact match-graph size and work counters on "abab" for a joined query
-    and an equality query: the join's product shape must not change them."""
-    fields = ("tuples", "scan_steps", "fill_steps", "cold_transitions",
-              "max_node_set")
-    united, _ = compile_query(parse_query(text), "abab")
-    graph = build_match_graph(united, "abab")
-    assert (graph.node_count, graph.edge_count) == graph_size
-    stats = EnumerationStats()
-    stream = enumerate_graph(graph, stats)
-    next(stream)
-    assert tuple(getattr(stats, f) for f in fields) == after_first
-    list(stream)
-    assert tuple(getattr(stats, f) for f in fields) == after_all
+    and an equality query, whose graph is the equality search's own: the
+    join's product shape must not change them."""
+    graph, = compile_query(parse_query(text), "abab")
+    size, _, first, last = _walk(graph)
+    assert size == graph_size
+    assert first == after_first
+    assert last == after_all
+
+
+@pytest.mark.parametrize("text", [
+    "SELECT x, y FROM /.* x{.*} .* y{.*} .*/ WHERE x == y",
+    "SELECT x FROM /.* x{.*} .* y{.*} .*/ WHERE x == y",
+    "SELECT x, z FROM /.* x{.+} .* y{.+} .*/, /.* z{.} .* w{.} .*/ "
+    "WHERE x == y AND z == w",
+    "SELECT x, y FROM /.* x{a} .* y{b} .*/ WHERE x == y",  # no answer
+])
+def test_equality_graph_matches_the_selected_automaton(text):
+    """The equality search's own graph has the size, rows, order and
+    counters of the match graph of its automaton, projected."""
+    cq = parse_query(text).disjuncts[0]
+    rng = random.Random(text)
+    for length in (0, 1, 2, 3, 5, 8, 13, 20):
+        doc = "".join(rng.choice("ab") for _ in range(length))
+        joined = compiler.join_many(map(compile_regex, cq.atoms))
+        selected = compiler.apply_selections(joined, cq.equalities, doc)
+        want = _walk(build_match_graph(compiler.project(selected, cq.projected_set), doc))
+        assert _walk(compile_cq(cq, doc)) == want, doc
 
 
 def test_equality_query_normalizes_only_its_atom(monkeypatch):
-    """The equality automaton, the join, the projection and the match graph
-    are built in normal form, so only the atom's configurations are
-    searched for."""
+    """The join is built in normal form and the equality search builds the
+    match graph from it, so only the atom's configurations are searched
+    for."""
     calls = []
     search = vsa._search_configs
 
@@ -340,8 +370,8 @@ def test_equality_query_normalizes_only_its_atom(monkeypatch):
     q = parse_query("SELECT x, y FROM /.* x{.*} .* y{.*} .*/ WHERE x == y")
     atom = compile_regex(q.disjuncts[0].atoms[0], check=False)
     monkeypatch.setattr(vsa, "_search_configs", counting)
-    united, _ = compile_query(q, "abab")
-    rows = list(enumerate_spans(united, "abab"))
+    graph, = compile_query(q, "abab")
+    rows = list(enumerate_graph(graph))
     assert calls == [atom.n_states]
     assert rows == eval_canonical(q.disjuncts[0], "abab")
 
@@ -361,8 +391,8 @@ def test_union_query_normalizes_only_its_atoms(monkeypatch):
                     "SELECT x FROM /.* x{.+} .*/, /.* x{.* b} .*/ UNION "
                     "SELECT x FROM /x{.} .*/")
     monkeypatch.setattr(vsa, "_search_configs", counting)
-    united, _ = compile_query(q, "abaabba")
-    rows = list(enumerate_spans(united, "abaabba"))
+    graph, = compile_query(q, "abaabba")
+    rows = list(enumerate_graph(graph))
     assert len(calls) == 4
     assert rows == list(eval_query(q, "abaabba", strategy="canonical"))
 
@@ -397,13 +427,13 @@ def test_mixed_plan_agrees_with_all_canonical():
 
 def _count_equality_searches(monkeypatch):
     calls = []
-    search = spanex.query.apply_selections
+    search = spanex.query.equality_graph
 
     def counting(*args, **kwargs):
         calls.append(args)
         return search(*args, **kwargs)
 
-    monkeypatch.setattr(spanex.query, "apply_selections", counting)
+    monkeypatch.setattr(spanex.query, "equality_graph", counting)
     return calls
 
 
@@ -435,8 +465,7 @@ def test_unary_fallback_returns_the_compiled_list():
     back to canonical, and its rows come in the compiled order."""
     q = parse_query("SELECT x, y FROM /.* x{a} .* y{a} .*/ WHERE x == y")
     doc = "a" * 200
-    _, parts = compile_query(q, doc, path_budget=100, fallback=True)
-    assert parts == [None]
+    assert compile_query(q, doc, path_budget=100, fallback=True) == [None]
     rows = list(eval_query(q, doc, PlanOptions(eq_path_budget=100)))
     assert len(rows) == 200 * 199 // 2
     assert rows == list(eval_query(q, doc, strategy="compiled"))
@@ -529,5 +558,5 @@ def test_strategies_agree_on_random_queries():
         cq.validate()
         doc = random_doc(rng, 5)
         want = eval_canonical(cq, doc)
-        got = list(enumerate_spans(compile_cq(cq, doc), doc))
+        got = list(enumerate_graph(compile_cq(cq, doc)))
         assert got == want, (query_to_source(UnionQuery((cq,))), doc)
