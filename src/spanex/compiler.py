@@ -40,7 +40,6 @@ from .formula import (
     Formula,
     Star,
     Sym,
-    formula_variables,
 )
 from .enumerator import MatchGraph, empty_graph, enumerate_spans, layered_graph
 from .model import CLOSED, OPEN, WAITING, SpanTuple, close_op, open_op
@@ -61,67 +60,66 @@ from .vsa import (
 # ---------------------------------------------------------------------------
 
 
+_RIGHT, _JOIN, _LOOP, _CLOSE = "right", "join", "loop", "close"
+
+
 def compile_regex(formula: Formula, *, check: bool = True) -> VSA:
     """Compile a functional formula into an equivalent functional automaton.
 
-    Bindings become open/close marker edges around the compiled body; the
-    rest is the usual one-start-one-end construction with at most two fresh
-    states per syntax node, so the result is linear in the formula size.
-    The result is the construction's normal form, which raises
+    Each syntax node is built from the state its left neighbour ends in and
+    returns the state it ends in, so no ε-move joins two neighbours: ε adds
+    no state, a letter or ∅ one, a binding two (after its open and its close
+    marker), an alternation a fresh start for each branch and one shared
+    end, and a star a loop state and an exit.  The result is linear in the
+    formula size, and its states are numbered left to right.  It is the
+    construction's normal form, which raises
     :class:`~spanex.vsa.NotFunctionalError` on a formula that is not
     functional; with ``check=False`` it is the trimmed construction itself,
     functional or not.  An unsatisfiable formula compiles to the canonical
     empty automaton.
     """
     transitions: list[tuple] = []
-    n_states = 0
-    built: list[tuple[int, int]] = []  # (start, end) of each finished node
-    # (node, None) is still to build; otherwise its children are built and it
-    # wires them, between its own states (s, e) unless it is a Cat
-    stack: list[tuple] = [(formula, None)]
+    variables = set()
+    here, n_states = 0, 1  # the end state of what is built so far
+    # a node still to build from ``here``, or a tagged tuple that finishes a
+    # node once its last child ends in ``here``
+    stack: list = [formula]
     while stack:
-        node, ends = stack.pop()
-        if ends is not None:
-            bs, be = built.pop()
-            if isinstance(node, Cat):
-                ls, le = built.pop()
-                transitions.append((le, None, bs))
-                built.append((ls, be))
-                continue
-            s, e = ends
-            if isinstance(node, Alt):
-                ls, le = built.pop()
-                transitions.extend(((s, None, ls), (s, None, bs),
-                                   (le, None, e), (be, None, e)))
-            elif isinstance(node, Star):
-                transitions.extend(((s, None, e), (s, None, bs),
-                                   (be, None, e), (be, None, bs)))
-            else:  # Bind
-                transitions.append((s, frozenset((open_op(node.var),)), bs))
-                transitions.append((be, frozenset((close_op(node.var),)), e))
-            built.append((s, e))
-            continue
-        if isinstance(node, Cat):
-            stack.extend(((node, ()), (node.right, None), (node.left, None)))
-            continue
-        s, e = n_states, n_states + 1
-        n_states += 2
-        if isinstance(node, Alt):
-            stack.extend(((node, (s, e)), (node.right, None), (node.left, None)))
-        elif isinstance(node, (Star, Bind)):
-            stack.extend(((node, (s, e)), (node.inner, None)))
+        node = stack.pop()
+        kind = type(node)
+        if kind is tuple:
+            tag, state, rest = node
+            if tag is _RIGHT:  # the left branch ends here: start the right one
+                stack += (_JOIN, here, None), rest
+                transitions.append((state, None, n_states))
+            elif tag is _JOIN:  # both branches end: join them
+                transitions += (state, None, n_states), (here, None, n_states)
+            elif tag is _LOOP:  # the starred body ends: loop back, then exit
+                transitions += (here, None, state), (state, None, n_states)
+            else:  # the bound body ends: close the variable
+                transitions.append((here, rest, n_states))
+            here, n_states = n_states, n_states + 1
+        elif kind is Cat:
+            stack += node.right, node.left
+        elif kind is Epsilon:
+            pass
         else:
-            if isinstance(node, Epsilon):
-                transitions.append((s, None, e))
-            elif isinstance(node, Sym):
-                transitions.append((s, node.char, e))
-            elif isinstance(node, Any):
-                transitions.append((s, ANY, e))
-            elif not isinstance(node, Empty):  # pragma: no cover
+            if kind is Sym or kind is Any:
+                transitions.append((here, ANY if kind is Any else node.char, n_states))
+            elif kind is Alt:
+                stack += (_RIGHT, here, node.right), node.left
+                transitions.append((here, None, n_states))
+            elif kind is Star:
+                stack += (_LOOP, n_states, None), node.inner
+                transitions.append((here, None, n_states))
+            elif kind is Bind:
+                variables.add(node.var)
+                stack += (_CLOSE, None, frozenset((close_op(node.var),))), node.inner
+                transitions.append((here, frozenset((open_op(node.var),)), n_states))
+            elif kind is not Empty:  # pragma: no cover
                 raise TypeError(f"not a formula node: {node!r}")
-            built.append((s, e))
-    (start, end), = built
-    automaton = VSA(formula_variables(formula), n_states, start, end, transitions)
+            here, n_states = n_states, n_states + 1
+    automaton = VSA(variables, n_states, 0, here, transitions)
     return normal_form(automaton) if check else trim(automaton)
 
 

@@ -29,7 +29,6 @@ Concrete syntax (used by ``parse_formula`` and the ``.spq`` query files):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 
 # ---------------------------------------------------------------------------
@@ -85,23 +84,22 @@ class Bind(Formula):
     inner: Formula
 
 
-def formula_nodes(formula: Formula) -> Iterator[Formula]:
-    """Every node of the formula, each before its children, without
-    recursion."""
-    stack = [formula]
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (Alt, Cat)):
-            stack += node.right, node.left
-        elif isinstance(node, (Star, Bind)):
-            stack.append(node.inner)
+def formula_nodes(formula: Formula) -> list[Formula]:
+    """Every node of the formula, each before its children (breadth first),
+    without recursion."""
+    nodes = [formula]
+    for node in nodes:  # the list grows while it is read
+        kind = type(node)
+        if kind is Cat or kind is Alt:
+            nodes += node.left, node.right
+        elif kind is Star or kind is Bind:
+            nodes.append(node.inner)
+    return nodes
 
 
 def formula_variables(formula: Formula) -> frozenset[str]:
     """All variable names occurring syntactically in the formula."""
-    return frozenset(node.var for node in formula_nodes(formula)
-                     if isinstance(node, Bind))
+    return frozenset([node.var for node in formula_nodes(formula) if type(node) is Bind])
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +108,9 @@ def formula_variables(formula: Formula) -> frozenset[str]:
 
 _SPECIALS = set("{}()|*+.\\") | {"∨", "Σ", "ε", "∅"}
 _IDENT_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
+_PUNCTUATION = {"|": ("alt",), "∨": ("alt",), "*": ("star",), "+": ("plus",),
+                "(": ("lparen",), ")": ("rparen",), ".": ("any",), "Σ": ("any",),
+                "ε": ("eps",), "∅": ("empty",), "}": ("rbrace",)}
 
 
 class FormulaSyntaxError(ValueError):
@@ -131,24 +132,9 @@ def _tokenize(text: str) -> list[tuple]:
         if ch.isspace():
             i += 1
             continue
-        if ch in ("|", "∨"):
-            tokens.append(("alt",))
-        elif ch == "*":
-            tokens.append(("star",))
-        elif ch == "+":
-            tokens.append(("plus",))
-        elif ch == "(":
-            tokens.append(("lparen",))
-        elif ch == ")":
-            tokens.append(("rparen",))
-        elif ch in (".", "Σ"):
-            tokens.append(("any",))
-        elif ch == "ε":
-            tokens.append(("eps",))
-        elif ch == "∅":
-            tokens.append(("empty",))
-        elif ch == "}":
-            tokens.append(("rbrace",))
+        token = _PUNCTUATION.get(ch)
+        if token is not None:
+            tokens.append(token)
         elif ch == "{":
             raise FormulaSyntaxError("'{' must follow a variable name (or be escaped)")
         elif ch in _IDENT_CHARS:

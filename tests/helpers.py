@@ -291,6 +291,61 @@ def loop_automaton() -> VSA:
     ])
 
 
+def thompson_automaton(formula: Formula) -> VSA:
+    """The Thompson construction of a formula (Thompson, CACM 1968), the
+    reference for the one ``compile_regex`` builds: every node but a
+    concatenation gets a fresh start and end state, allocated in preorder,
+    and ε-moves wire a node to its children.  Bindings are open and close
+    marker edges around the body.  Untrimmed."""
+    transitions = []
+    n_states = 0
+    built = []  # (start, end) of each finished node
+    # (node, None) is still to build; otherwise its children are built and it
+    # wires them, between its own states (s, e) unless it is a Cat
+    stack = [(formula, None)]
+    while stack:
+        node, ends = stack.pop()
+        if ends is not None:
+            bs, be = built.pop()
+            if isinstance(node, Cat):
+                ls, le = built.pop()
+                transitions.append((le, None, bs))
+                built.append((ls, be))
+                continue
+            s, e = ends
+            if isinstance(node, Alt):
+                ls, le = built.pop()
+                transitions.extend(((s, None, ls), (s, None, bs),
+                                   (le, None, e), (be, None, e)))
+            elif isinstance(node, Star):
+                transitions.extend(((s, None, e), (s, None, bs),
+                                   (be, None, e), (be, None, bs)))
+            else:  # Bind
+                transitions.append((s, frozenset((open_op(node.var),)), bs))
+                transitions.append((be, frozenset((close_op(node.var),)), e))
+            built.append((s, e))
+            continue
+        if isinstance(node, Cat):
+            stack.extend(((node, ()), (node.right, None), (node.left, None)))
+            continue
+        s, e = n_states, n_states + 1
+        n_states += 2
+        if isinstance(node, Alt):
+            stack.extend(((node, (s, e)), (node.right, None), (node.left, None)))
+        elif isinstance(node, (Star, Bind)):
+            stack.extend(((node, (s, e)), (node.inner, None)))
+        else:
+            if isinstance(node, Sym):
+                transitions.append((s, node.char, e))
+            elif isinstance(node, Any):
+                transitions.append((s, ANY, e))
+            elif isinstance(node, Epsilon):
+                transitions.append((s, None, e))
+            built.append((s, e))
+    (start, end), = built
+    return VSA(formula_variables(formula), n_states, start, end, transitions)
+
+
 def compute_state_configs(vsa: VSA) -> list[tuple[int, ...]]:
     """Unique per-state variable configuration of a trimmed automaton, by a
     breadth-first search of its own from the initial state, out-edges in

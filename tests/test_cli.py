@@ -212,6 +212,23 @@ def test_check_non_functional_formula(capsys):
     assert "x" in out
 
 
+@pytest.mark.parametrize("formula, reason, variable", [
+    ("y{a.}y{x{b}}|(z{.}|y{a})", "variable opened twice", "y"),
+    ("(x{b*}(z{a}|a*))*", "conflicting configurations", "z"),
+    ("a(z{b}ε|(x{a}|.))", "conflicting configurations", "z"),
+    ("y{z{ε}}*|x{∅*}*", "conflicting configurations", "y"),
+    ("x{a*}y{x{b}}", "variable opened twice", "x"),
+    ("x{a y{b}} y{c}", "variable opened twice", "y"),
+    ("(x{a})*", "conflicting configurations", "x"),
+    ("x{a} | y{∅}", "variable not closed at the final state", "y"),
+])
+def test_check_names_the_reason_and_variable(capsys, formula, reason, variable):
+    """The check's verdict on a non-functional formula is pinned: the first
+    fault its search meets depends on the construction's state order."""
+    code, out, err = run_cli(capsys, "check", "--formula", formula)
+    assert (code, out, err) == (2, f"not functional: {reason} (variable {variable})\n", "")
+
+
 def test_eval_out_of_memory_exits_2(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError

@@ -2,9 +2,11 @@
 strict expansion, and string-equality selection."""
 
 import importlib.util
+import itertools
 import random
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,15 +16,15 @@ from spanex.compiler import (
     check_functional, compile_regex, join, join_many, project, union_vsa,
 )
 from spanex.enumerator import enumerate_spans
-from spanex.formula import Any, Bind, Cat, Star, parse_formula
+from spanex.formula import Any, Bind, Cat, Empty, Star, formula_nodes, parse_formula
 from spanex.harness import gen_3cnf_query
-from spanex.model import EMPTY_TUPLE, Span, SpanTuple, all_spans, close_op, open_op
+from spanex.model import CLOSED, EMPTY_TUPLE, Span, SpanTuple, all_spans, close_op, open_op
 from spanex.query import PlanOptions, eval_canonical, parse_query
 from spanex.vsa import NormalForm, NotFunctionalError, normal_form, trim
 
 from helpers import (
     assert_normal_form, filter_rows, is_functional, join_rows, project_rows, random_doc,
-    random_formula, random_functional_formula, relation_of, span_set,
+    random_formula, random_functional_formula, relation_of, span_set, thompson_automaton,
 )
 from oracle import expand_strict
 
@@ -60,6 +62,55 @@ def test_compiled_formula_is_the_normal_form_of_its_construction():
         raw = normal_form(compile_regex(formula, check=False))
         assert (form.n_states, form.transitions, form.configs) == (
             raw.n_states, raw.transitions, raw.configs), formula
+
+
+def _form_or_verdict(automaton):
+    """The normal form's states, configurations and edge multiset, or None
+    when the automaton is not functional."""
+    try:
+        form = normal_form(automaton)
+    except NotFunctionalError:
+        return None
+    return form.n_states, form.configs, Counter(form.edges)
+
+
+def test_construction_has_the_normal_form_of_thompsons():
+    """Building each node from its left neighbour's end state leaves out
+    Thompson's ε-chains, not a state of the normal form: both give the same
+    states, configurations and edges (up to order), and the same verdict."""
+    rng = random.Random(2718)
+    formulas = [random_formula(rng, depth=rng.choice((3, 4, 5)), variables=("x", "y", "z"))
+                for _ in range(600)]
+    verdicts = Counter()
+    for formula in formulas:
+        want = _form_or_verdict(thompson_automaton(formula))
+        try:
+            got = _form_or_verdict(compile_regex(formula))
+        except NotFunctionalError:
+            got = None
+        assert got == want, formula
+        verdicts["functional" if want is not None else "not functional"] += 1
+        verdicts["∅"] += any(isinstance(node, Empty) for node in formula_nodes(formula))
+    assert verdicts["functional"] > 300 and verdicts["not functional"] > 100
+    assert verdicts["∅"] > 50
+    for signs in itertools.product((1, -1), repeat=3):
+        query, _ = gen_3cnf_query([(signs[0], 2 * signs[1], 3 * signs[2]),
+                                   (2, -4, 5), (-1, 3, 6)])
+        for atom in query.disjuncts[0].atoms:
+            want = _form_or_verdict(thompson_automaton(atom))
+            assert _form_or_verdict(compile_regex(atom)) == want, atom
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 2000 + "a" + ")" * 2000,
+    "(" * 2000 + "a" + ")*" * 2000,
+    "".join(f"x{i}{{" for i in range(300)) + "a" + "}" * 300,
+    "a" * 20_000,
+], ids=["parentheses", "stars", "binds", "letters"])
+def test_deep_and_long_formulas_compile(text):
+    """The construction walks the formula on a list, not the call stack."""
+    form = compile_regex(parse_formula(text))
+    assert form.n_states > 2 and form.configs[form.final] == (CLOSED,) * len(form.variables)
 
 
 def test_compiled_outputs_are_functional():
@@ -274,12 +325,12 @@ def test_join_output_is_in_normal_form():
 
 
 def test_join_of_3cnf_atoms_stays_small():
-    """The product of one 3-clause, 6-variable instance's atoms (110, 46 and
-    46 states before the normal form) stays linear in them; pairing raw
+    """The product of one 3-clause, 6-variable instance's atoms (68, 30 and
+    30 states before the normal form) stays linear in them; pairing raw
     automata gave 4,855 states and 321,615 transitions."""
     query, _ = gen_3cnf_query([(2, -5, 1), (3, -3, 5), (6, 5, -6)])
     atoms = [compile_regex(atom, check=False) for atom in query.disjuncts[0].atoms]
-    assert [atom.n_states for atom in atoms] == [110, 46, 46]
+    assert [atom.n_states for atom in atoms] == [68, 30, 30]
     joined = join_many(atoms)
     assert joined.n_states <= 100
     assert len(joined.transitions) <= 200
