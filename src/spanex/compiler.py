@@ -2,20 +2,23 @@
 check, the automaton algebra (projection, union, natural join, and
 string-equality selection), and the key-attribute test.
 
-A formula compiles to the ε-free normal form of its construction
-(:func:`~spanex.vsa.normal_form`), which is also the one functionality
-check, for formulas and automata alike.  Every construction takes and
-returns functional automata, so the enumerator can run directly on any
-output.  The join is a product of the two inputs' normal forms, which
-alternate one marker move and one letter, so it synchronises letters and
-pairs marker moves that agree on shared variables.  String equality is one
-forward search over a normal form along the document, keeping a marker move
-only when the spans it opens and closes fit the equated substrings, and
-leaving out states that two liveness rules show cannot reach the end.  Each
-of its states belongs to one position, so the states it keeps are already
-the layers of a match graph: :func:`equality_graph` hands them to the
-enumerator, projected by ranking letters on the kept columns, and
-:func:`apply_selections` is the same search's normal form, for the algebra.
+A formula compiles to an ε-free normal form (:class:`~spanex.vsa.NormalForm`).
+When its syntax tree passes the functionality test, the normal form is read
+off the tree by the position construction; otherwise it is the normal form
+of the formula's construction (:func:`~spanex.vsa.normal_form`), which
+decides functionality and names the reason, as it does for any automaton.
+Every construction takes and returns functional automata, so the enumerator
+can run directly on any output.  The join is a product of the two inputs'
+normal forms, which alternate one marker move and one letter, so it
+synchronises letters and pairs marker moves that agree on shared variables.
+String equality is one forward search over a normal form along the document,
+keeping a marker move only when the spans it opens and closes fit the
+equated substrings, and leaving out states that two liveness rules show
+cannot reach the end.  Each of its states belongs to one position, so the
+states it keeps are already the layers of a match graph:
+:func:`equality_graph` hands them to the enumerator, projected by ranking
+letters on the kept columns, and :func:`apply_selections` is the same
+search's normal form, for the algebra.
 Compiled formulas, the join, projection, union and equality selection return
 a :class:`~spanex.vsa.NormalForm`, so no later stage rebuilds one, and none
 builds a marker set: the configurations fix those, so projection and
@@ -61,23 +64,129 @@ from .vsa import (
 
 
 _RIGHT, _JOIN, _LOOP, _CLOSE = "right", "join", "loop", "close"
+_NOTHING = (0, True, 0, 0, True)  # what ε leaves: no variable, nullable, no position
+
+
+def _position_form(formula: Formula) -> NormalForm | None:
+    """The normal form of a formula whose syntax tree shows it functional,
+    by the position construction (Glushkov, 1961); None when the tree test
+    fails.
+
+    One walk without recursion numbers the letter occurrences left to right
+    as positions: of k, position i has the source copy 2+i and the target
+    copy 2+k+i.  A finished node leaves (variables, nullable, first, last,
+    ok), its sets as bits, or None when it matches nothing: ∅ absorbs a
+    concatenation and a binding, drops out of an alternation, and its star
+    is ε.  ``ok`` is the test of Fagin, Kimelfeld, Reiss and Vansummeren
+    (JACM 2015): both sides of an alternation bind the same variables, the
+    two sides of a concatenation disjoint ones, no star binds one and no
+    binding rebinds its own; the root binds them all.  First, last and
+    follow give the marker moves.  At a position, an enclosing binding's
+    variable is open, and one bound left of it under a concatenation closed.
+    """
+    bit_of: dict[str, int] = {}  # variable -> its bit, in order of binding
+    letters: list = []  # per position: its symbol or ANY
+    contexts: list[tuple[int, int]] = []  # per position: (open, closed) bits
+    follow: list[int] = []  # per position: the positions that may follow it
+    done: list = []  # what finished nodes leave, the last one on top
+    pruned = False
+    stack: list[tuple] = [(formula, 0, 0, 0)]  # (node, open, closed, stage)
+    while stack:
+        node, opened, closed, stage = stack.pop()
+        kind = type(node)
+        if stage == 1 and kind is Cat:  # the left side's variables are closed
+            left = done[-1]
+            stack += ((node, opened, closed, 2),
+                      (node.right, opened, closed | (left[0] if left else 0), 0))
+        elif stage:
+            right = done.pop()  # the inner node's, or the right side's
+            left = done.pop() if kind is Cat or kind is Alt else right
+            if left is None or right is None:
+                right = _NOTHING if kind is Star else left or right if kind is Alt else None
+            elif kind is Bind:
+                bound, nullable, first, last, ok = right
+                bit = bit_of[node.var]
+                right = (bound | bit, nullable, first, last, ok and not bound & bit)
+            else:
+                lbound, lnull, lfirst, llast, lok = left
+                bound, nullable, first, last, ok = right
+                if kind is Alt:
+                    right = (lbound | bound, lnull or nullable, lfirst | first,
+                             llast | last, lok and ok and lbound == bound)
+                else:  # a concatenation, or a star: its inner node after itself
+                    for p in _set_bits(llast):
+                        follow[p] |= first
+                    right = (lbound | bound, lnull and nullable or kind is Star,
+                             lfirst | first if lnull else lfirst,
+                             llast | last if nullable else last,
+                             lok and ok and not lbound & bound)
+            done.append(right)
+        elif kind is Cat:
+            stack += (node, opened, closed, 1), (node.left, opened, closed, 0)
+        elif kind is Bind:
+            bit = bit_of.setdefault(node.var, 1 << len(bit_of))
+            stack += (node, opened, closed, 1), (node.inner, opened | bit, closed, 0)
+        elif kind is Sym or kind is Any:
+            position = 1 << len(letters)
+            letters.append(ANY if kind is Any else node.char)
+            contexts.append((opened, closed))
+            follow.append(0)
+            done.append((0, False, position, position, True))
+        elif kind is Epsilon:
+            done.append(_NOTHING)
+        elif kind is Alt:
+            stack += ((node, opened, closed, 1), (node.right, opened, closed, 0),
+                      (node.left, opened, closed, 0))
+        elif kind is Star:
+            stack += (node, opened, closed, 1), (node.inner, opened, closed, 0)
+        elif kind is Empty:
+            pruned = True
+            done.append(None)
+        else:  # pragma: no cover
+            raise TypeError(f"not a formula node: {node!r}")
+
+    variables = sorted(bit_of)
+    root = done.pop()
+    if root is None:
+        return empty_vsa(variables)
+    bound, nullable, first, last, ok = root
+    if not ok or bound != (1 << len(bit_of)) - 1:
+        return None
+    k, finals = len(letters), set(_set_bits(last))
+    edges = [(2 + p, letter, 2 + k + p) for p, letter in enumerate(letters)]
+    for here, nexts, ends in chain([(0, first, nullable)],
+                                   [(2 + k + p, follow[p], p in finals) for p in range(k)]):
+        edges += [(here, None, 2 + q) for q in _set_bits(nexts)]
+        if ends:
+            edges.append((here, None, 1))
+    bits = [bit_of[var] for var in variables]
+    configs = [tuple([OPEN if opened & bit else CLOSED if closed & bit else WAITING
+                      for bit in bits]) for opened, closed in contexts]
+    form = NormalForm(variables, 2 + 2 * k, 0, 1, edges,
+                      [(WAITING,) * len(bits), (CLOSED,) * len(bits)] + configs + configs)
+    return trim(form) if pruned else form
 
 
 def compile_regex(formula: Formula, *, check: bool = True) -> VSA:
     """Compile a functional formula into an equivalent functional automaton.
 
-    Each syntax node is built from the state its left neighbour ends in and
-    returns the state it ends in, so no ε-move joins two neighbours: ε adds
-    no state, a letter or ∅ one, a binding two (after its open and its close
-    marker), an alternation a fresh start for each branch and one shared
-    end, and a star a loop state and an exit.  The result is linear in the
-    formula size, and its states are numbered left to right.  It is the
-    construction's normal form, which raises
-    :class:`~spanex.vsa.NotFunctionalError` on a formula that is not
-    functional; with ``check=False`` it is the trimmed construction itself,
+    A formula whose syntax tree passes the test of :func:`_position_form`
+    compiles straight to its normal form.  Any other takes the
+    construction: each syntax node is built from the state its left
+    neighbour ends in and returns the state it ends in, so no ε-move joins
+    two neighbours: ε adds no state, a letter or ∅ one, a binding two (after
+    its open and its close marker), an alternation a fresh start for each
+    branch and one shared end, and a star a loop state and an exit.  Its
+    normal form, the same one, raises :class:`~spanex.vsa.NotFunctionalError`
+    with the reason and the variable on a formula that is not functional.
+    With ``check=False`` the result is the trimmed construction itself,
     functional or not.  An unsatisfiable formula compiles to the canonical
     empty automaton.
     """
+    if check:
+        form = _position_form(formula)
+        if form is not None:
+            return form
     transitions: list[tuple] = []
     variables = set()
     here, n_states = 0, 1  # the end state of what is built so far
@@ -125,7 +234,8 @@ def compile_regex(formula: Formula, *, check: bool = True) -> VSA:
 
 def check_functional(subject: Formula | VSA) -> FunctionalityReport:
     """Whether a formula, or an automaton, is functional: the verdict of
-    :func:`~spanex.vsa.normal_form`, with the reason and variable it names.
+    :func:`compile_regex` or :func:`~spanex.vsa.normal_form`, with the
+    reason and variable that the normal form of a construction names.
 
     An empty ref-word language is vacuously functional, so ``(x{a})* ∅`` is,
     while a variable bound only on a dead branch (``x{a} | y{∅}``) is not.

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import re
 from dataclasses import dataclass
 
 from .compiler import (
@@ -140,52 +141,31 @@ class UnionQuery:
 # ---------------------------------------------------------------------------
 
 _KEYWORDS = {"SELECT", "FROM", "WHERE", "AND", "UNION"}
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CHARS = _IDENT_START | set("0123456789")
 _PUNCTUATION = {",": "comma", "(": "lparen", ")": "rparen", "==": "eq"}
+# whitespace, a /formula/ literal (an escaped character is a pair), a mark,
+# a name, and any other character, which is an error; so the matches tile
+# the whole text
+_QUERY_TOKEN = re.compile(r"(\s+)|/((?:[^/\\]|\\.)*)/|(==|[,()])|([A-Za-z_][A-Za-z0-9_]*)|(.)",
+                          re.DOTALL)
 
 
 def _tokenize_query(text: str) -> list[tuple[str, str, int]]:
     tokens: list[tuple[str, str, int]] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "/":
-            start = i
-            i += 1
-            buf: list[str] = []
-            while i < n and text[i] != "/":
-                if text[i] == "\\" and i + 1 < n:
-                    if text[i + 1] == "/":
-                        buf.append("/")
-                    else:
-                        buf.append(text[i])
-                        buf.append(text[i + 1])
-                    i += 2
-                else:
-                    buf.append(text[i])
-                    i += 1
-            if i >= n:
-                raise QuerySyntaxError("unterminated formula literal", start)
-            tokens.append(("regex", "".join(buf), start))
-            i += 1
-            continue
-        mark = next((mark for mark in _PUNCTUATION if text.startswith(mark, i)), None)
-        if mark is not None:
-            tokens.append((_PUNCTUATION[mark], mark, i))
-            i += len(mark)
-            continue
-        if ch in _IDENT_START:
-            start = i
-            while i < n and text[i] in _IDENT_CHARS:
-                i += 1
-            word = text[start:i]
+    for match in _QUERY_TOKEN.finditer(text):
+        kind, start = match.lastindex, match.start()
+        if kind == 2:
+            # a "/" inside the literal always follows the backslash that
+            # escapes it
+            tokens.append(("regex", match[2].replace("\\/", "/"), start))
+        elif kind == 3:
+            tokens.append((_PUNCTUATION[match[3]], match[3], start))
+        elif kind == 4:
+            word = match[4]
             tokens.append(("kw" if word in _KEYWORDS else "ident", word, start))
-            continue
-        raise QuerySyntaxError(f"unexpected character {ch!r}", i)
+        elif kind == 5:
+            if match[5] == "/":
+                raise QuerySyntaxError("unterminated formula literal", start)
+            raise QuerySyntaxError(f"unexpected character {match[5]!r}", start)
     return tokens
 
 

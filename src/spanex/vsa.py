@@ -20,11 +20,13 @@ an ε-free *normal form* of at most ``2n + 2`` states in which a run
 alternates one marker move and one letter.  A :class:`NormalForm` stores
 its moves and configurations and reads the marker sets off them; only
 automata from outside (:class:`VSA`, :func:`load_vsa`) are checked edge by
-edge.  :func:`normal_form`, the one functionality check, builds one once,
-for formulas and automata alike; every non-functional input raises
-:class:`NotFunctionalError`.  The join reads the form's adjacency lists,
-the match graph steps it through :func:`cached_step`, and the enumerator's
-output alphabet is its configurations.
+edge.  :func:`normal_form` builds one once from any automaton and checks its
+functionality: every non-functional input raises :class:`NotFunctionalError`
+with the reason and the variable.  A formula that its syntax tree shows
+functional gets its normal form from the compiler, straight from the tree.
+The join reads the form's adjacency lists, the match graph steps it through
+:func:`cached_step`, and the enumerator's output alphabet is its
+configurations.
 """
 
 from __future__ import annotations
@@ -315,13 +317,15 @@ def normal_form(vsa: VSA) -> NormalForm:
     a target copy to a source copy or the final state, which performs the
     operations between the two configurations (none for an ε-move).  So a
     run alternates one marker move and one letter, and the form has at most
-    ``2n + 2`` states.  The canonical empty automaton stands for an
+    ``2n + 2`` states.  The letters come first, in transition order, then
+    the moves of the initial state and of each target copy, in the order of
+    the states they reach.  The canonical empty automaton stands for an
     empty language.  Only states on an initial→final path count: one search
     through them finds the configurations, and no trimmed copy is built.
 
-    This is the one functionality check: it raises
-    :class:`NotFunctionalAutomaton` on conflicting configurations or on a
-    variable left unclosed at the final state, naming the variable.
+    It checks functionality: it raises :class:`NotFunctionalAutomaton` on
+    conflicting configurations or on a variable left unclosed at the final
+    state, naming the variable.
     """
     if isinstance(vsa, NormalForm):
         return vsa
@@ -353,7 +357,7 @@ def normal_form(vsa: VSA) -> NormalForm:
     target_id = {state: 2 + len(sources) + i for i, state in enumerate(targets)}
     edges = [(source_id[src], label, target_id[dst]) for src, label, dst in letters]
     for here, start in [(0, vsa.initial)] + [(target_id[t], t) for t in targets]:
-        for state in _reach(start, markers):
+        for state in sorted(_reach(start, markers)):
             if state in source_id:
                 edges.append((here, None, source_id[state]))
             if state == vsa.final:

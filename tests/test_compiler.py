@@ -20,7 +20,7 @@ from spanex.formula import Any, Bind, Cat, Empty, Star, formula_nodes, parse_for
 from spanex.harness import gen_3cnf_query
 from spanex.model import CLOSED, EMPTY_TUPLE, Span, SpanTuple, all_spans, close_op, open_op
 from spanex.query import PlanOptions, eval_canonical, parse_query
-from spanex.vsa import NormalForm, NotFunctionalError, normal_form, trim
+from spanex.vsa import ANY, NormalForm, NotFunctionalError, normal_form, trim
 
 from helpers import (
     assert_normal_form, filter_rows, is_functional, join_rows, project_rows, random_doc,
@@ -64,41 +64,83 @@ def test_compiled_formula_is_the_normal_form_of_its_construction():
             raw.n_states, raw.transitions, raw.configs), formula
 
 
-def _form_or_verdict(automaton):
-    """The normal form's states, configurations and edge multiset, or None
-    when the automaton is not functional."""
+def _form_or_verdict(automaton, order=Counter):
+    """The normal form's states, configurations and edges (a multiset by
+    default), or None when the automaton is not functional."""
     try:
         form = normal_form(automaton)
     except NotFunctionalError:
         return None
-    return form.n_states, form.configs, Counter(form.edges)
+    return form.n_states, form.configs, order(form.edges)
+
+
+def _compiled_or_verdict(formula, order=Counter):
+    try:
+        return _form_or_verdict(compile_regex(formula), order)
+    except NotFunctionalError:
+        return None
 
 
 def test_construction_has_the_normal_form_of_thompsons():
     """Building each node from its left neighbour's end state leaves out
-    Thompson's ε-chains, not a state of the normal form: both give the same
-    states, configurations and edges (up to order), and the same verdict."""
+    Thompson's ε-chains, not a state of the normal form, and the normal form
+    read off the syntax tree is the construction's own: all three give the
+    same states, configurations and edges (Thompson's up to order), and the
+    same verdict.  A ``+`` shares its operand between a concatenation and a
+    star, and each occurrence of a letter is a position of its own."""
     rng = random.Random(2718)
     formulas = [random_formula(rng, depth=rng.choice((3, 4, 5)), variables=("x", "y", "z"))
                 for _ in range(600)]
+    for variables in ((), ("x",), ("x", "y")):
+        for _ in range(40):
+            shared = random_formula(rng, depth=3, variables=variables)
+            formulas.append(Cat(shared, Star(shared)))
+            formulas.append(Bind("z", Cat(shared, Star(shared))))
+    formulas += map(parse_formula, ("a+", "x{a+} (b|c)+ y{ε}", "(x{a} b+)+", "(a|∅)+ x{.+}"))
     verdicts = Counter()
     for formula in formulas:
         want = _form_or_verdict(thompson_automaton(formula))
-        try:
-            got = _form_or_verdict(compile_regex(formula))
-        except NotFunctionalError:
-            got = None
-        assert got == want, formula
+        assert _compiled_or_verdict(formula) == want, formula
+        assert _compiled_or_verdict(formula, tuple) == _form_or_verdict(
+            compile_regex(formula, check=False), tuple), formula
         verdicts["functional" if want is not None else "not functional"] += 1
         verdicts["∅"] += any(isinstance(node, Empty) for node in formula_nodes(formula))
-    assert verdicts["functional"] > 300 and verdicts["not functional"] > 100
-    assert verdicts["∅"] > 50
+        verdicts["+"] += (type(formula) is Cat
+                          and formula.left is getattr(formula.right, "inner", None))
+    assert verdicts["functional"] > 350 and verdicts["not functional"] > 150
+    assert verdicts["∅"] > 50 and verdicts["+"] > 100
     for signs in itertools.product((1, -1), repeat=3):
         query, _ = gen_3cnf_query([(signs[0], 2 * signs[1], 3 * signs[2]),
                                    (2, -4, 5), (-1, 3, 6)])
         for atom in query.disjuncts[0].atoms:
             want = _form_or_verdict(thompson_automaton(atom))
-            assert _form_or_verdict(compile_regex(atom)) == want, atom
+            assert want is not None and _compiled_or_verdict(atom) == want, atom
+            assert _compiled_or_verdict(atom, tuple) == _form_or_verdict(
+                compile_regex(atom, check=False), tuple), atom
+
+
+def _moves(*pairs):
+    return tuple((src, None, dst) for src, dsts in pairs for dst in dsts)
+
+
+@pytest.mark.parametrize("text, edges", [
+    (".* x{.*} .*",
+     ((2, ANY, 5), (3, ANY, 6), (4, ANY, 7))
+     + _moves((0, (2, 3, 4, 1)), (5, (2, 3, 4, 1)), (6, (3, 4, 1)), (7, (4, 1)))),
+    (".* x{ab} .*",
+     ((2, ANY, 6), (3, "a", 7), (4, "b", 8), (5, ANY, 9))
+     + _moves((0, (2, 3)), (6, (2, 3)), (7, (4,)), (8, (5, 1)), (9, (5, 1)))),
+    (".* x{.*} .* y{.*} .*",
+     tuple((2 + i, ANY, 7 + i) for i in range(5))
+     + _moves((0, (2, 3, 4, 5, 6, 1)), (7, (2, 3, 4, 5, 6, 1)), (8, (3, 4, 5, 6, 1)),
+              (9, (4, 5, 6, 1)), (10, (5, 6, 1)), (11, (6, 1)))),
+])
+def test_benchmark_atoms_keep_their_edge_order(text, edges):
+    """The letters in position order, then each state's marker moves, the
+    initial state's first and then the target copies', each to the source
+    copies in position order and last to the final state: the order the
+    join numbers its pairs by, and so the order of every product."""
+    assert compile_regex(parse_formula(text)).edges == edges
 
 
 @pytest.mark.parametrize("text", [

@@ -12,7 +12,7 @@ from spanex.compiler import compile_regex
 from spanex.enumerator import (
     EnumerationStats, build_match_graph, enumerate_graph,
 )
-from spanex.formula import Any, Sym, formula_nodes
+from spanex.formula import Any, Bind, Cat, Sym, formula_nodes
 from spanex.harness import gen_3cnf_query, gen_clique_query, gen_streq_clique_query
 from spanex.model import EMPTY_TUPLE, Span, SpanTuple, all_spans, span_text
 from spanex.query import (
@@ -114,6 +114,36 @@ def test_query_to_source_round_trips():
     ]:
         q = parse_query(text)
         assert parse_query(query_to_source(q)) == q
+
+
+def test_query_literals_round_trip_every_symbol():
+    """A literal is one slice of the query text with its escaped slashes
+    unescaped: slash, backslash, brace and space symbols survive the trip
+    through query text, at the offsets they were written at."""
+    awkward = Cat(Cat(Cat(Bind("x", Cat(Sym("/"), Sym("\\"))), Sym("{")), Sym(" ")),
+                  Bind("y", Cat(Sym("\\"), Sym("/"))))
+    q = UnionQuery((ConjunctiveQuery(("x", "y"), (awkward, Sym("/"))),))
+    text = query_to_source(q)
+    assert text == r"SELECT x, y FROM /x{\/\\}\{\ y{\\\/}/, /\//"
+    assert parse_query(text) == q
+    assert spanex.query._tokenize_query(text) == [
+        ("kw", "SELECT", 0), ("ident", "x", 7), ("comma", ",", 8), ("ident", "y", 10),
+        ("kw", "FROM", 12), ("regex", r"x{/\\}\{\ y{\\/}", 17), ("comma", ",", 37),
+        ("regex", "/", 39)]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("SELECT x FROM /x{a}", "unterminated formula literal (at offset 14)"),
+    ("SELECT x FROM /x{a}\\/", "unterminated formula literal (at offset 14)"),
+    ("SELECT x FROM /x{a}\\", "unterminated formula literal (at offset 14)"),
+    ("SELECT x FROM /x{a}/ WHERE x = x", "unexpected character '=' (at offset 29)"),
+    ("SELECT x\u00a0FROM /x{a}/ WHERE 1x == x", "unexpected character '1' (at offset 27)"),
+    ("SELECT x FROM /x{a}/ WHERE x == é", "unexpected character 'é' (at offset 32)"),
+])
+def test_query_scanner_errors_name_their_offset(text, message):
+    with pytest.raises(QuerySyntaxError) as caught:
+        parse_query(text)
+    assert str(caught.value) == message
 
 
 def test_query_with_a_long_literal_renders():
@@ -357,9 +387,9 @@ def test_equality_graph_matches_the_selected_automaton(text):
 
 
 def test_equality_query_normalizes_only_its_atom(monkeypatch):
-    """The join is built in normal form and the equality search builds the
-    match graph from it, so only the atom's configurations are searched
-    for."""
+    """The atom's normal form is read off its syntax tree, the join is built
+    in normal form and the equality search builds the match graph from it,
+    so no configurations are searched for."""
     calls = []
     search = vsa._search_configs
 
@@ -368,18 +398,17 @@ def test_equality_query_normalizes_only_its_atom(monkeypatch):
         return search(automaton, *args)
 
     q = parse_query("SELECT x, y FROM /.* x{.*} .* y{.*} .*/ WHERE x == y")
-    atom = compile_regex(q.disjuncts[0].atoms[0], check=False)
     monkeypatch.setattr(vsa, "_search_configs", counting)
     graph, = compile_query(q, "abab")
     rows = list(enumerate_graph(graph))
-    assert calls == [atom.n_states]
+    assert calls == []
     assert rows == eval_canonical(q.disjuncts[0], "abab")
 
 
 def test_union_query_normalizes_only_its_atoms(monkeypatch):
-    """The union of the disjuncts' normal forms is built as one, so the
-    configurations are searched once per atom and not again for the
-    union."""
+    """Each atom's normal form is read off its syntax tree and the union of
+    the disjuncts' normal forms is built as one, so no configurations are
+    searched for."""
     calls = []
     search = vsa._search_configs
 
@@ -393,8 +422,28 @@ def test_union_query_normalizes_only_its_atoms(monkeypatch):
     monkeypatch.setattr(vsa, "_search_configs", counting)
     graph, = compile_query(q, "abaabba")
     rows = list(enumerate_graph(graph))
-    assert len(calls) == 4
+    assert calls == []
     assert rows == list(eval_query(q, "abaabba", strategy="canonical"))
+
+
+def test_functional_atoms_are_evaluated_without_a_configuration_search(monkeypatch):
+    """Clause atoms, and the benchmark's all-spans, occurrence and equality
+    queries, compile with no configuration search at all."""
+    clauses, doc = gen_3cnf_query([(1, -2, 3), (-2, 3, -4), (-1, 3, 4)])
+    names = tuple(f"x{v}" for v in range(1, 5))
+    cases = [(UnionQuery((ConjunctiveQuery(names, clauses.disjuncts[0].atoms),)), doc)]
+    for text, doc in [("SELECT x FROM /.* x{.*} .*/", "abbab"),
+                      ("SELECT x FROM /.* x{ab} .*/", "abcabcab"),
+                      ("SELECT x, y FROM /.* x{.*} .* y{.*} .*/ WHERE x == y", "abaab")]:
+        cases.append((parse_query(text), doc))
+
+    def refused(*args):
+        raise AssertionError("a configuration search ran")
+
+    monkeypatch.setattr(vsa, "_search_configs", refused)
+    for q, doc in cases:
+        want = eval_canonical(q.disjuncts[0], doc)
+        assert want and list(eval_query(q, doc)) == want, query_to_source(q)
 
 
 # ---------------------------------------------------------------------------
