@@ -14,7 +14,8 @@ synchronises letters and pairs marker moves that agree on shared variables.
 String equality is one forward search over a normal form along the document,
 keeping a marker move only when the spans it opens and closes fit the
 equated substrings, and leaving out states that two liveness rules show
-cannot reach the end.  Each of its states belongs to one position, so the
+cannot reach the end.  It steps from a state that reads a letter to the
+next such state, so each of its states belongs to one position, and the
 states it keeps are already the layers of a match graph:
 :func:`equality_graph` hands them to the enumerator, projected by ranking
 letters on the kept columns, and :func:`apply_selections` is the same
@@ -486,11 +487,12 @@ def is_key_attribute(vsa: VSA, var: str) -> KeyReport:
 
 class EqualityBudgetError(RuntimeError):
     """Raised when the equality search would create more states than the
-    caller allowed; ``estimate`` is the count it had reached."""
+    caller allowed (the states that read a letter next, and the final one);
+    ``estimate`` is the count it had reached."""
 
     def __init__(self, estimate: int, budget: int):
-        super().__init__(f"equality selection needs more than {budget} automaton "
-                         f"states (stopped at {estimate})")
+        super().__init__(f"equality search needs more than {budget} states "
+                         f"(stopped at {estimate})")
         self.estimate = estimate
         self.budget = budget
 
@@ -569,17 +571,62 @@ def _selection_form(vsa: VSA, selections) -> tuple[list, NormalForm]:
     return selections, normal_form(vsa)
 
 
+def _waiting_classes(form: NormalForm, slots: list, n_classes: int) -> list[list]:
+    """Per state of the form, each class with a member still waiting to
+    open, as ``(class, after)``: ``after`` holds the open members that some
+    waiting member of the class can open only once they have closed, as no
+    state reachable from here has that member out of WAITING while they are
+    OPEN.  One backward reachability pass over the form's edges gathers, per
+    state, the bits ``w * len(slots) + o`` of the pairs (w out of WAITING, o
+    OPEN) that some reachable state has."""
+    width = len(slots)
+    open_bits = [sum(1 << o for o, (_, c) in enumerate(slots) if config[c] == OPEN)
+                 for config in form.configs]
+    pairs = [sum(bits << w * width for w, (_, c) in enumerate(slots) if config[c] != WAITING)
+             for config, bits in zip(form.configs, open_bits)]
+    into: list[list[int]] = [[] for _ in range(form.n_states)]
+    for src, _, dst in form.edges:
+        into[dst].append(src)
+    todo = list(range(form.n_states))
+    while todo:
+        dst = todo.pop()
+        for src in into[dst]:
+            if pairs[dst] & ~pairs[src]:
+                pairs[src] |= pairs[dst]
+                todo.append(src)
+    every = (1 << width) - 1
+    members_of = [[w for w, (k, _) in enumerate(slots) if k == j] for j in range(n_classes)]
+    waiting = []
+    for config, reached, opened in zip(form.configs, pairs, open_bits):
+        classes = []
+        for k, members in enumerate(members_of):
+            waits = [w for w in members if config[slots[w][1]] == WAITING]
+            if waits:
+                followed = every  # the members each waiting one may open beside
+                for w in waits:
+                    followed &= reached >> w * width
+                classes.append((k, tuple(_set_bits(opened & ~followed))))
+        waiting.append(classes)
+    return waiting
+
+
 def _equality_search(form: NormalForm, selections: list, doc: str,
                      path_budget: int | None):
-    """The equality search of :func:`apply_selections` over ``form``, which
-    has configurations.
+    """The one equality search of :func:`apply_selections` and
+    :func:`equality_graph` over ``form``, which has configurations.
 
-    Returns ``(origin, edges, final, sources_at)``: ``origin[s]`` is the
-    form state of created state s (state 0 the initial one); ``edges`` are
-    the created edges, a marker move labelled None, in creation order, each
-    created after the source of its in-edges; ``final`` is the final state,
-    or None when the search did not reach it; ``sources_at[i]`` is the
-    range of states created at position i+1 that read a letter next.
+    It creates only the states that read a letter next (source copies) and
+    the final state, and steps from source copy to source copy: a letter's
+    target (form state, ids, ends) is a transient key, whose marker moves
+    are expanded once, however many sources read into it.  Returns
+    ``(origin, steps, final)``.  ``origin[s]`` is the form state of created
+    state s.  ``steps[i]``, for position i+1, is ``(reads, targets, entered,
+    created)``: ``reads`` are the letters ``(source, label, key)`` read at
+    position i into this position's keys (none at position 1, whose one key
+    is the initial state), ``targets[j]`` is key j's form state,
+    ``entered[j]`` the states its kept marker moves enter, each once, and
+    ``created`` the range of states created here.  ``final`` is the final
+    state, or None when the search did not reach it.
     """
     classes = [[form.ordered_variables.index(var) for var in members]
                for members in _equality_classes(selections)]
@@ -587,113 +634,155 @@ def _equality_search(form: NormalForm, selections: list, doc: str,
     form_configs = form.configs
     doc_len = len(doc)
     closable = [_closing_lengths(form, c, doc_len) for _, c in slots]
-    # per form state, the classes with a member still waiting to open
-    waiting = [[k for k, members in enumerate(classes)
-                if any(config[c] == WAITING for c in members)]
-               for config in form_configs]
+    waiting = _waiting_classes(form, slots, len(classes))
 
-    ids_at: dict[tuple[int, int], tuple[int, int]] = {}  # (begin, length) -> id
-    last_begins: dict[tuple[int, int], int] = {}  # id -> its last begin in doc
+    # a substring id is (first begin, length, last begin) in doc
+    ids_at: dict[tuple[int, int], tuple[int, int, int]] = {}  # (begin, length) -> id
 
-    def last_begin(sid: tuple[int, int]) -> int:
-        """The last place in ``doc`` where the substring ``sid`` begins."""
-        last = last_begins.get(sid)
-        if last is None:
-            begin, length = sid
-            text = doc[begin - 1:begin - 1 + length]
-            last = last_begins[sid] = doc.rfind(text) + 1
-        return last
+    def lengths(open_: tuple, ids: tuple, room: int):
+        """The lengths, as an iterator, that the member ``open_`` may open
+        with, given the ids held and the lengths that fit."""
+        _, k, shut, bits, _ = open_
+        if shut:
+            return iter((0,))
+        if ids[k] is not None:
+            return iter((ids[k][1],) if (room & bits) >> ids[k][1] & 1 else ())
+        return _set_bits(room & bits)
 
     def opened(opens: list, ids: tuple, ends: tuple, position: int, room: int):
-        """Each admissible (ids, ends) once ``opens`` open here, lazily;
-        ``room`` has the bits of the lengths that fit before the end."""
-        if not opens:
-            yield ids, ends
-            return
-        (m, k, shut, bits, waits), rest = opens[0], opens[1:]
-        if shut:
-            lengths = (0,)
-        elif ids[k] is not None:
-            lengths = (ids[k][1],) if (room & bits) >> ids[k][1] & 1 else ()
-        else:
-            lengths = _set_bits(room & bits)
-        for length in lengths:
+        """Each admissible (ids, ends) once ``opens`` open here, lazily, depth
+        first with shorter lengths first; ``room`` has the bits of the
+        lengths that fit before the end."""
+        stack = [(ids, ends, lengths(opens[0], ids, room))]
+        while stack:
+            ids, ends, choices = stack[-1]
+            length = next(choices, None)
+            if length is None:
+                stack.pop()
+                continue
+            m, k, shut, _, after = opens[len(stack) - 1]
             sid = ids_at.get((position, length))
             if sid is None:
                 text = doc[position - 1:position - 1 + length]
-                sid = ids_at[position, length] = (doc.find(text) + 1, length)
+                sid = ids_at[position, length] = (doc.find(text) + 1, length,
+                                                  doc.rfind(text) + 1)
             if ids[k] not in (None, sid):
                 continue
-            if waits and last_begin(sid) <= position:
-                break  # a longer substring from here begins last no later
-            end = None if shut else position + length
-            yield from opened(rest, ids[:k] + (sid,) + ids[k + 1:],
-                              ends[:m] + (end,) + ends[m + 1:], position, room)
+            held = ids[:k] + (sid,) + ids[k + 1:]
+            ends = ends[:m] + (None if shut else position + length,) + ends[m + 1:]
+            if after is not None and sid[2] < max(
+                    [position + 1] + [ends[o] for o in after if ends[o] is not None]):
+                stack.pop()  # a longer substring begins last no later, and
+                continue     # the bound only rises with its end
+            if len(stack) == len(opens):
+                yield held, ends
+            else:
+                stack.append((held, ends, lengths(opens[len(stack)], held, room)))
 
-    # marker moves with members opened (closed too?, the lengths the form
-    # can close them after, class still waiting?), members closed, classes
-    # finished, classes still waiting
-    moves: list[list] = [[] for _ in range(form.n_states)]
-    for q, label, dst in form.edges:
-        if label is None:
-            before, after = form_configs[q], form_configs[dst]
-            opens = [(m, k, after[c] == CLOSED, closable[m][dst], k in waiting[dst])
-                     for m, (k, c) in enumerate(slots) if before[c] == WAITING != after[c]]
-            closes = [m for m, (_, c) in enumerate(slots)
-                      if before[c] == OPEN and after[c] == CLOSED]
-            done = {k for k, members in enumerate(classes)
-                    if all(after[c] == CLOSED for c in members)}
-            moves[q].append((dst, opens, closes, done, waiting[dst]))
+    # per form state and the members a move closes, its marker moves into a
+    # source copy and those into the final state, each with the members it
+    # opens (closed too?, the lengths the form can close them after, the
+    # members a waiting one of its class follows), the classes it finishes
+    # and the classes still waiting
+    inner: list[dict] = [{} for _ in range(form.n_states)]
+    into_final: list[dict] = [{} for _ in range(form.n_states)]
+    # (a repeated move is taken once, so a key enters each state once)
+    for q, dst in dict.fromkeys((q, dst) for q, label, dst in form.edges if label is None):
+        before, after = form_configs[q], form_configs[dst]
+        follow = dict(waiting[dst])
+        opens = [(m, k, after[c] == CLOSED, closable[m][dst], follow.get(k))
+                 for m, (k, c) in enumerate(slots) if before[c] == WAITING != after[c]]
+        closes = tuple(m for m, (_, c) in enumerate(slots)
+                       if before[c] == OPEN and after[c] == CLOSED)
+        done = {k for k, members in enumerate(classes)
+                if all(after[c] == CLOSED for c in members)}
+        (into_final if dst == form.final else inner)[q].setdefault(closes, []).append(
+            (dst, opens, done, waiting[dst]))
 
-    edges: list[tuple] = []
+    letters_of: dict = {}  # symbol -> per form state, its letter edges (label, target)
     origin: list[int] = []
-    sources_at: list[range] = []
-
-    def add(states: dict, key: tuple, source: int | None, label) -> None:
-        target = states.get(key)
-        if target is None:
-            origin.append(key[0])
-            if path_budget is not None and len(origin) > path_budget:
-                raise EqualityBudgetError(len(origin), path_budget)
-            target = states[key] = len(origin) - 1
-        if source is not None:
-            edges.append((source, label, target))
-
+    steps: list[tuple] = []
     nothing_held = ((None,) * len(classes), (None,) * len(slots))
-    layer: dict[tuple, int] = {}
-    add(layer, (form.initial, *nothing_held), None, None)
-
+    keys: dict[tuple, int] = {(form.initial, *nothing_held): 0}
+    reads: list[tuple] = []
     for position in range(1, doc_len + 2):
-        last = position == doc_len + 1
+        moves = into_final if position == doc_len + 1 else inner
         room = (2 << doc_len + 1 - position) - 1  # lengths that fit from here
         first = len(origin)
         sources: dict[tuple, int] = {}
-        for (q, ids, ends), state in layer.items():
-            due = [m for m, end in enumerate(ends) if end == position]  # kept moves close these
-            kept = tuple(None if end == position else end for end in ends)
-            for dst, opens, closes, done, wait in moves[q]:
-                if (dst == form.final) != last or closes != due:
-                    continue
-                for held, open_ends in opened(opens, ids, kept, position, room):
+        expanded = []
+        for q, ids, ends in keys:
+            entered = []
+            expanded.append(entered)
+            if position in ends:  # kept moves close these members
+                due = tuple(m for m, end in enumerate(ends) if end == position)
+                ends = tuple(None if end == position else end for end in ends)
+            else:
+                due = ()
+            for dst, opens, done, wait in moves[q].get(due, ()):
+                for held, open_ends in (opened(opens, ids, ends, position, room)
+                                        if opens else ((ids, ends),)):
                     if done:
                         held = tuple(None if k in done else sid
                                      for k, sid in enumerate(held))
-                    if any(held[k] is not None and last_begin(held[k]) <= position
-                           for k in wait):
-                        continue
-                    add(sources, (dst, held, open_ends), state, None)
-        if last:
+                    for k, after in wait:
+                        sid = held[k]
+                        if sid is not None and sid[2] < (
+                                max([open_ends[o] for o in after]) if after else position + 1):
+                            break
+                    else:
+                        key = (dst, held, open_ends)
+                        state = sources.get(key)
+                        if state is None:
+                            origin.append(dst)
+                            if path_budget is not None and len(origin) > path_budget:
+                                raise EqualityBudgetError(len(origin), path_budget)
+                            state = sources[key] = len(origin) - 1
+                        entered.append(state)
+        steps.append((reads, [key[0] for key in keys], expanded, range(first, len(origin))))
+        if moves is into_final:
             break
-        sources_at.append(range(first, len(origin)))
         symbol = doc[position - 1]
-        layer = {}
+        letters = letters_of.get(symbol)
+        if letters is None:
+            letters = letters_of[symbol] = [
+                [(symbol, dst) for dst in form.sym_out[q].get(symbol, ())]
+                + [(ANY, dst) for dst in form.any_out[q]] for q in range(form.n_states)]
+        keys = {}
+        reads = []
         for (q, ids, ends), state in sources.items():
-            for label, dsts in ((symbol, form.sym_out[q].get(symbol, ())),
-                                (ANY, form.any_out[q])):
-                for dst in dsts:
-                    add(layer, (dst, ids, ends), state, label)
+            for label, dst in letters[q]:
+                key = (dst, ids, ends)
+                j = keys.get(key)
+                if j is None:
+                    j = keys[key] = len(keys)
+                reads.append((state, label, j))
 
-    return origin, edges, sources.get((form.final, *nothing_held)), sources_at
+    return origin, steps, sources.get((form.final, *nothing_held))
+
+
+def _sweep(origin: list, steps: list, final: int):
+    """Which created states reach the search's final state, per step the
+    live states each key enters, and each live source's live successors (a
+    letter, then a marker move): the key's own list when it reads into one
+    key, else a set.  One reverse sweep over the steps, as a key's states
+    are created at its position and the letters into it read at the one
+    before."""
+    live = [False] * len(origin)
+    live[final] = True
+    live_keys = [None] * len(steps)
+    successors: dict[int, list | set] = {}
+    for i in range(len(steps) - 1, -1, -1):
+        reads, _, expanded, _ = steps[i]
+        live_keys[i] = ahead = [[state for state in entered if live[state]]
+                                for entered in expanded]
+        for src, _, j in reads:
+            entered = ahead[j]
+            if entered:
+                live[src] = True
+                have = successors.get(src)
+                successors[src] = entered if have is None else {*have, *entered}
+    return live, live_keys, successors
 
 
 def apply_selections(vsa: VSA, selections, doc: str, *,
@@ -701,43 +790,56 @@ def apply_selections(vsa: VSA, selections, doc: str, *,
     """Filter the automaton's tuples on this document by substring equality
     of each selected variable pair.
 
-    One forward search over the input's normal form along ``doc``.  A state
-    is (position, form state, the substring id each equality class holds,
-    the end of each open class member).  A marker move of the form is kept
-    when it closes exactly the open members that end here, and each member
-    it opens with length L fixes its class's id to that substring (first
-    begin, length) or matches the id held.  A class forgets its id once all
-    its members are closed.
+    One forward search over the input's normal form along ``doc``
+    (:func:`_equality_search`).  A state is (position, form state, the
+    substring id each equality class holds, the end of each open class
+    member).  A marker move of the form is kept when it closes exactly the
+    open members that end here, and each member it opens with length L
+    fixes its class's id to that substring (first begin, length) or matches
+    the id held.  A class forgets its id once all its members are closed.
 
     Two rules keep the search from creating states that cannot reach the
     final state; each drops dead states alone, so the output is the same as
-    without them.  Occurrence: a state is dropped once its position has
-    passed the last begin in ``doc`` of a substring that a class holds while
-    one of its members still waits to open.  Closing length: a member opens
-    with length L only if the form can close it exactly L letters after the
-    state the opening move enters (:func:`_closing_lengths`).  The result is
-    a trimmed normal form with the input's configurations; creating more
-    than ``path_budget`` states raises :class:`EqualityBudgetError`.
+    without them.  Earliest begin: a member that waits to open can open only
+    after the position it is at, and after the end of each open member that
+    the form lets it open only once closed (:func:`_waiting_classes`), so a
+    state is dropped when the substring its class holds has no begin in
+    ``doc`` at or after the latest of those bounds.  Closing length: a
+    member opens with length L only if the form can close it exactly L
+    letters after the state the opening move enters
+    (:func:`_closing_lengths`).  The search creates only the source copies
+    and the final state; this result, a trimmed normal form with the input's
+    configurations, adds the initial state and one target copy per live
+    letter target.  Creating more than ``path_budget`` states raises
+    :class:`EqualityBudgetError`.
     :func:`equality_graph` hands the same search's states to the enumerator.
     """
     selections, form = _selection_form(vsa, selections)
     if not selections or form.configs is None:
         return form
-    origin, edges, final, _ = _equality_search(form, selections, doc, path_budget)
+    origin, steps, final = _equality_search(form, selections, doc, path_budget)
     if final is None:
         return empty_vsa(form.variables)
-    # each state was created from the initial one, after the sources of its
-    # in-edges: so a reverse sweep finds those that reach the final one
-    live = [False] * len(origin)
-    live[final] = True
-    for src, _, dst in reversed(edges):
-        live[src] = live[src] or live[dst]
-    kept = [state for state, alive in enumerate(live) if alive]
-    remap = {state: i for i, state in enumerate(kept)}
-    return NormalForm(form.variables, len(kept), 0, remap[final],
-                      [(remap[src], label, remap[dst])
-                       for src, label, dst in edges if live[dst]],
-                      [form.configs[origin[state]] for state in kept])
+    live, live_keys, _ = _sweep(origin, steps, final)
+    # number and link the live states in the order the search met them: per
+    # position, the target copies (the initial state at position 1), then
+    # the sources the copies' moves enter
+    number = [0] * len(origin)
+    configs, edges = [], []
+    for (reads, targets, _, created), ahead in zip(steps, live_keys):
+        copies = []
+        for q, entered in zip(targets, ahead):
+            copies.append(len(configs) if entered else None)
+            if entered:
+                configs.append(form.configs[q])
+        edges += [(number[src], label, copies[j]) for src, label, j in reads if ahead[j]]
+        for state in created:
+            if live[state]:
+                number[state] = len(configs)
+                configs.append(form.configs[origin[state]])
+        for copy, entered in zip(copies, ahead):
+            edges += [(copy, None, number[state]) for state in entered]
+    return NormalForm(form.variables, len(configs), 0, number[final], edges, configs)
 
 
 def equality_graph(vsa: VSA, selections, doc: str, keep, *,
@@ -746,16 +848,16 @@ def equality_graph(vsa: VSA, selections, doc: str, keep, *,
     projected onto the variables in ``keep``, taken from the equality search
     itself.
 
-    Each state the search creates belongs to one position, so its kept
-    states are already the graph's layers: layer i holds the live states
-    that read letter i+1 next, and the final state ends the last one.  One
-    reverse sweep over the search's edges finds the live states and, for
-    each live state of a layer, its live successors in the next one (a
-    letter, then a marker move), which the graph's step returns.  Letters
-    are the configurations cut to the kept columns.  The same rows, order,
-    graph size and enumeration counters as
-    ``build_match_graph(project(apply_selections(...), keep), doc)``, with
-    no automaton built in between.
+    The search creates only the states that read a letter next and the
+    final one, each at one position, so its kept states are already the
+    graph's layers: layer i holds the live states that read letter i+1 next,
+    and the final state ends the last one.  One reverse sweep over the
+    search's steps finds the live states and, for each live state of a
+    layer, its live successors in the next one (a letter, then a marker
+    move), which the graph's step returns.  Letters are the configurations
+    cut to the kept columns.  The same rows, order, graph size and
+    enumeration counters as ``build_match_graph(project(apply_selections(...),
+    keep), doc)``, with no automaton built in between.
     """
     selections, form = _selection_form(vsa, selections)
     keep = frozenset(keep)
@@ -765,26 +867,12 @@ def equality_graph(vsa: VSA, selections, doc: str, keep, *,
     variables = tuple(sorted(keep))
     if form.configs is None:
         return empty_graph(doc, variables)
-    origin, edges, final, sources_at = _equality_search(form, selections, doc,
-                                                        path_budget)
+    origin, steps, final = _equality_search(form, selections, doc, path_budget)
     if final is None:
         return empty_graph(doc, variables)
-    # as in apply_selections; a live state's marker moves are swept before
-    # the letters into it, so a letter's live successors are known by then
-    live = [False] * len(origin)
-    live[final] = True
-    moves_to: dict[int, list[int]] = {}  # live state -> live marker-move targets
-    successors: dict[int, set[int]] = {}  # live layer state -> its step
-    for src, label, dst in reversed(edges):
-        if live[dst]:
-            live[src] = True
-            if label is None:
-                moves_to.setdefault(src, []).append(dst)
-            else:
-                successors.setdefault(src, set()).update(moves_to[dst])
-    alive = [frozenset([state for state in states if live[state]])
-             for states in sources_at]
-    alive.append(frozenset((final,)))
+    live, _, successors = _sweep(origin, steps, final)
+    alive = [frozenset([state for state in created if live[state]])
+             for _, _, _, created in steps]
     columns = [i for i, var in enumerate(form.ordered_variables) if var in keep]
     letters = [tuple([config[i] for i in columns]) for config in form.configs]
     config_of = {state: letters[origin[state]] for state in successors}

@@ -292,8 +292,11 @@ class PlanOptions:
     """The one budget of the automatic strategy choice.
 
     ``eq_path_budget``: most states the equality search (``equality_graph``)
-    may create per disjunct; past it, ``auto`` evaluates the disjunct
-    canonically and a forced compiled run raises :class:`EqualityBudgetError`.
+    may create per disjunct, counting the states that read a letter next and
+    the final one (the search keeps no other; on 38 a's, ``x == y`` over
+    ``.* x{.*} .* y{.*} .*`` creates 5,397, and 132 a's pass the default);
+    past it, ``auto`` evaluates the disjunct canonically and a forced
+    compiled run raises :class:`EqualityBudgetError`.
     A join of more than :data:`MAX_SMALL_JOIN` atoms is planned compiled only
     when its state bound fits it too.
     """

@@ -183,10 +183,11 @@ def test_eval_into_a_closed_pipe_exits_0_quietly():
 
 
 def test_compiled_route_over_the_state_budget_exits_2(capsys, tmp_path):
-    # the equality search passes the default budget in about a second; on
-    # 80 a's it no longer does, with 134,802 states created
+    # 132 a's is the shortest unary text on which the equality search
+    # passes the default budget of 200,000 states (it would create 200,729;
+    # 131 a's take 196,239)
     source = ["--query-text", "SELECT x, y FROM /.* x{.*} .* y{.*} .*/ WHERE x == y",
-              "--input-text", "a" * 100]
+              "--input-text", "a" * 132]
     for command in (["eval", "--strategy", "compiled"],
                     ["bench", "--report", str(tmp_path / "out.csv")]):
         code, out, err = run_cli(capsys, *command, *source)

@@ -12,14 +12,17 @@ from pathlib import Path
 import pytest
 
 from spanex.compiler import (
-    EqualityBudgetError, _closing_lengths, apply_selections, build_equality_automaton,
-    check_functional, compile_regex, join, join_many, project, union_vsa,
+    EqualityBudgetError, _closing_lengths, _waiting_classes, apply_selections,
+    build_equality_automaton, check_functional, compile_regex, equality_graph, join,
+    join_many, project, union_vsa,
 )
-from spanex.enumerator import enumerate_spans
+from spanex.enumerator import enumerate_graph, enumerate_spans
 from spanex.formula import Any, Bind, Cat, Empty, Star, formula_nodes, parse_formula
 from spanex.harness import gen_3cnf_query
-from spanex.model import CLOSED, EMPTY_TUPLE, Span, SpanTuple, all_spans, close_op, open_op
-from spanex.query import PlanOptions, eval_canonical, parse_query
+from spanex.model import (
+    CLOSED, EMPTY_TUPLE, OPEN, WAITING, Span, SpanTuple, all_spans, close_op, open_op,
+)
+from spanex.query import PlanOptions, compile_cq, eval_canonical, parse_query
 from spanex.vsa import ANY, NormalForm, NotFunctionalError, normal_form, trim
 
 from helpers import (
@@ -544,13 +547,14 @@ def _unary_pairs(atom: str, length: int):
 
 def test_fixed_length_members_open_only_with_lengths_the_form_closes():
     """x{a} closes after one letter only, so the search opens x and y with
-    length 1 alone: on 700 a's it creates 6,990 states and keeps 6,986,
-    where opening every length passed the default budget of 200,000."""
+    length 1 alone: on 700 a's it creates 3,495 states, and its automaton
+    has 6,986 with a target copy per letter read, where opening every length
+    passed the default budget of 200,000."""
     joined, cq, doc = _unary_pairs(".* x{a} .* y{a} .*", 700)
     budget = PlanOptions().eq_path_budget
-    assert apply_selections(joined, cq.equalities, doc, path_budget=6990).n_states == 6986
+    assert apply_selections(joined, cq.equalities, doc, path_budget=3495).n_states == 6986
     with pytest.raises(EqualityBudgetError):
-        apply_selections(joined, cq.equalities, doc, path_budget=6989)
+        apply_selections(joined, cq.equalities, doc, path_budget=3494)
     assert apply_selections(joined, cq.equalities, doc, path_budget=budget).n_states == 6986
 
 
@@ -564,15 +568,17 @@ def test_fixed_length_members_keep_the_rows_on_a_unary_document():
 
 def test_search_on_the_unary_benchmark_document_is_pinned():
     """On 38 a's every pair of spans with equal length qualifies, so the
-    kept automaton is large; a substring held by x is dropped once its last
-    occurrence is behind the search, which leaves 15,354 states created
-    (26,336 when nothing was pruned).  A larger count means a pruning rule
+    kept automaton is large.  y opens only after x closes, so a substring x
+    holds must begin again at or after x's end: with that rule the search
+    creates 5,397 states, each of which it keeps (a search that also created
+    each letter's target and asked only for a later begin created 15,354,
+    and 26,336 with no pruning).  A larger count means a pruning rule
     stopped working."""
     joined, cq, doc = _unary_pairs(".* x{.*} .* y{.*} .*", 38)
-    assert apply_selections(joined, cq.equalities, doc, path_budget=15_354).n_states == 10_794
+    assert apply_selections(joined, cq.equalities, doc, path_budget=5_397).n_states == 10_794
     with pytest.raises(EqualityBudgetError) as err:
-        apply_selections(joined, cq.equalities, doc, path_budget=15_353)
-    assert err.value.estimate == 15_354
+        apply_selections(joined, cq.equalities, doc, path_budget=5_396)
+    assert err.value.estimate == 5_397
 
 
 def _benchmark_documents(workload: str, seed: int) -> list[str]:
@@ -611,6 +617,55 @@ def test_equality_search_output_needs_no_trim():
             assert trim(out) is out, (formula, pairs)
             kept += 1
     assert kept >= 30
+
+
+def test_search_creates_only_the_states_it_keeps_on_the_benchmark():
+    """On every streq benchmark document of seeds 1-3 the search creates no
+    state that fails to reach its final one: a budget of the graph's kept
+    states, all its nodes but the start, is enough."""
+    joined, cq, _ = _unary_pairs(".* x{.*} .* y{.*} .*", 0)
+    docs = sorted({doc for seed in (1, 2, 3) for doc in _benchmark_documents("streq", seed)})
+    assert len(docs) > 30
+    for doc in docs:
+        kept = equality_graph(joined, cq.equalities, doc, cq.projected_set).node_count - 1
+        equality_graph(joined, cq.equalities, doc, cq.projected_set, path_budget=kept)
+
+
+@pytest.mark.parametrize("text", [
+    "SELECT x, y FROM /.* x{a .*} .*/, /.* y{.* b} .*/ WHERE x == y",
+    "SELECT x, y FROM /.* x{.+} .*/, /.* y{.+} .*/ WHERE x == y",
+    "SELECT x, y FROM /.* x{.+ y{.*}} .*/ WHERE x == y",
+    "SELECT x, z FROM /.* x{.+} .* y{.+} .*/, /.* z{.} .*/ WHERE x == z AND y == z",
+])
+def test_members_that_may_open_inside_another_keep_their_rows(text):
+    """Where the form lets y open while x is still open, x's end bounds
+    nothing, so the earliest-begin rule must not drop the rows where y
+    begins inside x: the compiled rows equal the canonical ones on every
+    document of up to 6 letters over {a, b}."""
+    query = parse_query(text)
+    cq = query.disjuncts[0]
+    for length in range(7):
+        for letters in itertools.product("ab", repeat=length):
+            doc = "".join(letters)
+            rows = list(enumerate_graph(compile_cq(cq, doc)))
+            assert rows == eval_canonical(cq, doc), doc
+
+
+@pytest.mark.parametrize("atoms, after", [
+    ((".* x{.*} .* y{.*} .*",), (0,)),
+    ((".* x{.*} .*", ".* y{.*} .*"), ()),
+])
+def test_waiting_member_follows_only_a_member_it_cannot_open_beside(atoms, after):
+    """In ``.* x{.*} .* y{.*} .*`` y opens only after x has closed, so once
+    x is open its end bounds y's begin; in the join of ``.* x{.*} .*`` and
+    ``.* y{.*} .*`` y may open while x is open, so x's end bounds nothing."""
+    slots = [(0, 0), (0, 1)]  # one class: x in column 0, y in column 1
+    form = join_many(compile_regex(parse_formula(atom)) for atom in atoms)
+    waiting = _waiting_classes(form, slots, 1)
+    x_open = [q for q, config in enumerate(form.configs) if config == (OPEN, WAITING)]
+    assert x_open
+    for q in x_open:
+        assert waiting[q] == [(0, after)], q
 
 
 def test_equality_automaton_is_functional():

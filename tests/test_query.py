@@ -530,6 +530,19 @@ def test_forced_compiled_route_stops_at_the_state_budget():
     assert rows == eval_canonical(q.disjuncts[0], "abaab" * 4)
 
 
+def test_a_move_that_opens_many_members_needs_no_recursion():
+    """One marker move opens and closes 1,100 equated members at once; the
+    equality search goes through them without recursion, and the compiled
+    and canonical routes agree."""
+    n = 1_100
+    atom = " ".join(f"x{i}{{ε}}" for i in range(n)) + " a"
+    where = " AND ".join(f"x{i} == x{i + 1}" for i in range(n - 1))
+    q = parse_query(f"SELECT x0 FROM /{atom}/ WHERE {where}")
+    rows = list(eval_query(q, "a", strategy="compiled"))
+    assert [str(row["x0"]) for row in rows] == ["1..1"]
+    assert rows == list(eval_query(q, "a", strategy="canonical"))
+
+
 def test_forced_compiled_route_decides_the_streq_clique_instance():
     """3,092,990,993 assignments of the equated variables on a 28-char
     document, and under 2,000 states for the search."""
