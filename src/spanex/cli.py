@@ -19,6 +19,7 @@ import gc
 import itertools
 import json
 import os
+import re
 import statistics
 import sys
 import time
@@ -249,17 +250,21 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+_SIGNED = re.compile(r"[+-]?[0-9]+")
+_UNSIGNED = re.compile(r"[0-9]+")
+
+
 def _parse_clauses(text: str) -> list[tuple[int, int, int]]:
     clauses = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
-        try:
-            literals = tuple(int(part) for part in chunk.split())
-        except ValueError as err:
-            raise CliError(f"bad clause {chunk!r}: {err}") from err
-        clauses.append(literals)
+        parts = chunk.split()
+        bad = [part for part in parts if not _SIGNED.fullmatch(part)]
+        if bad:
+            raise CliError(f"bad clause {chunk!r}: {bad[0]!r} is not a decimal literal")
+        clauses.append(tuple(map(int, parts)))
     if not clauses:
         raise CliError("no clauses given")
     return clauses
@@ -271,13 +276,10 @@ def _parse_edges(text: str) -> list[tuple[int, int]]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        parts = chunk.split("-")
-        if len(parts) != 2:
-            raise CliError(f"bad edge {chunk!r}: expected U-V")
-        try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError as err:
-            raise CliError(f"bad edge {chunk!r}: {err}") from err
+        parts = [part.strip() for part in chunk.split("-")]
+        if len(parts) != 2 or not all(map(_UNSIGNED.fullmatch, parts)):
+            raise CliError(f"bad edge {chunk!r}: expected U-V, two decimal numbers")
+        edges.append((int(parts[0]), int(parts[1])))
     return edges
 
 

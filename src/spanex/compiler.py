@@ -2,11 +2,11 @@
 check, the automaton algebra (projection, union, natural join, and
 string-equality selection), and the key-attribute test.
 
-A formula compiles to an ε-free normal form (:class:`~spanex.vsa.NormalForm`).
-When its syntax tree passes the functionality test, the normal form is read
-off the tree by the position construction; otherwise it is the normal form
-of the formula's construction (:func:`~spanex.vsa.normal_form`), which
-decides functionality and names the reason, as it does for any automaton.
+A formula compiles to an ε-free normal form (:class:`~spanex.vsa.NormalForm`),
+read off its syntax tree by the position construction.  The same walk is
+the functionality check for formulas: the tree decides it exactly, and
+names the first fault, its reason and variable.  Automata from outside get
+theirs from the configuration search of :func:`~spanex.vsa.normal_form`.
 Every construction takes and returns functional automata, so the enumerator
 can run directly on any output.  The join is a product of the two inputs'
 normal forms, which alternate one marker move and one letter, so it
@@ -46,13 +46,14 @@ from .formula import (
     Sym,
 )
 from .enumerator import MatchGraph, empty_graph, enumerate_spans, layered_graph
-from .model import CLOSED, OPEN, WAITING, SpanTuple, close_op, open_op
+from .model import CLOSED, OPEN, WAITING, SpanTuple
 from .vsa import (
     ANY,
     VSA,
     FunctionalityReport,
     NormalForm,
     NotFunctionalError,
+    Violation,
     empty_vsa,
     normal_form,
     trim,
@@ -64,14 +65,14 @@ from .vsa import (
 # ---------------------------------------------------------------------------
 
 
-_RIGHT, _JOIN, _LOOP, _CLOSE = "right", "join", "loop", "close"
 _NOTHING = (0, True, 0, 0, True)  # what ε leaves: no variable, nullable, no position
+_OPENED_TWICE, _CONFLICT = "variable opened twice", "conflicting configurations"
 
 
-def _position_form(formula: Formula) -> NormalForm | None:
-    """The normal form of a formula whose syntax tree shows it functional,
-    by the position construction (Glushkov, 1961); None when the tree test
-    fails.
+def compile_regex(formula: Formula, *, check: bool = True) -> NormalForm:
+    """Compile a functional formula into its normal form by the position
+    construction (Glushkov, 1961), or raise
+    :class:`~spanex.vsa.NotFunctionalError` on one that is not functional.
 
     One walk without recursion numbers the letter occurrences left to right
     as positions: of k, position i has the source copy 2+i and the target
@@ -79,17 +80,24 @@ def _position_form(formula: Formula) -> NormalForm | None:
     ok), its sets as bits, or None when it matches nothing: ∅ absorbs a
     concatenation and a binding, drops out of an alternation, and its star
     is ε.  ``ok`` is the test of Fagin, Kimelfeld, Reiss and Vansummeren
-    (JACM 2015): both sides of an alternation bind the same variables, the
-    two sides of a concatenation disjoint ones, no star binds one and no
-    binding rebinds its own; the root binds them all.  First, last and
+    (JACM 2015), exact on every formula: the two sides of a concatenation
+    bind disjoint variables and no binding rebinds its own (else a variable
+    is opened twice), both sides of an alternation bind the same ones and
+    no star binds one (else configurations conflict), and the root binds
+    them all (else one is not closed at the final state).  The error names
+    the first fault in left-to-right post-order, outside the parts that
+    match nothing, and its first variable in name order.  First, last and
     follow give the marker moves.  At a position, an enclosing binding's
     variable is open, and one bound left of it under a concatenation closed.
+    An unsatisfiable formula compiles to the canonical empty automaton.
+    ``check`` is kept for older callers and changes nothing.
     """
     bit_of: dict[str, int] = {}  # variable -> its bit, in order of binding
     letters: list = []  # per position: its symbol or ANY
     contexts: list[tuple[int, int]] = []  # per position: (open, closed) bits
     follow: list[int] = []  # per position: the positions that may follow it
     done: list = []  # what finished nodes leave, the last one on top
+    fault = None  # (reason, variable bits) of the first check that failed
     pruned = False
     stack: list[tuple] = [(formula, 0, 0, 0)]  # (node, open, closed, stage)
     while stack:
@@ -104,23 +112,31 @@ def _position_form(formula: Formula) -> NormalForm | None:
             left = done.pop() if kind is Cat or kind is Alt else right
             if left is None or right is None:
                 right = _NOTHING if kind is Star else left or right if kind is Alt else None
+                if right is None and fault and all(e is None or e[4] for e in done):
+                    fault = None  # no node before this part failed: it lay here
             elif kind is Bind:
                 bound, nullable, first, last, ok = right
                 bit = bit_of[node.var]
-                right = (bound | bit, nullable, first, last, ok and not bound & bit)
+                if bound & bit:
+                    ok, fault = False, fault or (_OPENED_TWICE, bit)
+                right = (bound | bit, nullable, first, last, ok)
             else:
                 lbound, lnull, lfirst, llast, lok = left
                 bound, nullable, first, last, ok = right
                 if kind is Alt:
+                    if lbound != bound:
+                        ok, fault = False, fault or (_CONFLICT, lbound ^ bound)
                     right = (lbound | bound, lnull or nullable, lfirst | first,
-                             llast | last, lok and ok and lbound == bound)
+                             llast | last, lok and ok)
                 else:  # a concatenation, or a star: its inner node after itself
+                    if lbound & bound:
+                        ok, fault = False, fault or (
+                            _CONFLICT if kind is Star else _OPENED_TWICE, lbound & bound)
                     for p in _set_bits(llast):
                         follow[p] |= first
                     right = (lbound | bound, lnull and nullable or kind is Star,
                              lfirst | first if lnull else lfirst,
-                             llast | last if nullable else last,
-                             lok and ok and not lbound & bound)
+                             llast | last if nullable else last, lok and ok)
             done.append(right)
         elif kind is Cat:
             stack += (node, opened, closed, 1), (node.left, opened, closed, 0)
@@ -151,8 +167,11 @@ def _position_form(formula: Formula) -> NormalForm | None:
     if root is None:
         return empty_vsa(variables)
     bound, nullable, first, last, ok = root
-    if not ok or bound != (1 << len(bit_of)) - 1:
-        return None
+    unbound = (1 << len(bit_of)) - 1 & ~bound
+    if not ok or unbound:
+        reason, bits = fault if not ok else ("variable not closed at the final state", unbound)
+        raise NotFunctionalError(Violation(reason, next(
+            var for var in variables if bit_of[var] & bits)))
     k, finals = len(letters), set(_set_bits(last))
     edges = [(2 + p, letter, 2 + k + p) for p, letter in enumerate(letters)]
     for here, nexts, ends in chain([(0, first, nullable)],
@@ -168,75 +187,11 @@ def _position_form(formula: Formula) -> NormalForm | None:
     return trim(form) if pruned else form
 
 
-def compile_regex(formula: Formula, *, check: bool = True) -> VSA:
-    """Compile a functional formula into an equivalent functional automaton.
-
-    A formula whose syntax tree passes the test of :func:`_position_form`
-    compiles straight to its normal form.  Any other takes the
-    construction: each syntax node is built from the state its left
-    neighbour ends in and returns the state it ends in, so no ε-move joins
-    two neighbours: ε adds no state, a letter or ∅ one, a binding two (after
-    its open and its close marker), an alternation a fresh start for each
-    branch and one shared end, and a star a loop state and an exit.  Its
-    normal form, the same one, raises :class:`~spanex.vsa.NotFunctionalError`
-    with the reason and the variable on a formula that is not functional.
-    With ``check=False`` the result is the trimmed construction itself,
-    functional or not.  An unsatisfiable formula compiles to the canonical
-    empty automaton.
-    """
-    if check:
-        form = _position_form(formula)
-        if form is not None:
-            return form
-    transitions: list[tuple] = []
-    variables = set()
-    here, n_states = 0, 1  # the end state of what is built so far
-    # a node still to build from ``here``, or a tagged tuple that finishes a
-    # node once its last child ends in ``here``
-    stack: list = [formula]
-    while stack:
-        node = stack.pop()
-        kind = type(node)
-        if kind is tuple:
-            tag, state, rest = node
-            if tag is _RIGHT:  # the left branch ends here: start the right one
-                stack += (_JOIN, here, None), rest
-                transitions.append((state, None, n_states))
-            elif tag is _JOIN:  # both branches end: join them
-                transitions += (state, None, n_states), (here, None, n_states)
-            elif tag is _LOOP:  # the starred body ends: loop back, then exit
-                transitions += (here, None, state), (state, None, n_states)
-            else:  # the bound body ends: close the variable
-                transitions.append((here, rest, n_states))
-            here, n_states = n_states, n_states + 1
-        elif kind is Cat:
-            stack += node.right, node.left
-        elif kind is Epsilon:
-            pass
-        else:
-            if kind is Sym or kind is Any:
-                transitions.append((here, ANY if kind is Any else node.char, n_states))
-            elif kind is Alt:
-                stack += (_RIGHT, here, node.right), node.left
-                transitions.append((here, None, n_states))
-            elif kind is Star:
-                stack += (_LOOP, n_states, None), node.inner
-                transitions.append((here, None, n_states))
-            elif kind is Bind:
-                variables.add(node.var)
-                stack += (_CLOSE, None, frozenset((close_op(node.var),))), node.inner
-                transitions.append((here, frozenset((open_op(node.var),)), n_states))
-            elif kind is not Empty:  # pragma: no cover
-                raise TypeError(f"not a formula node: {node!r}")
-            here, n_states = n_states, n_states + 1
-    automaton = VSA(variables, n_states, 0, here, transitions)
-    return normal_form(automaton) if check else trim(automaton)
-
-
 def check_functional(subject: Formula | VSA) -> FunctionalityReport:
     """Whether a formula, or an automaton, is functional: the verdict of
-    :func:`compile_regex` or :func:`~spanex.vsa.normal_form`, with the
-    reason and variable that the normal form of a construction names.
+    :func:`compile_regex` on a formula's syntax tree, or of
+    :func:`~spanex.vsa.normal_form` on an automaton, with the reason and
+    the variable that it names.
 
     An empty ref-word language is vacuously functional, so ``(x{a})* ∅`` is,
     while a variable bound only on a dead branch (``x{a} | y{∅}``) is not.

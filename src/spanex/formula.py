@@ -11,8 +11,7 @@ marker-free projection equals the document.
 A formula is *functional* when every ref-word it generates opens and closes
 every variable of the formula exactly once — only those formulas denote
 total span tuples.  This module is syntax only: the compiler decides
-functionality on the tree, once ∅ is pruned, and on the automaton a formula
-compiles to when the tree test fails, which names the reason
+functionality on the tree, once ∅ is pruned, and names the reason
 (:func:`spanex.compiler.check_functional`).
 
 Concrete syntax (used by ``parse_formula`` and the ``.spq`` query files):

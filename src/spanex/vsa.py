@@ -20,10 +20,11 @@ an ε-free *normal form* of at most ``2n + 2`` states in which a run
 alternates one marker move and one letter.  A :class:`NormalForm` stores
 its moves and configurations and reads the marker sets off them; only
 automata from outside (:class:`VSA`, :func:`load_vsa`) are checked edge by
-edge.  :func:`normal_form` builds one once from any automaton and checks its
-functionality: every non-functional input raises :class:`NotFunctionalError`
-with the reason and the variable.  A formula that its syntax tree shows
-functional gets its normal form from the compiler, straight from the tree.
+edge.  :func:`normal_form` builds one once from any such automaton and
+checks its functionality: every non-functional input raises
+:class:`NotFunctionalError` with the reason and the variable.  A formula
+gets its normal form, and its verdict, from the compiler, straight from its
+syntax tree, and builds no automaton with ε-moves.
 The join reads the form's adjacency lists, the match graph steps it through
 :func:`cached_step`, and the enumerator's output alphabet is its
 configurations.

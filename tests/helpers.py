@@ -292,10 +292,12 @@ def loop_automaton() -> VSA:
 
 
 def thompson_automaton(formula: Formula) -> VSA:
-    """The Thompson construction of a formula (Thompson, CACM 1968), the
-    reference for the one ``compile_regex`` builds: every node but a
-    concatenation gets a fresh start and end state, allocated in preorder,
-    and ε-moves wire a node to its children.  Bindings are open and close
+    """The Thompson construction of a formula (Thompson, CACM 1968): its
+    normal form is the reference for the one ``compile_regex`` reads off the
+    syntax tree, and it gives tests of :func:`~spanex.vsa.normal_form` an
+    automaton with ε-moves.  Every node but a concatenation gets a fresh
+    start and end state, allocated in preorder, and ε-moves wire a node to
+    its children.  Bindings are open and close
     marker edges around the body.  Untrimmed."""
     transitions = []
     n_states = 0

@@ -216,16 +216,20 @@ def test_check_non_functional_formula(capsys):
 @pytest.mark.parametrize("formula, reason, variable", [
     ("y{a.}y{x{b}}|(z{.}|y{a})", "variable opened twice", "y"),
     ("(x{b*}(z{a}|a*))*", "conflicting configurations", "z"),
-    ("a(z{b}ε|(x{a}|.))", "conflicting configurations", "z"),
+    ("a(z{b}ε|(x{a}|.))", "conflicting configurations", "x"),
     ("y{z{ε}}*|x{∅*}*", "conflicting configurations", "y"),
     ("x{a*}y{x{b}}", "variable opened twice", "x"),
     ("x{a y{b}} y{c}", "variable opened twice", "y"),
     ("(x{a})*", "conflicting configurations", "x"),
     ("x{a} | y{∅}", "variable not closed at the final state", "y"),
+    ("(y{a}*∅|a) x{b}x{b}", "variable opened twice", "x"),
 ])
 def test_check_names_the_reason_and_variable(capsys, formula, reason, variable):
-    """The check's verdict on a non-functional formula is pinned: the first
-    fault its search meets depends on the construction's state order."""
+    """The check's verdict on a non-functional formula is pinned: it names
+    the first fault of the syntax tree in left-to-right post-order, children
+    before their parent and the root's unbound variables last, and of that
+    fault's variables the first in name order.  A fault inside a part that
+    matches nothing, as ``y{a}*∅``, does not count."""
     code, out, err = run_cli(capsys, "check", "--formula", formula)
     assert (code, out, err) == (2, f"not functional: {reason} (variable {variable})\n", "")
 
@@ -253,6 +257,16 @@ def test_check_deeply_nested_formula_is_functional(capsys):
 def test_check_long_literal_is_functional(capsys):
     code, out, err = run_cli(capsys, "check", "--formula", "a" * 3000)
     assert (code, out, err) == (0, "functional\n", "")
+
+
+@pytest.mark.parametrize("formula, reason", [
+    ("(" * 2000 + "x{a}*" + ")" * 2000, "conflicting configurations"),
+    ("x{" + "a" * 3000 + "} x{b}", "variable opened twice"),
+], ids=["nested", "long"])
+def test_check_deep_or_long_non_functional_formula(capsys, formula, reason):
+    """The tree names the fault without recursion, however deep or long."""
+    code, out, err = run_cli(capsys, "check", "--formula", formula)
+    assert (code, out, err) == (2, f"not functional: {reason} (variable x)\n", "")
 
 
 def test_eval_atom_with_a_long_literal(capsys):
@@ -462,6 +476,34 @@ def test_gen_clique_without_nodes_exits_2(capsys, tmp_path, kind, nodes):
     assert (code, out) == (2, "")
     assert_one_error_line(err)
     assert not (tmp_path / "graph.spq").exists()
+
+
+@pytest.mark.parametrize("clauses", ["1_0 2 3", "1 ٢ 3", "1 2 3; 4 5 ６", "1 2 0x3"])
+def test_gen_clause_literals_are_ascii_decimal(capsys, tmp_path, clauses):
+    """``int`` would read 1_0 as 10 and take other scripts' digits."""
+    code, out, err = run_cli(capsys, "gen", "3cnf", "--clauses", clauses,
+                             "--out", str(tmp_path / "sat"))
+    assert (code, out) == (2, "")
+    assert_one_error_line(err)
+    assert not (tmp_path / "sat.spq").exists()
+
+
+@pytest.mark.parametrize("edges", ["1_0-2", "1-٢", "1-2,+2-3", "1-2,2-3 4"])
+def test_gen_edge_ends_are_ascii_decimal(capsys, tmp_path, edges):
+    code, out, err = run_cli(capsys, "gen", "clique", "--nodes", "12", "--edges", edges,
+                             "--out", str(tmp_path / "graph"))
+    assert (code, out) == (2, "")
+    assert_one_error_line(err)
+    assert not (tmp_path / "graph.spq").exists()
+
+
+def test_gen_accepts_signed_literals_and_spaced_edges(capsys, tmp_path):
+    code, _, _ = run_cli(capsys, "gen", "3cnf", "--clauses", "+1 -2 3",
+                         "--out", str(tmp_path / "sat"))
+    assert code == 0
+    code, _, _ = run_cli(capsys, "gen", "clique", "--nodes", "3",
+                         "--edges", "1 - 2, 2-3", "--out", str(tmp_path / "graph"))
+    assert code == 0
 
 
 def test_gen_argument_validation(capsys, tmp_path):

@@ -17,7 +17,9 @@ from spanex.compiler import (
     join_many, project, union_vsa,
 )
 from spanex.enumerator import enumerate_graph, enumerate_spans
-from spanex.formula import Any, Bind, Cat, Empty, Star, formula_nodes, parse_formula
+from spanex.formula import (
+    Any, Bind, Cat, Empty, Star, formula_nodes, formula_variables, parse_formula,
+)
 from spanex.harness import gen_3cnf_query
 from spanex.model import (
     CLOSED, EMPTY_TUPLE, OPEN, WAITING, Span, SpanTuple, all_spans, close_op, open_op,
@@ -52,45 +54,41 @@ def test_compile_empty_formula_language():
 def test_compile_rejects_non_functional():
     with pytest.raises(NotFunctionalError):
         compile_regex(parse_formula("x{a}x{a}"))
-    # the raw construction is still available for analysis work
-    raw = compile_regex(parse_formula("x{a}x{a}"), check=False)
-    assert not check_functional(raw).ok
+    with pytest.raises(NotFunctionalError):
+        compile_regex(parse_formula("x{a}x{a}"), check=False)
+    # an automaton of the formula is checked by the configuration search
+    assert not check_functional(thompson_automaton(parse_formula("x{a}x{a}"))).ok
 
 
-def test_compiled_formula_is_the_normal_form_of_its_construction():
-    rng = random.Random(3141)
-    for _ in range(40):
-        formula = random_functional_formula(rng, variables=("x", "y", "z"))
-        form = compile_regex(formula)
-        raw = normal_form(compile_regex(formula, check=False))
-        assert (form.n_states, form.transitions, form.configs) == (
-            raw.n_states, raw.transitions, raw.configs), formula
+FORMULA_REASONS = ("variable opened twice", "conflicting configurations",
+                   "variable not closed at the final state")
 
 
-def _form_or_verdict(automaton, order=Counter):
-    """The normal form's states, configurations and edges (a multiset by
-    default), or None when the automaton is not functional."""
+def _form_or_verdict(automaton):
+    """The normal form's states, configurations and multiset of edges, or
+    None when the automaton is not functional."""
     try:
         form = normal_form(automaton)
     except NotFunctionalError:
         return None
-    return form.n_states, form.configs, order(form.edges)
+    return form.n_states, form.configs, Counter(form.edges)
 
 
-def _compiled_or_verdict(formula, order=Counter):
+def _compiled_or_verdict(formula):
     try:
-        return _form_or_verdict(compile_regex(formula), order)
+        return _form_or_verdict(compile_regex(formula))
     except NotFunctionalError:
         return None
 
 
 def test_construction_has_the_normal_form_of_thompsons():
-    """Building each node from its left neighbour's end state leaves out
-    Thompson's ε-chains, not a state of the normal form, and the normal form
-    read off the syntax tree is the construction's own: all three give the
-    same states, configurations and edges (Thompson's up to order), and the
-    same verdict.  A ``+`` shares its operand between a concatenation and a
-    star, and each occurrence of a letter is a position of its own."""
+    """The normal form the position construction reads off the syntax tree
+    is the one the configuration search finds in Thompson's construction:
+    the same states, configurations and edges (up to order), and the same
+    verdict.  On a formula that is not functional, the tree names one of
+    the three formula reasons and a variable of the formula.  A ``+``
+    shares its operand between a concatenation and a star, and each
+    occurrence of a letter is a position of its own."""
     rng = random.Random(2718)
     formulas = [random_formula(rng, depth=rng.choice((3, 4, 5)), variables=("x", "y", "z"))
                 for _ in range(600)]
@@ -104,13 +102,17 @@ def test_construction_has_the_normal_form_of_thompsons():
     for formula in formulas:
         want = _form_or_verdict(thompson_automaton(formula))
         assert _compiled_or_verdict(formula) == want, formula
-        assert _compiled_or_verdict(formula, tuple) == _form_or_verdict(
-            compile_regex(formula, check=False), tuple), formula
+        if want is None:
+            violation = check_functional(formula).violation
+            assert violation.reason in FORMULA_REASONS, formula
+            assert violation.variable in formula_variables(formula), formula
+            verdicts[violation.reason] += 1
         verdicts["functional" if want is not None else "not functional"] += 1
         verdicts["∅"] += any(isinstance(node, Empty) for node in formula_nodes(formula))
         verdicts["+"] += (type(formula) is Cat
                           and formula.left is getattr(formula.right, "inner", None))
     assert verdicts["functional"] > 350 and verdicts["not functional"] > 150
+    assert all(verdicts[reason] > 10 for reason in FORMULA_REASONS), verdicts
     assert verdicts["∅"] > 50 and verdicts["+"] > 100
     for signs in itertools.product((1, -1), repeat=3):
         query, _ = gen_3cnf_query([(signs[0], 2 * signs[1], 3 * signs[2]),
@@ -118,8 +120,6 @@ def test_construction_has_the_normal_form_of_thompsons():
         for atom in query.disjuncts[0].atoms:
             want = _form_or_verdict(thompson_automaton(atom))
             assert want is not None and _compiled_or_verdict(atom) == want, atom
-            assert _compiled_or_verdict(atom, tuple) == _form_or_verdict(
-                compile_regex(atom, check=False), tuple), atom
 
 
 def _moves(*pairs):
@@ -328,10 +328,10 @@ def test_join_many_of_one_automaton_is_its_normal_form():
     """A lone automaton is checked and normalized as a joined one is."""
     form = compile_regex(parse_formula(".* x{.} .*"))
     assert join_many([form]) is form
-    plain = compile_regex(parse_formula(".* x{.} .*"), check=False)
+    plain = thompson_automaton(parse_formula(".* x{.} .*"))
     assert isinstance(join_many([plain]), NormalForm)
     assert relation_of(join_many([plain]), "ab") == relation_of(form, "ab")
-    not_functional = compile_regex(parse_formula("x{a} | b"), check=False)
+    not_functional = thompson_automaton(parse_formula("x{a} | b"))
     with pytest.raises(NotFunctionalError):
         join_many([not_functional])
     with pytest.raises(NotFunctionalError):
@@ -370,12 +370,12 @@ def test_join_output_is_in_normal_form():
 
 
 def test_join_of_3cnf_atoms_stays_small():
-    """The product of one 3-clause, 6-variable instance's atoms (68, 30 and
-    30 states before the normal form) stays linear in them; pairing raw
-    automata gave 4,855 states and 321,615 transitions."""
+    """The product of one 3-clause, 6-variable instance's atoms (110, 46
+    and 46 states in Thompson's construction) stays linear in them; pairing
+    raw automata gave 4,855 states and 321,615 transitions."""
     query, _ = gen_3cnf_query([(2, -5, 1), (3, -3, 5), (6, 5, -6)])
-    atoms = [compile_regex(atom, check=False) for atom in query.disjuncts[0].atoms]
-    assert [atom.n_states for atom in atoms] == [68, 30, 30]
+    atoms = [thompson_automaton(atom) for atom in query.disjuncts[0].atoms]
+    assert [atom.n_states for atom in atoms] == [110, 46, 46]
     joined = join_many(atoms)
     assert joined.n_states <= 100
     assert len(joined.transitions) <= 200
@@ -489,10 +489,10 @@ def test_empty_selection_list_is_identity():
 
 
 def test_empty_selection_list_gives_the_normal_form():
-    plain = compile_regex(parse_formula("x{a} .*"), check=False)
+    plain = thompson_automaton(parse_formula("x{a} .*"))
     assert isinstance(apply_selections(plain, [], "ab"), NormalForm)
     with pytest.raises(NotFunctionalError):
-        apply_selections(compile_regex(parse_formula("x{a} | b"), check=False), [], "a")
+        apply_selections(thompson_automaton(parse_formula("x{a} | b")), [], "a")
 
 
 def test_selection_unknown_variable():

@@ -21,7 +21,7 @@ from spanex.vsa import (
 from helpers import (
     compute_state_configs, config_to_str, marker_automaton, diamond_automaton,
     loop_automaton, brute_force_key, all_docs, random_formula, random_functional_formula,
-    relation_of, assert_normal_form, is_functional, two_pass_normal_form,
+    relation_of, assert_normal_form, is_functional, thompson_automaton, two_pass_normal_form,
 )
 from oracle import accepts_ref_word, eps_closure
 
@@ -127,13 +127,14 @@ def test_empty_language_is_functional():
 
 
 def test_normal_form_matches_the_two_pass_reference():
-    """One search over the construction, through the states that reach the
+    """One search over an automaton, through the states that reach the
     final one, gives what trimming it first and searching the copy gave:
     the same states and configurations in the same order and the same
     transitions, their marker sets derived by the form against those the
-    reference computed, or the same error and variable.  Random formulas over
-    x, y, z, with ∅ leaves and non-functional ones, and hand automata with
-    a dead branch and an unreachable island."""
+    reference computed, or the same error and variable.  Thompson's
+    construction of random formulas over x, y, z, with ∅ leaves and
+    non-functional ones, and hand automata with a dead branch and an
+    unreachable island."""
     rng = random.Random(1_414)
     kinds = Counter()
     x_open, x_close = frozenset([open_op("x")]), frozenset([close_op("x")])
@@ -141,17 +142,16 @@ def test_normal_form_matches_the_two_pass_reference():
             VSA({"x"}, 5, 0, 2, [(0, x_open, 1), (1, x_close, 2), (1, "a", 3),
                                  (3, x_open, 3), (4, "b", 2)])]
     formulas = [random_formula(rng, variables=("x", "y", "z")) for _ in range(600)]
-    for subject in hand + formulas:
+    for subject in hand + [thompson_automaton(formula) for formula in formulas]:
         try:
-            expected, configs = two_pass_normal_form(
-                subject if isinstance(subject, VSA) else compile_regex(subject, check=False))
+            expected, configs = two_pass_normal_form(subject)
         except NotFunctionalAutomaton as err:
             with pytest.raises(NotFunctionalAutomaton) as got:
-                normal_form(subject) if isinstance(subject, VSA) else compile_regex(subject)
+                normal_form(subject)
             assert (got.value.reason, got.value.variable) == (err.reason, err.variable)
             kinds[err.reason] += 1
             continue
-        form = normal_form(subject) if isinstance(subject, VSA) else compile_regex(subject)
+        form = normal_form(subject)
         assert (form.n_states, form.initial, form.final, form.configs) == \
             (expected.n_states, expected.initial, expected.final, configs), subject
         assert Counter(form.transitions) == Counter(expected.transitions), subject
