@@ -33,7 +33,6 @@ from .query import (
     UnionQuery,
     compile_query,
     eval_query,
-    merge_streams,
     parse_query,
     query_to_source,
 )
@@ -187,8 +186,7 @@ def cmd_bench(args) -> int:
 
     Report CSV rows: the preprocessing time (:func:`~spanex.query.compile_query`,
     the compile and match-graph build that ``eval`` runs), the latency of the
-    first result (frontier determinization included, for every graph of a
-    union whose streams are merged),
+    first result (frontier determinization included),
     one row per inter-tuple gap, the tuple count, and the gaps' max and median.
 
     Delays are CPU time of this process, and timestamps land in
@@ -201,9 +199,9 @@ def cmd_bench(args) -> int:
     doc = _read_document(args)
 
     t0 = time.perf_counter_ns()
-    graphs = compile_query(query, doc)
+    graph, _ = compile_query(query, doc)
     preprocess = time.perf_counter_ns() - t0
-    rows = merge_streams([enumerate_graph(graph) for graph in graphs])
+    rows = enumerate_graph(graph)
 
     clock = time.process_time_ns
     chunks = [array.array("q", bytes(8 * _BENCH_CHUNK))]

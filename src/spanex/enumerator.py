@@ -12,7 +12,9 @@ tuples — one path label string per result, no duplicates.  The graph keeps
 only its layers; both sweeps memoize a step by the layer's content, so a
 repetitive document costs dictionary lookups, not per-state work.  The
 equality search walks the document already, so it hands over the layers
-it kept instead (:func:`~spanex.compiler.equality_graph`).
+it kept instead (:func:`~spanex.compiler.equality_graph`).  A union's graph
+lays its parts' graphs side by side under one virtual start
+(:func:`union_graph`), and the frontier sets merge a row that several give.
 
 Enumeration walks that string language in ascending order (letters are
 configurations ordered as tuples, WAITING < OPEN < CLOSED, variables in name
@@ -190,6 +192,34 @@ def build_match_graph(automaton: VSA, doc: str) -> MatchGraph:
     states = frozenset().union(*set(alive))
     return layered_graph(doc, variables, alive, step,
                          {state: configs[state] for state in states}, edge_count)
+
+
+def union_graph(doc: str, variables: tuple[str, ...], graphs: list[MatchGraph]) -> MatchGraph:
+    """One graph whose results are the union of the graphs' results on
+    ``doc``, over ``variables``: the non-empty ones side by side under one
+    virtual start, a lone one as it is.  State s of part k is ``s·n + k``
+    for n parts, and layer i the union of the parts' layer i."""
+    parts = [graph for graph in graphs if not graph.empty]
+    if len(parts) < 2:
+        return parts[0] if parts else empty_graph(doc, variables)
+    n = len(parts)
+
+    def step(state, symbol):
+        s, k = divmod(state, n)
+        return [t * n + k for t in parts[k].step(s, symbol)]
+
+    columns: dict = {}  # equal columns of the parts' layers give one object
+    alive = []
+    for layers in zip(*[part.alive for part in parts]):
+        layer = columns.get(layers)
+        if layer is None:
+            layer = columns[layers] = frozenset(
+                [s * n + k for k, states in enumerate(layers) for s in states])
+        alive.append(layer)
+    config_of = {s * n + k: part.config_by_rank[letter]
+                 for k, part in enumerate(parts) for s, letter in part.letter_of.items()}
+    return layered_graph(doc, variables, alive, step, config_of,
+                         sum(part.edge_count for part in parts))
 
 
 def _number(ids: dict, items: list, item) -> int:

@@ -20,9 +20,9 @@ Two evaluation routes exist.  The canonical one materialises every atom and
 runs hash joins plus filters; the compiled one builds match graphs and
 streams their enumeration (duplicate-free, ordered, polynomial delay).  A
 disjunct with equalities gets the equality search's own graph, and any other
-the graph of its projected join; a union of disjuncts without equalities is
-one automaton and one graph, and otherwise the disjuncts' streams are
-merged.  ``eval_query`` picks a route per branch with :func:`plan_query`,
+the graph of its projected join; the compiled disjuncts' graphs are one
+graph side by side, whose stream is merged with the canonical disjuncts'
+rows.  ``eval_query`` picks a route per branch with :func:`plan_query`,
 since a join of many atoms can blow up the automaton product; the rows and
 their order do not depend on the routes it picks.
 """
@@ -40,7 +40,6 @@ from .compiler import (
     equality_graph,
     join_many,
     project,
-    union_vsa,
 )
 from .enumerator import (
     MatchGraph,
@@ -48,6 +47,7 @@ from .enumerator import (
     enumerate_graph,
     enumerate_spans,
     enumeration_key,
+    union_graph,
 )
 from .formula import (
     Any,
@@ -406,45 +406,28 @@ def compile_cq(cq: ConjunctiveQuery, doc: str, *,
 
 def compile_query(query: UnionQuery, doc: str, decisions: list[str] | None = None,
                   *, path_budget: int = PlanOptions.eq_path_budget,
-                  fallback: bool = False) -> list[MatchGraph | None]:
-    """The match graphs of the disjuncts planned ``COMPILED`` (all when
-    ``decisions`` is None), each compiled exactly once; the answer is their
-    streams merged (:func:`merge_streams`) with the other disjuncts' rows.
-
-    When every disjunct compiles and none has equalities, the union of their
-    automata gives one graph.  Otherwise there is one entry per disjunct:
-    its graph, or None when planned canonical or when, with ``fallback``,
-    its equality search went past ``path_budget`` states (else that raises
-    :class:`EqualityBudgetError`).
+                  fallback: bool = False) -> tuple[MatchGraph, list[ConjunctiveQuery]]:
+    """One match graph for the disjuncts planned ``COMPILED`` (all when
+    ``decisions`` is None), each compiled exactly once and their graphs
+    united (:func:`~spanex.enumerator.union_graph`), and the disjuncts left
+    to the canonical route: those planned canonical and, with ``fallback``,
+    those whose equality search went past ``path_budget`` states (else that
+    raises :class:`EqualityBudgetError`).
     """
     if decisions is None:
         decisions = [COMPILED] * len(query.disjuncts)
-    if len(decisions) > 1 and all(decision == COMPILED for decision in decisions) \
-            and not any(cq.equalities for cq in query.disjuncts):
-        united = union_vsa(*(project(join_many(map(compile_regex, cq.atoms)),
-                                     cq.projected_set) for cq in query.disjuncts))
-        return [build_match_graph(united, doc)]
     graphs = []
+    canonical = []
     for cq, decision in zip(query.disjuncts, decisions):
-        graph = None
         if decision == COMPILED:
             try:
-                graph = compile_cq(cq, doc, path_budget=path_budget)
+                graphs.append(compile_cq(cq, doc, path_budget=path_budget))
+                continue
             except EqualityBudgetError:
                 if not fallback:
                     raise
-        graphs.append(graph)
-    return graphs
-
-
-def merge_streams(streams: list):
-    """One stream in the enumerator's order from streams each in it: a lone
-    stream as it is, else merged on
-    :func:`~spanex.enumerator.enumeration_key` with repeats dropped."""
-    if len(streams) == 1:
-        return streams[0]
-    merged = heapq.merge(*streams, key=enumeration_key, reverse=True)
-    return (row for row, _ in itertools.groupby(merged))
+        canonical.append(cq)
+    return union_graph(doc, tuple(sorted(query.projected_set)), graphs), canonical
 
 
 # ---------------------------------------------------------------------------
@@ -461,9 +444,10 @@ def eval_query(query: UnionQuery, doc: str,
     for a disjunct whose equality search passes ``options.eq_path_budget``),
     ``canonical``, or ``compiled`` (force the compiled route, whatever its
     size; raises :class:`EqualityBudgetError` past ``options.eq_path_budget``).
-    Every route yields the same list, in the enumerator's order: the streams
-    of :func:`compile_query`'s graphs and the canonical rows of the other
-    disjuncts, merged by :func:`merge_streams`.
+    Every route yields the same list, in the enumerator's order: the stream
+    of :func:`compile_query`'s graph and the canonical rows of the disjuncts
+    it leaves, merged on :func:`~spanex.enumerator.enumeration_key` with
+    repeats dropped.
     """
     options = options or PlanOptions()
     if strategy == "auto":
@@ -472,9 +456,13 @@ def eval_query(query: UnionQuery, doc: str,
         decisions = [strategy] * len(query.disjuncts)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    graphs = compile_query(query, doc, decisions, path_budget=options.eq_path_budget,
-                           fallback=strategy == "auto")
-    # a lone union graph stands for every disjunct, and zip stops after it
-    yield from merge_streams([eval_canonical(cq, doc) if graph is None
-                              else enumerate_graph(graph)
-                              for cq, graph in zip(query.disjuncts, graphs)])
+    graph, canonical = compile_query(query, doc, decisions,
+                                     path_budget=options.eq_path_budget,
+                                     fallback=strategy == "auto")
+    streams = [eval_canonical(cq, doc) for cq in canonical]
+    if not graph.empty:
+        streams.append(enumerate_graph(graph))
+    if len(streams) != 1:  # equal keys are equal rows, so repeats are dropped
+        merged = heapq.merge(*streams, key=enumeration_key, reverse=True)
+        streams = [(row for row, _ in itertools.groupby(merged))]
+    yield from streams[0]

@@ -15,12 +15,15 @@ from spanex.compiler import (
     join, project, union_vsa,
 )
 from spanex.enumerator import enumerate_graph, enumerate_spans
-from spanex.formula import parse_formula
+from spanex.formula import Any, Cat, Star, parse_formula
 from spanex.harness import (
     brute_force_sat, gen_3cnf_query, gen_clique_query, gen_streq_clique_query,
 )
 from spanex.model import EMPTY_TUPLE, Span, SpanTuple
-from spanex.query import ConjunctiveQuery, compile_cq, eval_canonical, eval_query
+from spanex.query import (
+    ConjunctiveQuery, UnionQuery, compile_cq, compile_query, eval_canonical, eval_query,
+    query_to_source,
+)
 
 from helpers import (
     marker_automaton, all_docs, brute_force_key, diamond_automaton, filter_rows,
@@ -215,10 +218,12 @@ def test_criterion_7_delay_and_scale(tmp_path):
 
 
 def test_criterion_8_strategy_agreement():
-    """100 random conjunctive queries: the materialize-and-join evaluation
-    and the single-automaton evaluation return the same tuple lists."""
+    """100 random conjunctive queries, and 100 unions of 2-3 of them under one
+    projection: the materialize-and-join evaluation and the single-graph
+    evaluation return the same tuple lists."""
     rng = random.Random(808_808)
     pool = ("x", "y", "z")
+    cqs = []
     for i in range(100):
         atoms = tuple(random_functional_formula(rng, depth=2, variables=pool)
                       for _ in range(rng.randint(1, 3)))
@@ -233,6 +238,29 @@ def test_criterion_8_strategy_agreement():
         want = eval_canonical(cq, doc)
         got = list(enumerate_graph(compile_cq(cq, doc)))
         assert got == want, (i, atoms, equalities, doc)
+        cqs.append(cq)
+    equated = [cq for cq in cqs if cq.equalities]
+    anywhere = Star(Any())
+    with_equality = answered = 0
+    for i in range(100):
+        # every other union has a disjunct with an equality; the atoms are
+        # unanchored, so that disjuncts answer on the same document
+        chosen = rng.sample(cqs, rng.randint(1, 2)) + [rng.choice(equated if i % 2 else cqs)]
+        shared = sorted(frozenset.intersection(*(cq.variables for cq in chosen)))
+        projection = tuple(v for v in shared if rng.random() < 0.7)
+        query = UnionQuery(tuple(
+            ConjunctiveQuery(projection,
+                             tuple(Cat(anywhere, Cat(atom, anywhere)) for atom in cq.atoms),
+                             cq.equalities)
+            for cq in chosen))
+        with_equality += any(cq.equalities for cq in chosen)
+        doc = random_doc(rng, 6)
+        graph, canonical = compile_query(query, doc)
+        assert canonical == []
+        want = list(eval_query(query, doc, strategy="canonical"))
+        assert list(enumerate_graph(graph)) == want, (i, query_to_source(query), doc)
+        answered += bool(want)
+    assert with_equality >= 50 and answered >= 50
 
 
 def test_criterion_9_key_attribute_decision():

@@ -353,13 +353,19 @@ def _walk(graph):
     # at position 1 are two nodes
     ("SELECT x, y FROM /.* x{.+} .* y{.+} .*/ WHERE x == y",
      (14, 15), (1, 0, 3, 9, 2), (3, 9, 7, 9, 2)),
+    # the two graphs above side by side under one start; x = 1..3, y = 3..5
+    # is a row of both, and comes once
+    ("SELECT x, y FROM /.* x{a .*} .*/, /.* x{.*} y{.*b} .*/ UNION "
+     "SELECT x, y FROM /.* x{.+} .* y{.+} .*/ WHERE x == y",
+     (27, 32), (1, 0, 2, 15, 3), (7, 15, 10, 15, 3)),
 ])
 def test_compiled_query_graph_and_stats_are_pinned(text, graph_size, after_first,
                                                    after_all):
-    """Exact match-graph size and work counters on "abab" for a joined query
-    and an equality query, whose graph is the equality search's own: the
-    join's product shape must not change them."""
-    graph, = compile_query(parse_query(text), "abab")
+    """Exact match-graph size and work counters on "abab" for a joined query,
+    an equality query, whose graph is the equality search's own, and their
+    union: the join's product shape must not change them."""
+    graph, canonical = compile_query(parse_query(text), "abab")
+    assert canonical == []
     size, _, first, last = _walk(graph)
     assert size == graph_size
     assert first == after_first
@@ -399,15 +405,16 @@ def test_equality_query_normalizes_only_its_atom(monkeypatch):
 
     q = parse_query("SELECT x, y FROM /.* x{.*} .* y{.*} .*/ WHERE x == y")
     monkeypatch.setattr(vsa, "_search_configs", counting)
-    graph, = compile_query(q, "abab")
+    graph, canonical = compile_query(q, "abab")
+    assert canonical == []
     rows = list(enumerate_graph(graph))
     assert calls == []
     assert rows == eval_canonical(q.disjuncts[0], "abab")
 
 
 def test_union_query_normalizes_only_its_atoms(monkeypatch):
-    """Each atom's normal form is read off its syntax tree and the union of
-    the disjuncts' normal forms is built as one, so no configurations are
+    """Each atom's normal form is read off its syntax tree and the
+    disjuncts' graphs are laid side by side, so no configurations are
     searched for."""
     calls = []
     search = vsa._search_configs
@@ -420,7 +427,8 @@ def test_union_query_normalizes_only_its_atoms(monkeypatch):
                     "SELECT x FROM /.* x{.+} .*/, /.* x{.* b} .*/ UNION "
                     "SELECT x FROM /x{.} .*/")
     monkeypatch.setattr(vsa, "_search_configs", counting)
-    graph, = compile_query(q, "abaabba")
+    graph, canonical = compile_query(q, "abaabba")
+    assert canonical == []
     rows = list(enumerate_graph(graph))
     assert calls == []
     assert rows == list(eval_query(q, "abaabba", strategy="canonical"))
@@ -460,6 +468,33 @@ def test_union_of_overlapping_disjuncts_is_duplicate_free():
     assert list(eval_query(q, "ab", strategy="compiled")) == rows
 
 
+@pytest.mark.parametrize("text, doc, count", [
+    pytest.param("SELECT x FROM /.* x{a} .*/ UNION SELECT x FROM /x{b} .*/", "ccc", 0,
+                 id="all-empty"),
+    pytest.param("SELECT x, y FROM /.* x{c} .* y{c} .*/ WHERE x == y UNION "
+                 "SELECT x, y FROM /x{a} y{b}/", "ba", 0, id="all-empty-equality"),
+    pytest.param("SELECT x FROM /x{b} .*/ UNION SELECT x FROM /.* x{a} .*/", "aa", 2,
+                 id="one-empty"),
+    pytest.param("SELECT x FROM /x{ε}/ UNION SELECT x FROM /x{a*} .*/", "", 1,
+                 id="empty-document"),
+    pytest.param("SELECT x, y FROM /x{.*} y{.*}/ WHERE x == y UNION "
+                 "SELECT x, y FROM /x{a*} y{ε}/", "", 1, id="empty-document-equality"),
+])
+def test_union_graph_of_empty_parts_and_the_empty_document(text, doc, count):
+    """Parts without results are dropped from the union graph: none left is
+    an empty graph, and the others share one start node.  On the empty
+    document every part has the one accepting row, which comes once."""
+    q = parse_query(text)
+    graph, canonical = compile_query(q, doc)
+    assert canonical == [] and graph.empty == (count == 0)
+    parts = [part for part in (compile_cq(cq, doc) for cq in q.disjuncts) if not part.empty]
+    assert graph.node_count == sum(part.node_count - 1 for part in parts) + bool(parts)
+    assert graph.edge_count == sum(part.edge_count for part in parts)
+    rows = list(enumerate_graph(graph))
+    assert len(rows) == count
+    assert rows == list(eval_query(q, doc, strategy="canonical"))
+
+
 def test_single_disjunct_matches_its_own_evaluation():
     q = parse_query("SELECT x FROM /.* x{ab} .*/")
     assert list(eval_query(q, "abab")) == eval_canonical(q.disjuncts[0], "abab")
@@ -495,7 +530,7 @@ def test_budget_fallback_builds_the_equality_automaton_once(monkeypatch):
 
 
 def test_union_with_an_over_budget_disjunct_keeps_its_order(monkeypatch):
-    """The compiled disjunct's stream and the over-budget one's canonical
+    """The compiled disjunct's graph and the over-budget one's canonical
     rows merge, repeats dropped, into the compiled union's order."""
     q = parse_query("SELECT x FROM /.* x{a .*} .*/ UNION "
                     "SELECT x FROM /.* x{.*} .* y{.*} .*/ WHERE x == y")
@@ -507,6 +542,8 @@ def test_union_with_an_over_budget_disjunct_keeps_its_order(monkeypatch):
         "2..3", "2..2", "1..6", "1..5", "1..4", "1..3", "1..2", "1..1",
     ]
     assert rows == list(eval_query(q, "abaab", strategy="compiled"))
+    graph, canonical = compile_query(q, "abaab", path_budget=10, fallback=True)
+    assert not graph.empty and canonical == [q.disjuncts[1]]
 
 
 def test_unary_fallback_returns_the_compiled_list():
@@ -514,7 +551,8 @@ def test_unary_fallback_returns_the_compiled_list():
     back to canonical, and its rows come in the compiled order."""
     q = parse_query("SELECT x, y FROM /.* x{a} .* y{a} .*/ WHERE x == y")
     doc = "a" * 200
-    assert compile_query(q, doc, path_budget=100, fallback=True) == [None]
+    graph, canonical = compile_query(q, doc, path_budget=100, fallback=True)
+    assert graph.empty and canonical == list(q.disjuncts)
     rows = list(eval_query(q, doc, PlanOptions(eq_path_budget=100)))
     assert len(rows) == 200 * 199 // 2
     assert rows == list(eval_query(q, doc, strategy="compiled"))
