@@ -47,9 +47,10 @@ position, and their steps memoized by (content, symbol, alive layer), so a
 position whose frontier recurs costs one lookup; only change points get a
 number of their own, and positions where nothing changes are skipped when
 the index is built; each change point carries the entries its letter
-changes write, so the walk reads no configuration; a result is the stream's
-one tuple of variable names and a copy of one flat list of bounds, a tuple
-of ints with no sort and no span object (a row makes those when read).
+changes write, so the walk reads no configuration; a result is a tuple of
+the stream's row type, which carries the variable names, made straight from
+the one flat list of bounds: one object, with no sort and no span object (a
+row makes spans when read).
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import chain
 
-from .model import CLOSED, WAITING, SpanTuple
+from .model import CLOSED, WAITING, SpanTuple, bounds_of, row_type
 from .vsa import VSA, cached_step, normal_form
 
 _START = -1  # virtual start node's "state" id
@@ -476,7 +477,8 @@ def enumerate_graph(graph: MatchGraph, stats: EnumerationStats | None = None):
     fill_total = 0
     base_scan = stats.scan_steps if stats is not None else 0
     base_fill = stats.fill_steps if stats is not None else 0
-    make_row = SpanTuple._ordered
+    new_row = tuple.__new__
+    row_cls = row_type(variables)
 
     # a frame: [first change point, current change point, next choice there]
     frame = [start, start, 0]
@@ -493,7 +495,7 @@ def enumerate_graph(graph: MatchGraph, stats: EnumerationStats | None = None):
                     stats.tuples += 1
                     stats.scan_steps = base_scan + scan_total
                     stats.fill_steps = base_fill + fill_total
-                yield make_row(variables, tuple(bounds))
+                yield new_row(row_cls, bounds)
             scan_total += 1
             if at != frame[1]:  # a frameless run: back to the run that entered it
                 at = frame[1]
@@ -540,7 +542,7 @@ def enumeration_key(row: SpanTuple) -> list[int]:
     a configuration that grows sooner, or at the same position in a variable
     earlier in name order, so a larger string: the enumerator streams rows
     in descending order of this key, and equal keys mean equal rows."""
-    bounds = row._bounds
+    bounds = bounds_of(row)
     v = len(bounds) // 2
     events = [bound * v + i // 2 for i, bound in enumerate(bounds)]
     events.sort()

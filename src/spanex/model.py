@@ -57,6 +57,16 @@ class Span(NamedTuple):
     def __str__(self) -> str:
         return f"{self.begin}..{self.end}"
 
+    # a span tuple is a tuple too, which the tuple base would compare by its
+    # items: the span tuple decides
+    def __eq__(self, other: object) -> bool:
+        return NotImplemented if isinstance(other, SpanTuple) else tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return NotImplemented if isinstance(other, SpanTuple) else tuple.__ne__(self, other)
+
+    __hash__ = tuple.__hash__
+
 
 def span_text(doc: str, span: Span) -> str:
     """The substring of ``doc`` selected by ``span`` (empty for ``(i, i)``)."""
@@ -75,89 +85,137 @@ def all_spans(doc_len: int) -> Iterator[Span]:
 # ---------------------------------------------------------------------------
 
 
-class SpanTuple:
+_item = tuple.__getitem__
+
+
+def bounds_of(row: "SpanTuple") -> tuple[int, ...]:
+    """The row's flat bounds ``(begin₁, end₁, begin₂, end₂, …)``, in name
+    order, as a plain tuple."""
+    return _item(row, slice(None))
+
+
+def _pairs(row: "SpanTuple") -> Iterator[tuple[str, tuple[int, int]]]:
+    """The row's variables, each with its ``(begin, end)``."""
+    return zip(row.variables, zip(_item(row, slice(0, None, 2)), _item(row, slice(1, None, 2))))
+
+
+class SpanTuple(tuple):
     """An immutable assignment from variable names to spans.
 
     The values are pairs ``(begin, end)``, :class:`Span` objects or plain
-    tuples, and each name may occur once.  A tuple is stored as the
-    variable names in order and one flat tuple of their bounds in the same
-    order, ``(begin₁, end₁, begin₂, end₂, …)``; a value is read back as a
-    :class:`Span` equal to the one given, made on access.  The enumerator
-    hands every tuple of one stream the same names tuple.  Hashable, by the
-    bounds (equal tuples have equal bounds), so result sets behave like
-    relations.  Tuples are not ordered: the enumerator's order is
+    tuples, and each name may occur once.  A row is a ``tuple`` whose items
+    are its flat bounds in name order, ``(begin₁, end₁, begin₂, end₂, …)``,
+    so ``isinstance(row, tuple)`` holds and a row is one object for the
+    cyclic collector.  The names sit on the row's type, ``variables``: one
+    subclass per names tuple, made once (:func:`row_type`), as
+    :func:`collections.namedtuple` does.  A value is read back as a
+    :class:`Span` equal to the one given, made on access.
+
+    Apart from that a row is not a sequence: ``len`` and iteration raise
+    ``TypeError``, and ``row[name]`` reads a variable's span.  Hashable by
+    its bounds (equal rows have equal bounds and one type), so result sets
+    behave like relations; a row never equals a tuple that is not a row of
+    the same names, its bounds' plain tuple included.  Rows are not
+    ordered: the enumerator's order is
     :func:`spanex.enumerator.enumeration_key`.
     """
 
-    __slots__ = ("_names", "_bounds")
+    __slots__ = ()
+    variables: tuple[str, ...] = ()
 
-    def __init__(self, assignment: dict[str, Span] | Iterable[tuple[str, Span]]):
+    def __new__(cls, assignment: dict[str, Span] | Iterable[tuple[str, Span]]):
         if isinstance(assignment, dict):
             assignment = assignment.items()
         items = sorted(assignment, key=itemgetter(0))
         names = tuple([var for var, _ in items])
         if len(set(names)) < len(names):
             raise ValueError(f"repeated variable name in {names}")
-        self._names: tuple[str, ...] = names
-        self._bounds: tuple[int, ...] = tuple([
-            bound for _, (begin, end) in items for bound in (begin, end)])
+        return SpanTuple._ordered(
+            names, [bound for _, (begin, end) in items for bound in (begin, end)])
 
-    @classmethod
-    def _ordered(cls, names: tuple[str, ...], bounds: tuple[int, ...]) -> "SpanTuple":
-        """The tuple of ``names``, already in order, and their flat
-        ``bounds``; both are kept as given."""
-        self = object.__new__(cls)
-        self._names = names
-        self._bounds = bounds
-        return self
-
-    @property
-    def variables(self) -> tuple[str, ...]:
-        return self._names
+    @staticmethod
+    def _ordered(names: tuple[str, ...], bounds: Iterable[int]) -> "SpanTuple":
+        """The row of ``names``, already in order, and their flat
+        ``bounds``."""
+        return tuple.__new__(row_type(names), bounds)
 
     def items(self) -> tuple[tuple[str, Span], ...]:
-        bounds = self._bounds
-        return tuple(zip(self._names, map(Span, bounds[::2], bounds[1::2])))
+        return tuple([(var, Span(begin, end)) for var, (begin, end) in _pairs(self)])
 
     def as_dict(self) -> dict[str, Span]:
         return dict(self.items())
 
     def __getitem__(self, var: str) -> Span:
         try:
-            i = 2 * self._names.index(var)
+            i = 2 * self.variables.index(var)
         except ValueError:
             raise KeyError(var) from None
-        return Span(self._bounds[i], self._bounds[i + 1])
+        return Span(_item(self, i), _item(self, i + 1))
 
     def __contains__(self, var: str) -> bool:
-        return var in self._names
+        return var in self.variables
 
     def restrict(self, variables: Iterable[str]) -> "SpanTuple":
         keep = set(variables)
-        kept = [i for i, var in enumerate(self._names) if var in keep]
-        bounds = self._bounds
-        return SpanTuple._ordered(tuple([self._names[i] for i in kept]),
-                                  tuple([b for i in kept for b in bounds[2 * i:2 * i + 2]]))
+        kept = [i for i, var in enumerate(self.variables) if var in keep]
+        return SpanTuple._ordered(tuple([self.variables[i] for i in kept]),
+                                  [b for i in kept for b in _item(self, slice(2 * i, 2 * i + 2))])
 
     def merge(self, other: "SpanTuple") -> "SpanTuple":
         """Union of two tuples; overlapping variables must agree."""
-        combined = dict(zip(self._names, zip(self._bounds[::2], self._bounds[1::2])))
-        for var, span in zip(other._names, zip(other._bounds[::2], other._bounds[1::2])):
+        combined = dict(_pairs(self))
+        for var, span in _pairs(other):
             if combined.setdefault(var, span) != span:
                 raise ValueError(f"conflicting span for variable {var!r}")
         return SpanTuple(combined)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SpanTuple):
-            return NotImplemented
-        return self._bounds == other._bounds and self._names == other._names
+        if type(other) is type(self):
+            return tuple.__eq__(self, other)
+        # the tuple base would compare a plain tuple by its items
+        return False if isinstance(other, tuple) else NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(self._bounds)
+    def __ne__(self, other: object) -> bool:
+        if type(other) is type(self):
+            return tuple.__ne__(self, other)
+        return True if isinstance(other, tuple) else NotImplemented
+
+    __hash__ = tuple.__hash__
+
+    def _unordered(self, other: object):
+        raise TypeError("span tuples are not ordered; sort by spanex.enumerator.enumeration_key")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
+
+    def __len__(self):
+        raise TypeError("a span tuple has no length; see its variables")
+
+    def __iter__(self):
+        raise TypeError("a span tuple is not iterable; see its items()")
+
+    def __bool__(self) -> bool:
+        return True
+
+    def __reduce__(self):
+        # a row's type is made at run time, so it is rebuilt from its names
+        return SpanTuple._ordered, (self.variables, bounds_of(self))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{v}={s}" for v, s in self.items())
         return f"SpanTuple({inner})"
+
+
+_ROW_TYPES: dict[tuple[str, ...], type[SpanTuple]] = {}
+
+
+def row_type(names: tuple[str, ...]) -> type[SpanTuple]:
+    """The row type of the variable names ``names``, in name order: one
+    subclass of :class:`SpanTuple` per names tuple, made on first use."""
+    cls = _ROW_TYPES.get(names)
+    if cls is None:
+        cls = _ROW_TYPES.setdefault(
+            names, type("SpanTuple", (SpanTuple,), {"__slots__": (), "variables": names}))
+    return cls
 
 
 EMPTY_TUPLE = SpanTuple._ordered((), ())

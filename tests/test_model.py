@@ -1,7 +1,9 @@
 """Tests for spans, span tuples, ref-words, and per-position state sequences."""
 
+import copy
 import itertools
 import operator
+import pickle
 import random
 
 import pytest
@@ -12,7 +14,7 @@ from spanex.formula import Any, Cat, Star, parse_formula
 from spanex.model import (
     CLOSED, EMPTY_TUPLE, OPEN, WAITING,
     Span, SpanTuple,
-    all_spans, close_op, open_op, span_text,
+    all_spans, bounds_of, close_op, open_op, row_type, span_text,
 )
 from spanex.query import eval_canonical, eval_query, parse_query
 
@@ -177,6 +179,59 @@ def test_tuple_contract_across_construction_paths():
     assert x_row.merge(y_row) == SpanTuple({**x_row.as_dict(), **y_row.as_dict()})
     with pytest.raises(ValueError, match="conflicting span for variable 'x'"):
         x_row.merge(SpanTuple({"x": Span(x_row["x"].begin, x_row["x"].end + 1)}))
+
+
+def test_row_surface_through_every_construction_path():
+    """A row is a tuple of its flat bounds whose type carries the names, one
+    type per names tuple, however it was made: by the enumerator, from a
+    dict or pairs, by restrict or merge, or as EMPTY_TUPLE.  It hashes like
+    its bounds but never equals them or any other plain tuple, so a set
+    keeps both; it has no length, no iteration and no order; and it
+    survives pickle, copy and deepcopy with its type."""
+    built = list(enumerate_spans(compile_regex(parse_formula(".* x{a} y{.} .*")), "aab"))
+    row = built[0]
+    rows = {
+        "enumerator": row,
+        "dict": SpanTuple(row.as_dict()),
+        "pairs": SpanTuple(list(reversed(row.items()))),
+        "restrict": SpanTuple({**row.as_dict(), "z": Span(1, 1)}).restrict(["x", "y"]),
+        "merge": row.restrict(["x"]).merge(row.restrict(["y"])),
+    }
+    bounds = (row["x"].begin, row["x"].end, row["y"].begin, row["y"].end)
+    for path, made in rows.items():
+        assert isinstance(made, SpanTuple) and isinstance(made, tuple), path
+        assert type(made) is type(row) is row_type(("x", "y")), path
+        assert made.variables == type(made).variables == ("x", "y"), path
+        assert made == row and not made != row and hash(made) == hash(row), path
+        assert hash(made) == hash(bounds) and bounds_of(made) == bounds, path
+        assert made != bounds and not made == bounds, path
+        assert bounds != made and not bounds == made, path
+        assert len({made, bounds}) == len({bounds, made}) == 2, path
+        assert made != row.restrict(["x"]) and made != SpanTuple({"x": (1, 2), "y": (3, 3)})
+        for take in (len, iter, tuple, list, sorted):
+            with pytest.raises(TypeError):
+                take(made)
+        for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+            for a, b in ((made, row), (made, bounds), (bounds, made), (made, 1)):
+                with pytest.raises(TypeError):
+                    compare(a, b)
+        clones = [pickle.loads(pickle.dumps(made, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for clone in clones + [copy.copy(made), copy.deepcopy(made), copy.deepcopy([made])[0]]:
+            assert clone == made and type(clone) is type(made), path
+    # nor a span, a tuple of two bounds that compares with plain tuples
+    x_row, x_span = row.restrict(["x"]), row["x"]
+    assert x_row != x_span and x_span != x_row and not x_span == x_row
+    assert len({x_span, x_row}) == len({x_row, x_span}) == 2
+    assert x_span == tuple(x_span) and hash(x_span) == hash(x_row)
+    assert bool(EMPTY_TUPLE) and bool(row)
+    assert type(EMPTY_TUPLE) is row_type(()) and EMPTY_TUPLE.variables == ()
+    assert EMPTY_TUPLE == SpanTuple({}) == row.restrict([]) and EMPTY_TUPLE != ()
+    assert hash(EMPTY_TUPLE) == hash(()) and len({EMPTY_TUPLE, ()}) == 2
+    assert pickle.loads(pickle.dumps(EMPTY_TUPLE)) == EMPTY_TUPLE
+    # one type per names tuple, not per row or per stream
+    more = list(enumerate_spans(compile_regex(parse_formula(".* x{.*} .* y{.*} .*")), "abab"))
+    assert {type(made) for made in built + more} == {row_type(("x", "y"))}
 
 
 def test_stream_with_numbered_variable_names():
